@@ -1,7 +1,9 @@
 #include "bench_common.hh"
 
 #include <cmath>
+#include <cstdlib>
 #include <iostream>
+#include <sstream>
 
 namespace abndp
 {
@@ -77,6 +79,43 @@ geomean(const std::vector<double> &values)
     for (double v : values)
         acc += std::log(v);
     return std::exp(acc / values.size());
+}
+
+bool
+extractJsonNumber(const std::string &json, const std::string &key,
+                  double &out)
+{
+    auto pos = json.find("\"" + key + "\":");
+    if (pos == std::string::npos)
+        return false;
+    pos += key.size() + 3;
+    try {
+        out = std::stod(json.substr(pos));
+    } catch (...) {
+        return false;
+    }
+    return true;
+}
+
+std::vector<std::string>
+splitCsv(const std::string &s)
+{
+    std::vector<std::string> out;
+    std::istringstream iss(s);
+    std::string tok;
+    while (std::getline(iss, tok, ','))
+        if (!tok.empty())
+            out.push_back(tok);
+    return out;
+}
+
+std::vector<double>
+parseCsvDoubles(const std::string &s)
+{
+    std::vector<double> out;
+    for (const std::string &tok : splitCsv(s))
+        out.push_back(std::strtod(tok.c_str(), nullptr));
+    return out;
 }
 
 void

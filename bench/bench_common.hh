@@ -2,8 +2,8 @@
  * @file
  * Shared infrastructure for the per-table/per-figure benchmark binaries.
  * Every binary runs standalone with small defaults (so that looping over
- * build/bench/* regenerates all results) and accepts --scale / --seed /
- * --verify flags to change fidelity.
+ * `build/bench/bench_*` regenerates all results) and accepts --scale /
+ * --seed / --verify flags to change fidelity.
  */
 
 #ifndef ABNDP_BENCH_BENCH_COMMON_HH
@@ -72,6 +72,19 @@ double geomean(const std::vector<double> &values);
  * what shape the paper reports (EXPERIMENTS.md records the comparison).
  */
 void printBanner(const std::string &artifact, const std::string &paper);
+
+/**
+ * Extract the number after "\"key\":" from a one-line JSON record.
+ * @return false when the key is absent (malformed baseline).
+ */
+bool extractJsonNumber(const std::string &json, const std::string &key,
+                       double &out);
+
+/** Split a comma-separated flag value; empty fields are dropped. */
+std::vector<std::string> splitCsv(const std::string &s);
+
+/** Parse a comma-separated list of numbers (strtod per field). */
+std::vector<double> parseCsvDoubles(const std::string &s);
 
 /** Shorthand formatter. */
 inline std::string

@@ -7,7 +7,11 @@
  * events/sec.
  *
  * The simulated metrics of every cell are bit-deterministic; only the
- * wall-clock figures vary between hosts and runs.
+ * wall-clock figures vary between hosts and runs. events_per_sec divides
+ * the summed kernel events by the summed time spent inside
+ * NdpSystem::run() (RunMetrics::hostSeconds), so input generation,
+ * verify() and thread fan-out do not dilute it; wall_seconds is the
+ * whole grid's elapsed time, set-up included.
  *
  * --compare=FILE checks this run's events_per_sec against a baseline
  * JSON line written by a previous run (--out): the process exits
@@ -28,44 +32,6 @@
 #include <string>
 
 #include "bench_common.hh"
-
-namespace
-{
-
-/**
- * Extract the number after "\"key\":" from a one-line JSON record.
- * @return false when the key is absent (malformed baseline).
- */
-bool
-extractJsonNumber(const std::string &json, const std::string &key,
-                  double &out)
-{
-    auto pos = json.find("\"" + key + "\":");
-    if (pos == std::string::npos)
-        return false;
-    pos += key.size() + 3;
-    try {
-        out = std::stod(json.substr(pos));
-    } catch (...) {
-        return false;
-    }
-    return true;
-}
-
-/** Split a comma-separated flag value; empty fields are dropped. */
-std::vector<std::string>
-splitCsv(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::istringstream iss(s);
-    std::string tok;
-    while (std::getline(iss, tok, ','))
-        if (!tok.empty())
-            out.push_back(tok);
-    return out;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -102,10 +68,13 @@ main(int argc, char **argv)
     double wall = std::chrono::duration<double>(end - start).count();
     std::uint64_t events = 0;
     std::uint64_t tasks = 0;
+    double runSeconds = 0.0;
     for (const RunMetrics &m : results) {
         events += m.simEvents;
         tasks += m.tasks;
+        runSeconds += m.hostSeconds;
     }
+    const double eps = runSeconds > 0 ? events / runSeconds : 0;
 
     std::uint32_t threads = opts.threads ? opts.threads
                                          : defaultThreads();
@@ -126,7 +95,7 @@ main(int argc, char **argv)
          << ",\"sim_tasks\":" << tasks
          << ",\"wall_seconds\":" << wall
          << ",\"cells_per_sec\":" << (wall > 0 ? grid.size() / wall : 0)
-         << ",\"events_per_sec\":" << (wall > 0 ? events / wall : 0)
+         << ",\"events_per_sec\":" << eps
          << "}";
 
     std::cout << json.str() << "\n";
@@ -155,9 +124,8 @@ main(int argc, char **argv)
                  " has no usable events_per_sec; skipping comparison");
             return 0;
         }
-        double curEps = wall > 0 ? events / wall : 0;
-        double ratio = curEps / baseEps;
-        std::cerr << "perf_smoke compare: " << curEps << " vs baseline "
+        double ratio = eps / baseEps;
+        std::cerr << "perf_smoke compare: " << eps << " vs baseline "
                   << baseEps << " events/sec (x" << ratio
                   << ", tolerance -" << tolerance * 100 << "%)\n";
         if (ratio < 1.0 - tolerance) {

@@ -49,9 +49,10 @@ printUsage()
         "            --points/--knn-points/--queries/--astar-queries\n"
         "            --explicit-hints (programmer hint.workload)\n"
         "Output:     --stats (full dump) --json --print-config\n"
-        "            --trace=FILE (per-epoch CSV) --heatmap\n"
+        "            --heatmap\n"
         "            --stats-registry (hierarchical registry dump)\n"
-        "            --stats-interval=N (dump deltas every N epochs)\n"
+        "            --stats-interval=N (dump deltas every N epochs;\n"
+        "              N=1 is the per-epoch log)\n"
         "            --stats-out=FILE (interval dump target)\n"
         "            --trace-out=FILE (Chrome/Perfetto trace JSON)\n"
         "            --trace-buffer-events=N (tracer ring capacity)\n"
@@ -115,7 +116,10 @@ main(int argc, char **argv)
         cfg.sched.exhaustiveScoring = false;
     cfg.maxEpochs = flags.getUint("max-epochs", 0);
     cfg.seed = flags.getUint("sim-seed", 1);
-    cfg.traceFile = flags.getString("trace", "");
+    if (flags.has("trace"))
+        fatal("--trace (per-epoch CSV) was removed; use "
+              "--stats-interval=1 --stats-out=FILE for per-epoch counter "
+              "deltas");
     cfg.traceBufferEvents =
         flags.getUint("trace-buffer-events", cfg.traceBufferEvents);
     applyRunFlags(parseRunFlags(flags, /*threadsDefault=*/1), cfg);

@@ -121,6 +121,9 @@ SystemConfig::validate() const
         fatal("memBytesPerUnit must be a power of two");
     validateCacheGeometry(l1d, "L1-D");
     validateCacheGeometry(l1i, "L1-I");
+    if (prefetchBufBytes < cachelineBytes)
+        fatal("prefetchBufBytes must hold at least one ", cachelineBytes,
+              "-byte block, got ", prefetchBufBytes);
     if (traveller.style != CacheStyle::None) {
         if (!isPow2(traveller.ratioDenom))
             fatal("traveller ratio denominator must be a power of two");
@@ -502,67 +505,6 @@ designName(Design d)
       case Design::O: return "O";
       case Design::Hlb: return "HLB";
       case Design::HlbM: return "HLB-mig";
-    }
-    panic("unknown design");
-}
-
-namespace
-{
-
-/**
- * Declarative Table-2 composition (extended): each design is a
- * (scheduling policy, work stealing, cache layer, hierarchical lb,
- * migration) tuple. H keeps the defaults; the NDP fields are ignored
- * by the host model anyway.
- */
-struct DesignComposition
-{
-    Design design;
-    SchedPolicy policy;
-    bool workStealing;
-    CacheStyle cache;
-    bool lb;
-    bool migrate;
-};
-
-constexpr DesignComposition designTable[] = {
-    {Design::H, SchedPolicy::Colocate, false, CacheStyle::None,
-     false, false},
-    {Design::B, SchedPolicy::Colocate, false, CacheStyle::None,
-     false, false},
-    {Design::Sm, SchedPolicy::LowestDistance, false, CacheStyle::None,
-     false, false},
-    {Design::Sl, SchedPolicy::LowestDistance, true, CacheStyle::None,
-     false, false},
-    {Design::Sh, SchedPolicy::Hybrid, false, CacheStyle::None,
-     false, false},
-    {Design::C, SchedPolicy::LowestDistance, false,
-     CacheStyle::TravellerSramTags, false, false},
-    {Design::O, SchedPolicy::Hybrid, false,
-     CacheStyle::TravellerSramTags, false, false},
-    {Design::Hlb, SchedPolicy::Hybrid, false,
-     CacheStyle::TravellerSramTags, true, false},
-    {Design::HlbM, SchedPolicy::Hybrid, false,
-     CacheStyle::TravellerSramTags, true, true},
-};
-
-} // namespace
-
-SystemConfig
-applyDesign(SystemConfig base, Design d)
-{
-    for (const DesignComposition &row : designTable) {
-        if (row.design != d)
-            continue;
-        base.sched.policy = row.policy;
-        base.sched.policyName.clear();
-        base.sched.workStealing = row.workStealing;
-        base.traveller.style = row.cache;
-        base.lb.enabled = row.lb;
-        base.lb.migration.enabled = row.lb && row.migrate;
-        if (base.sched.autoAlpha)
-            base.sched.hybridAlpha = base.meshDiameter() / 2.0;
-        return base;
     }
     panic("unknown design");
 }

@@ -422,8 +422,6 @@ struct SystemConfig
     std::uint64_t seed = 1;
     /** Cap on bulk-synchronous epochs (0 = run to completion). */
     std::uint64_t maxEpochs = 0;
-    /** Optional per-epoch CSV trace file ("" = disabled). */
-    std::string traceFile;
 
     // ---- Observability (src/obs; see docs/OBSERVABILITY.md) ----
     /**
@@ -508,7 +506,12 @@ enum class Design
 /** Short display name of a design ("B", "Sm", ...). */
 const char *designName(Design d);
 
-/** Apply a Table-2 design point on top of a base configuration. */
+/**
+ * Apply a Table-2 design point on top of a base configuration: the
+ * enum-keyed alias of composeDesign(base, designName(d)). Defined next
+ * to the design registry (src/sched/policy_registry.cc), which is the
+ * one composition table.
+ */
 SystemConfig applyDesign(SystemConfig base, Design d);
 
 } // namespace abndp

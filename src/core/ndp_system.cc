@@ -248,39 +248,18 @@ NdpSystem::buildStats()
         sv.addFormula("meanNs", [this]() {
             return servingLat.meanTicks() / ticksPerNs;
         });
-        sv.addFormula("p50Ns", [this]() {
-            return static_cast<double>(servingLat.percentile(0.50))
-                / ticksPerNs;
-        });
-        sv.addFormula("p95Ns", [this]() {
-            return static_cast<double>(servingLat.percentile(0.95))
-                / ticksPerNs;
-        });
-        sv.addFormula("p99Ns", [this]() {
-            return static_cast<double>(servingLat.percentile(0.99))
-                / ticksPerNs;
-        });
-        sv.addFormula("p999Ns", [this]() {
-            return static_cast<double>(servingLat.percentile(0.999))
-                / ticksPerNs;
-        });
-        sv.addFormula("goodputQps", [this]() {
-            // Completed-within-SLO requests per simulated second.
-            if (lastCompletionTick == 0)
-                return 0.0;
-            double ok = static_cast<double>(
-                servingLat.samples() - servingLat.sloMisses());
-            return ok / (static_cast<double>(lastCompletionTick) * 1e-12);
-        });
-        sv.addFormula("sloMissRate", [this]() {
-            // Rejections count as misses: open-loop load shed is load
-            // the tenant offered and the machine did not serve in time.
-            if (servingInjected == 0)
-                return 0.0;
-            return static_cast<double>(servingRejected
-                                       + servingLat.sloMisses())
-                / static_cast<double>(servingInjected);
-        });
+        sv.addFormula("p50Ns",
+                      [this]() { return servingPercentileNs(0.50); });
+        sv.addFormula("p95Ns",
+                      [this]() { return servingPercentileNs(0.95); });
+        sv.addFormula("p99Ns",
+                      [this]() { return servingPercentileNs(0.99); });
+        sv.addFormula("p999Ns",
+                      [this]() { return servingPercentileNs(0.999); });
+        sv.addFormula("goodputQps",
+                      [this]() { return servingGoodputQps(); });
+        sv.addFormula("sloMissRate",
+                      [this]() { return servingSloMissRate(); });
         std::vector<std::string> tenantNames;
         tenantNames.reserve(cfg.serving.tenants);
         for (std::uint32_t t = 0; t < cfg.serving.tenants; ++t)
@@ -1189,20 +1168,9 @@ NdpSystem::batchRun(Workload &wl)
     std::vector<Tick> epoch_busy;
     std::vector<std::uint64_t> epoch_tasks;
 
-    // Optional per-epoch trace for offline plotting/debugging.
-    std::ofstream trace;
-    if (!cfg.traceFile.empty()) {
-        trace.open(cfg.traceFile);
-        if (!trace)
-            fatal("cannot open trace file: ", cfg.traceFile);
-        trace << "epoch,start_ns,duration_ns,tasks,busy_ns,interHops,"
-                 "campHits,campMisses,forwards,steals\n";
-    }
-    std::uint64_t prevHops = 0, prevCampHits = 0, prevCampMisses = 0;
-    std::uint64_t prevForwards = 0, prevSteals = 0;
-
     // Per-interval stats dumping (--stats-interval): every N epochs the
-    // registry prints the counter deltas since the previous dump.
+    // registry prints the counter deltas since the previous dump; N = 1
+    // gives the per-epoch log.
     std::ofstream statsFile;
     std::ostream *statsOs = nullptr;
     if (cfg.statsInterval > 0) {
@@ -1266,23 +1234,6 @@ NdpSystem::batchRun(Workload &wl)
         epoch_ticks.push_back(lastCompletionTick - epoch_begin);
         epoch_busy.push_back(epochBusy);
         epoch_tasks.push_back(epochTaskCount);
-        if (trace.is_open()) {
-            std::uint64_t hops = mem.network().totalInterHops();
-            std::uint64_t chits = mem.campHits();
-            std::uint64_t cmiss = mem.campMisses();
-            trace << ts << "," << epoch_begin / 1000.0 << ","
-                  << (lastCompletionTick - epoch_begin) / 1000.0 << ","
-                  << epochTaskCount << "," << epochBusy / 1000.0 << ","
-                  << hops - prevHops << "," << chits - prevCampHits
-                  << "," << cmiss - prevCampMisses << ","
-                  << forwardedTasks - prevForwards << ","
-                  << stolenTasks - prevSteals << "\n";
-            prevHops = hops;
-            prevCampHits = chits;
-            prevCampMisses = cmiss;
-            prevForwards = forwardedTasks;
-            prevSteals = stolenTasks;
-        }
         epochBusy = 0;
         epochTaskCount = 0;
         epochRecoveredCount = 0;
@@ -1312,72 +1263,8 @@ NdpSystem::batchRun(Workload &wl)
         warn("workload ", wl.name(), " emitted no initial tasks; zero "
              "epochs were simulated and every metric is zero");
 
-    energy.finalizeStatic(lastCompletionTick);
-
-    RunMetrics m;
-    m.ticks = lastCompletionTick;
-    m.epochs = ts;
-    m.tasks = totalTasks;
-    m.epochTicks = std::move(epoch_ticks);
-    m.epochBusyTicks = std::move(epoch_busy);
-    m.epochTasks = std::move(epoch_tasks);
-    m.interHops = mem.network().totalInterHops();
-    m.intraTraversals = mem.network().totalIntraTraversals();
-    m.energy = energy.breakdown();
-    m.campHits = mem.campHits();
-    m.campMisses = mem.campMisses();
-    m.cacheInserts = mem.cacheInsertions();
-    m.readLatMeanNs = mem.readLatencyNs().mean();
-    m.readLatMaxNs = mem.readLatencyNs().max();
-    m.stealAttempts = stealAttempts;
-    m.stolenTasks = stolenTasks;
-    m.forwardedTasks = forwardedTasks;
-    m.schedDecisions = sched.decisions();
-    for (UnitId u = 0; u < units.size(); ++u) {
-        const auto &unit = units[u];
-        m.pbHits += unit.pb->hits();
-        m.pbLateHits += unit.pb->lateHits();
-        m.pbMisses += unit.pb->misses();
-        for (const auto &core : unit.cores) {
-            m.coreActiveTicks.push_back(core.activeTicks);
-            m.l1Hits += core.l1d->hits();
-            m.l1Misses += core.l1d->misses();
-        }
-        m.dramReads += mem.dram(u).reads();
-        m.dramWrites += mem.dram(u).writes();
-        m.dramRowMisses += mem.dram(u).rowMisses();
-        m.dramRowHits += mem.dram(u).rowHits();
-        m.dramActStalls += mem.dram(u).actStalls();
-        m.dramEccRetries += mem.dram(u).eccRetries();
-    }
-    m.netDropped = mem.network().totalDropped();
-    m.netRetries = mem.network().totalRetries();
-    m.unitsFailed = everFailed
-        ? static_cast<std::uint64_t>(faults.failedUnits().size())
-        : 0;
-    m.tasksRecovered = tasksRecovered;
-    m.tasksRedispatched = tasksRedispatched;
-    m.recoveryTrafficBytes = recoveryTrafficBytes;
-    m.tasksShedIntra = tasksShedIntra;
-    m.tasksShedInter = tasksShedInter;
-    m.blocksMigrated = mem.blocksMigrated();
-    m.migrationInvalidations = mem.migrationInvalidations();
-    m.migrationTrafficBytes = mem.migrationTrafficBytes();
-    m.simEvents = eq.executed();
-
-    if (checker)
-        checker->onRunEnd(m);
-
-    if (!cfg.traceOut.empty()) {
-        std::ofstream tf(cfg.traceOut);
-        if (!tf)
-            fatal("cannot open trace output file: ", cfg.traceOut);
-        tracer.exportChromeJson(tf);
-    }
-
-    m.hostSeconds = std::chrono::duration<double>(
-        std::chrono::steady_clock::now() - hostStart).count();
-    return m;
+    return finishRun(hostStart, ts, std::move(epoch_ticks),
+                     std::move(epoch_busy), std::move(epoch_tasks));
 }
 
 void
@@ -1533,12 +1420,24 @@ NdpSystem::serveRun(Workload &wl)
     // Only bookkeeping chains remain (windows, steal backoffs).
     eq.clearPending();
 
+    return finishRun(hostStart, servingWindows, {}, {}, {});
+}
+
+RunMetrics
+NdpSystem::finishRun(std::chrono::steady_clock::time_point hostStart,
+                     std::uint64_t epochs, std::vector<Tick> epochTicks,
+                     std::vector<Tick> epochBusy,
+                     std::vector<std::uint64_t> epochTasks)
+{
     energy.finalizeStatic(lastCompletionTick);
 
     RunMetrics m;
     m.ticks = lastCompletionTick;
-    m.epochs = servingWindows;
+    m.epochs = epochs;
     m.tasks = totalTasks;
+    m.epochTicks = std::move(epochTicks);
+    m.epochBusyTicks = std::move(epochBusy);
+    m.epochTasks = std::move(epochTasks);
     m.interHops = mem.network().totalInterHops();
     m.intraTraversals = mem.network().totalIntraTraversals();
     m.energy = energy.breakdown();
@@ -1583,31 +1482,20 @@ NdpSystem::serveRun(Workload &wl)
     m.migrationTrafficBytes = mem.migrationTrafficBytes();
     m.simEvents = eq.executed();
 
+    // Serving fields: all zero in batch runs (no samples recorded).
     m.servingInjected = servingInjected;
     m.servingRejected = servingRejected;
     m.servingCompletedDirect = servingCompletedDirect;
     m.servingCompletedRecovered = servingCompletedRecovered;
     m.servingSloMisses = servingLat.sloMisses();
     m.servingWindows = servingWindows;
-    m.servingP50Ns =
-        static_cast<double>(servingLat.percentile(0.50)) / ticksPerNs;
-    m.servingP95Ns =
-        static_cast<double>(servingLat.percentile(0.95)) / ticksPerNs;
-    m.servingP99Ns =
-        static_cast<double>(servingLat.percentile(0.99)) / ticksPerNs;
-    m.servingP999Ns =
-        static_cast<double>(servingLat.percentile(0.999)) / ticksPerNs;
+    m.servingP50Ns = servingPercentileNs(0.50);
+    m.servingP95Ns = servingPercentileNs(0.95);
+    m.servingP99Ns = servingPercentileNs(0.99);
+    m.servingP999Ns = servingPercentileNs(0.999);
     m.servingMeanNs = servingLat.meanTicks() / ticksPerNs;
-    if (lastCompletionTick > 0) {
-        double ok = static_cast<double>(servingLat.samples()
-                                        - servingLat.sloMisses());
-        m.servingGoodputQps =
-            ok / (static_cast<double>(lastCompletionTick) * 1e-12);
-    }
-    if (servingInjected > 0)
-        m.servingSloMissRate =
-            static_cast<double>(servingRejected + servingLat.sloMisses())
-            / static_cast<double>(servingInjected);
+    m.servingGoodputQps = servingGoodputQps();
+    m.servingSloMissRate = servingSloMissRate();
 
     if (checker)
         checker->onRunEnd(m);
@@ -1622,6 +1510,34 @@ NdpSystem::serveRun(Workload &wl)
     m.hostSeconds = std::chrono::duration<double>(
         std::chrono::steady_clock::now() - hostStart).count();
     return m;
+}
+
+double
+NdpSystem::servingPercentileNs(double q) const
+{
+    return static_cast<double>(servingLat.percentile(q)) / ticksPerNs;
+}
+
+double
+NdpSystem::servingGoodputQps() const
+{
+    // Completed-within-SLO requests per simulated second.
+    if (lastCompletionTick == 0)
+        return 0.0;
+    double ok = static_cast<double>(servingLat.samples()
+                                    - servingLat.sloMisses());
+    return ok / (static_cast<double>(lastCompletionTick) * 1e-12);
+}
+
+double
+NdpSystem::servingSloMissRate() const
+{
+    // Rejections count as misses: open-loop load shed is load the
+    // tenant offered and the machine did not serve in time.
+    if (servingInjected == 0)
+        return 0.0;
+    return static_cast<double>(servingRejected + servingLat.sloMisses())
+        / static_cast<double>(servingInjected);
 }
 
 } // namespace abndp

@@ -25,6 +25,7 @@
 #ifndef ABNDP_CORE_NDP_SYSTEM_HH
 #define ABNDP_CORE_NDP_SYSTEM_HH
 
+#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
@@ -140,6 +141,27 @@ class NdpSystem : public TaskSink
 
     /** Completion-side latency/conservation accounting (serving). */
     void recordServedCompletion(UnitId u, std::uint32_t c);
+
+    /**
+     * The run epilogue both drivers end in: finalize static energy,
+     * build the RunMetrics, run the end-of-run invariant checks, export
+     * the Perfetto trace, and stamp hostSeconds. @p epochs is the epoch
+     * count (serving windows under serving); the per-epoch vectors are
+     * the batch engine's log and stay empty under serving.
+     */
+    RunMetrics finishRun(std::chrono::steady_clock::time_point hostStart,
+                         std::uint64_t epochs, std::vector<Tick> epochTicks,
+                         std::vector<Tick> epochBusy,
+                         std::vector<std::uint64_t> epochTasks);
+
+    // Serving summaries, shared by the serving.* stats and RunMetrics
+    // (each is 0 when no request completed, e.g. in batch runs).
+    /** Exact nearest-rank request-latency percentile @p q, in ns. */
+    double servingPercentileNs(double q) const;
+    /** Completed-within-SLO requests per simulated second. */
+    double servingGoodputQps() const;
+    /** (rejected + SLO misses) / injected. */
+    double servingSloMissRate() const;
 
     /** Move staged tasks into the live queues and start everything. */
     void startEpoch(std::uint64_t ts);

@@ -175,6 +175,12 @@ composeDesign(SystemConfig base, const std::string &name)
     return base;
 }
 
+SystemConfig
+applyDesign(SystemConfig base, Design d)
+{
+    return composeDesign(std::move(base), designName(d));
+}
+
 std::vector<std::string>
 registeredDesignPoints()
 {

@@ -14,8 +14,10 @@
  *     SystemConfig cfg = composeDesign(SystemConfig{}, "M");
  *
  * The built-in policies ("local", "memmatch", "hybrid") and the Table-2
- * design points (B, Sm, Sl, Sh, C, O, plus the host-only H) are seeded
- * on first use, so composeDesign() also understands the paper's names.
+ * design points (B, Sm, Sl, Sh, C, O, the host-only H, and the HLB /
+ * HLB-mig extension rows) are seeded on first use, so composeDesign()
+ * also understands the paper's names. This registry is the only design
+ * table: applyDesign() (common/config.hh) is its enum-keyed alias.
  */
 
 #ifndef ABNDP_SCHED_POLICY_REGISTRY_HH
@@ -84,8 +86,10 @@ struct DesignSpec
 bool registerDesignPoint(const std::string &name, DesignSpec spec);
 
 /**
- * Apply the design point registered as @p name on top of @p base —
- * the string-keyed analogue of applyDesign(); fatal() if unknown.
+ * Apply the design point registered as @p name on top of @p base;
+ * fatal() if unknown. Sets cfg.sched.policyName (never the
+ * SchedPolicy enum), so makeConfiguredPolicy() builds the registered
+ * policy.
  */
 SystemConfig composeDesign(SystemConfig base, const std::string &name);
 

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/config.hh"
+#include "sched/policy_registry.hh"
 
 namespace abndp
 {
@@ -47,31 +48,56 @@ TEST(Config, DerivedTravellerGeometry)
 TEST(Config, ApplyDesignMatrix)
 {
     SystemConfig base;
+    auto policyOf = [](const SystemConfig &cfg) {
+        return std::string(makeConfiguredPolicy(cfg)->name());
+    };
+
+    auto h = applyDesign(base, Design::H);
+    EXPECT_EQ(policyOf(h), "local");
+    EXPECT_EQ(h.traveller.style, CacheStyle::None);
 
     auto b = applyDesign(base, Design::B);
-    EXPECT_EQ(b.sched.policy, SchedPolicy::Colocate);
+    EXPECT_EQ(policyOf(b), "local");
     EXPECT_EQ(b.traveller.style, CacheStyle::None);
     EXPECT_FALSE(b.sched.workStealing);
 
     auto sm = applyDesign(base, Design::Sm);
-    EXPECT_EQ(sm.sched.policy, SchedPolicy::LowestDistance);
+    EXPECT_EQ(policyOf(sm), "memmatch");
     EXPECT_FALSE(sm.sched.workStealing);
 
+    // Sl wraps memmatch in the work-stealing decorator.
     auto sl = applyDesign(base, Design::Sl);
-    EXPECT_EQ(sl.sched.policy, SchedPolicy::LowestDistance);
     EXPECT_TRUE(sl.sched.workStealing);
+    auto slPolicy = makeConfiguredPolicy(sl);
+    EXPECT_TRUE(slPolicy->stealing());
+    ASSERT_NE(slPolicy->inner(), nullptr);
+    EXPECT_STREQ(slPolicy->inner()->name(), "memmatch");
 
     auto sh = applyDesign(base, Design::Sh);
-    EXPECT_EQ(sh.sched.policy, SchedPolicy::Hybrid);
+    EXPECT_EQ(policyOf(sh), "hybrid");
     EXPECT_EQ(sh.traveller.style, CacheStyle::None);
 
     auto c = applyDesign(base, Design::C);
-    EXPECT_EQ(c.sched.policy, SchedPolicy::LowestDistance);
+    EXPECT_EQ(policyOf(c), "memmatch");
     EXPECT_EQ(c.traveller.style, CacheStyle::TravellerSramTags);
 
     auto o = applyDesign(base, Design::O);
-    EXPECT_EQ(o.sched.policy, SchedPolicy::Hybrid);
+    EXPECT_EQ(policyOf(o), "hybrid");
     EXPECT_EQ(o.traveller.style, CacheStyle::TravellerSramTags);
+    EXPECT_FALSE(o.lb.enabled);
+    EXPECT_FALSE(o.lb.migration.enabled);
+
+    auto hlb = applyDesign(base, Design::Hlb);
+    EXPECT_EQ(policyOf(hlb), "hybrid");
+    EXPECT_EQ(hlb.traveller.style, CacheStyle::TravellerSramTags);
+    EXPECT_TRUE(hlb.lb.enabled);
+    EXPECT_FALSE(hlb.lb.migration.enabled);
+
+    auto hlbm = applyDesign(base, Design::HlbM);
+    EXPECT_EQ(policyOf(hlbm), "hybrid");
+    EXPECT_EQ(hlbm.traveller.style, CacheStyle::TravellerSramTags);
+    EXPECT_TRUE(hlbm.lb.enabled);
+    EXPECT_TRUE(hlbm.lb.migration.enabled);
 }
 
 TEST(Config, AutoAlphaTracksDiameter)

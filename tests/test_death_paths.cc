@@ -92,6 +92,19 @@ TEST(ConfigValidateDeath, RejectsBadL1Geometry)
     EXPECT_DEATH(cfg5.validate(), "L1-I size");
 }
 
+TEST(ConfigValidateDeath, RejectsUndersizedPrefetchBuffer)
+{
+    // Smaller than one block would build a zero-entry buffer and trip
+    // an internal assertion; it must be a user-facing fatal() instead.
+    auto cfg = plainConfig();
+    cfg.prefetchBufBytes = 32;
+    EXPECT_DEATH(cfg.validate(),
+                 "prefetchBufBytes must hold at least one 64-byte block");
+    auto cfg2 = plainConfig();
+    cfg2.prefetchBufBytes = 0;
+    EXPECT_DEATH(NdpSystem{cfg2}, "prefetchBufBytes");
+}
+
 // ---- validate(): Traveller Cache -------------------------------------
 
 TEST(ConfigValidateDeath, RejectsBadTravellerGeometry)

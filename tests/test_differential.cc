@@ -213,12 +213,17 @@ TEST(BandwidthMeterDifferential, LockStepAgainstReference)
 
 // ---- DdrBackend vs RefDdrBackend --------------------------------------
 
+// gtest lists a parameter it cannot print as its raw bytes, and the
+// leading bytes land in the listed test name. The case therefore opens
+// with a plain value (the op-stream seed), not the name pointer, whose
+// bytes would move whenever the binary's string layout does.
 struct DdrDiffCase
 {
-    const char *name;
+    std::uint32_t seed;
     PagePolicy policy;
     DramAddrMapKind addrMap;
     bool refresh;
+    const char *name;
 };
 
 class DdrBackendDifferential
@@ -242,7 +247,7 @@ TEST_P(DdrBackendDifferential, LockStepAgainstReference)
 
     // Drifting, backwards-jittering start ticks: the task-granularity
     // regime every bank-state anchor must stay bounded under.
-    Rng gen(0xdd12u);
+    Rng gen(g.seed);
     Tick base = 0;
     for (std::uint64_t i = 0; i < kOps; ++i) {
         base += gen.below(300);
@@ -267,16 +272,17 @@ TEST_P(DdrBackendDifferential, LockStepAgainstReference)
 INSTANTIATE_TEST_SUITE_P(
     Policies, DdrBackendDifferential,
     ::testing::Values(
-        DdrDiffCase{"open_rbc", PagePolicy::Open,
-                    DramAddrMapKind::RowBankColumn, true},
-        DdrDiffCase{"close_rcb", PagePolicy::Close,
-                    DramAddrMapKind::RowColumnBank, true},
-        DdrDiffCase{"adaptive_brc", PagePolicy::Adaptive,
-                    DramAddrMapKind::BankRowColumn, true},
-        DdrDiffCase{"open_rcb_norefresh", PagePolicy::Open,
-                    DramAddrMapKind::RowColumnBank, false},
-        DdrDiffCase{"adaptive_rbc", PagePolicy::Adaptive,
-                    DramAddrMapKind::RowBankColumn, true}),
+        DdrDiffCase{0xdd78u, PagePolicy::Open,
+                    DramAddrMapKind::RowBankColumn, true, "open_rbc"},
+        DdrDiffCase{0xdd81u, PagePolicy::Close,
+                    DramAddrMapKind::RowColumnBank, true, "close_rcb"},
+        DdrDiffCase{0xdd8bu, PagePolicy::Adaptive,
+                    DramAddrMapKind::BankRowColumn, true, "adaptive_brc"},
+        DdrDiffCase{0xdd98u, PagePolicy::Open,
+                    DramAddrMapKind::RowColumnBank, false,
+                    "open_rcb_norefresh"},
+        DdrDiffCase{0xddabu, PagePolicy::Adaptive,
+                    DramAddrMapKind::RowBankColumn, true, "adaptive_rbc"}),
     [](const auto &info) { return std::string(info.param.name); });
 
 // ---- PrefetchBuffer vs RefPrefetchBuffer ------------------------------

@@ -1,10 +1,16 @@
-/** @file Tests for the per-epoch CSV trace. */
+/**
+ * @file
+ * Tests for the per-epoch stats dump (--stats-interval=1), which carries
+ * every per-epoch counter delta: tasks, hops, camp hits and misses,
+ * forwards, and steals.
+ */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <unistd.h>
 
 #include "core/ndp_system.hh"
 #include "workloads/factory.hh"
@@ -12,48 +18,55 @@
 namespace abndp
 {
 
-TEST(Trace, WritesOneRowPerEpochPlusHeader)
+TEST(Trace, IntervalDumpWritesOneBlockPerEpoch)
 {
-    char tmpl[] = "/tmp/abndp_trace_XXXXXX";
+    char tmpl[] = "/tmp/abndp_interval_XXXXXX";
     int fd = mkstemp(tmpl);
     ASSERT_GE(fd, 0);
     close(fd);
     std::string path = tmpl;
 
     SystemConfig cfg = applyDesign(SystemConfig{}, Design::O);
-    cfg.traceFile = path;
+    cfg.statsInterval = 1;
+    cfg.statsOut = path;
     NdpSystem sys(cfg);
     auto wl = makeWorkload(WorkloadSpec::tiny("pr"));
     RunMetrics m = sys.run(*wl);
+    ASSERT_GT(m.epochs, 1u);
 
     std::ifstream in(path);
     ASSERT_TRUE(in.good());
     std::string line;
-    std::getline(in, line);
-    EXPECT_NE(line.find("epoch,start_ns"), std::string::npos);
-    std::uint64_t rows = 0;
+    std::uint64_t blocks = 0;
     std::uint64_t totalTasks = 0;
     while (std::getline(in, line)) {
-        ++rows;
-        // Column 4 (0-based 3) is the epoch task count.
-        std::istringstream iss(line);
-        std::string cell;
-        for (int c = 0; c <= 3; ++c)
-            std::getline(iss, cell, ',');
-        totalTasks += std::stoull(cell);
+        if (line.rfind("interval epochs [", 0) == 0) {
+            std::ostringstream want;
+            want << "interval epochs [" << blocks << ", " << blocks + 1
+                 << ") tick ";
+            EXPECT_EQ(line.rfind(want.str(), 0), 0u) << line;
+            ++blocks;
+        } else if (line.rfind("system.tasks ", 0) == 0) {
+            std::istringstream iss(line);
+            std::string name;
+            std::uint64_t delta = 0;
+            iss >> name >> delta;
+            totalTasks += delta;
+        }
     }
-    EXPECT_EQ(rows, m.epochs);
+    EXPECT_EQ(blocks, m.epochs);
     EXPECT_EQ(totalTasks, m.tasks);
     std::remove(path.c_str());
 }
 
-TEST(TraceDeath, UnwritablePathIsFatal)
+TEST(TraceDeath, UnwritableStatsOutIsFatal)
 {
     SystemConfig cfg = applyDesign(SystemConfig{}, Design::B);
-    cfg.traceFile = "/nonexistent-dir/trace.csv";
+    cfg.statsInterval = 1;
+    cfg.statsOut = "/nonexistent-dir/interval.stats";
     NdpSystem sys(cfg);
     auto wl = makeWorkload(WorkloadSpec::tiny("bfs"));
-    EXPECT_DEATH(sys.run(*wl), "cannot open trace file");
+    EXPECT_DEATH(sys.run(*wl), "cannot open stats output file");
 }
 
 } // namespace abndp
