@@ -5,7 +5,7 @@
  * stream over the extension designs `HLB` / `HLB-mig` next to the
  * paper's `B` and `O` rows, reporting per cell the simulated time,
  * speedup over B, load imbalance, and the new lb counters (intra/inter
- * sheds, re-homed blocks, stale-camp invalidation sweeps, migration
+ * sheds, re-homed blocks, stale-camp invalidations, migration
  * NoC traffic).
  *
  * --workloads resizes the batch grid (comma-separated);

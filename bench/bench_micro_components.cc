@@ -132,6 +132,50 @@ BM_TravellerLookupInsert(benchmark::State &state)
 }
 BENCHMARK(BM_TravellerLookupInsert);
 
+/** A full-size Traveller with @p blocks resident (no bypassing). */
+std::unique_ptr<TravellerCache>
+filledTraveller(std::uint64_t blocks)
+{
+    auto cfg = cachedConfig();
+    cfg.traveller.bypassProb = 0.0;
+    auto tc = std::make_unique<TravellerCache>(cfg, 1);
+    for (std::uint64_t b = 0; b < blocks; ++b)
+        tc->maybeInsert(b * 64);
+    return tc;
+}
+
+/**
+ * Dropping a re-homed block's copy from one camp: the one-set probe
+ * migration uses, against the whole-cache predicate sweep it replaced
+ * (one Traveller's share of the old per-migration cost).
+ */
+void
+BM_TravellerInvalidateBlock(benchmark::State &state)
+{
+    auto tc = filledTraveller(1 << 16);
+    Addr a = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(tc->invalidate(a));
+        tc->maybeInsert(a);
+        a = (a + 64) % (1 << 22);
+    }
+}
+BENCHMARK(BM_TravellerInvalidateBlock);
+
+void
+BM_TravellerInvalidateSweep(benchmark::State &state)
+{
+    auto tc = filledTraveller(1 << 16);
+    Addr a = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            tc->invalidateMatching([a](Addr b) { return b == a; }));
+        tc->maybeInsert(a);
+        a = (a + 64) % (1 << 22);
+    }
+}
+BENCHMARK(BM_TravellerInvalidateSweep);
+
 void
 BM_DramAccess(benchmark::State &state)
 {

@@ -85,6 +85,15 @@ CampMapping::candidates(Addr addr, CandidateList &out) const
         out.loc[g] = g == hg ? home : campOf(block, g);
 }
 
+void
+CampMapping::campsUnderAnyHome(Addr addr, CandidateList &out) const
+{
+    const std::uint64_t block = blockNumber(addr);
+    out.n = topo.numGroups();
+    for (GroupId g = 0; g < out.n; ++g)
+        out.loc[g] = campOf(block, g);
+}
+
 UnitId
 CampMapping::nearestCandidate(Addr addr, UnitId from) const
 {

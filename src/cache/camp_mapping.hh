@@ -77,6 +77,15 @@ class CampMapping
     void candidates(Addr addr, CandidateList &out) const;
 
     /**
+     * Every unit that may hold a camp copy of @p addr, whatever its
+     * home: the camp unit of each group, the home's own group included.
+     * A camp unit depends only on the block and the group, so a copy
+     * inserted before the block was re-homed sits in one of these
+     * units, even in the group the new home now serves directly.
+     */
+    void campsUnderAnyHome(Addr addr, CandidateList &out) const;
+
+    /**
      * Candidate location nearest to @p from (the "always probe only the
      * nearest camp location" rule of Section 4.3).
      */

@@ -149,11 +149,11 @@ class TravellerCache
     /**
      * Targeted invalidation: drop every cached block for which @p pred
      * (Addr -> bool) returns true — used to purge blocks homed on a
-     * failed unit, whose copies can no longer be revalidated. Removals
-     * count as evictions so the occupancy conservation law (occupancy
-     * == insertions - evictions since bulk invalidation, src/check)
-     * keeps holding; surviving ways are compacted so occupied ways
-     * remain a contiguous prefix, as the lookup fast path requires.
+     * failed unit, whose copies can no longer be revalidated. Visits
+     * every set; a single known block goes through invalidate().
+     * Removals count as evictions so the occupancy conservation law
+     * (occupancy == insertions - evictions since bulk invalidation,
+     * src/check) keeps holding.
      * @return the number of blocks dropped.
      */
     template <typename Pred>
@@ -161,31 +161,27 @@ class TravellerCache
     invalidateMatching(Pred pred)
     {
         std::uint64_t dropped = 0;
-        for (std::uint64_t s = 0; s < nSets; ++s) {
-            if (setGen[s] != curGen)
-                continue; // logically empty since the last bulk clear
-            const std::uint64_t base = s * assoc;
-            Addr *tag = &tags[base];
-            std::uint64_t *stamp = &stamps[base];
-            std::uint32_t keep = 0;
-            std::uint32_t w = 0;
-            for (; w < assoc && tag[w] != invalidAddr; ++w) {
-                if (pred(tag[w])) {
-                    ++dropped;
-                } else {
-                    tag[keep] = tag[w];
-                    stamp[keep] = stamp[w];
-                    ++keep;
-                }
-            }
-            for (; keep < w; ++keep) {
-                tag[keep] = invalidAddr;
-                stamp[keep] = 0;
-            }
-        }
+        for (std::uint64_t s = 0; s < nSets; ++s)
+            dropped += dropInSet(s, pred);
         nOccupied -= dropped;
         nEvicts += dropped;
         return dropped;
+    }
+
+    /**
+     * Drop one block if cached: probes only the block's own set, with
+     * the same eviction accounting and way compaction as
+     * invalidateMatching(). Used for a re-homed block's stale copies.
+     * @return true if the block was present.
+     */
+    bool
+    invalidate(Addr blockAddr)
+    {
+        const std::uint32_t dropped = dropInSet(
+            setOf(blockAddr), [blockAddr](Addr b) { return b == blockAddr; });
+        nOccupied -= dropped;
+        nEvicts += dropped;
+        return dropped != 0;
     }
 
     /** Clear all tags at the end of a timestamp (no writeback needed). */
@@ -225,6 +221,38 @@ class TravellerCache
     }
 
   private:
+    /**
+     * Drop the ways of set @p s that @p pred matches and compact the
+     * survivors, in order, so occupied ways remain a contiguous prefix
+     * as the lookup fast path requires. Leaves the counters to the
+     * caller. @return the number of ways dropped.
+     */
+    template <typename Pred>
+    std::uint32_t
+    dropInSet(std::uint64_t s, Pred pred)
+    {
+        if (setGen[s] != curGen)
+            return 0; // logically empty since the last bulk clear
+        const std::uint64_t base = s * assoc;
+        Addr *tag = &tags[base];
+        std::uint64_t *stamp = &stamps[base];
+        std::uint32_t keep = 0;
+        std::uint32_t w = 0;
+        for (; w < assoc && tag[w] != invalidAddr; ++w) {
+            if (!pred(tag[w])) {
+                tag[keep] = tag[w];
+                stamp[keep] = stamp[w];
+                ++keep;
+            }
+        }
+        const std::uint32_t dropped = w - keep;
+        for (; keep < w; ++keep) {
+            tag[keep] = invalidAddr;
+            stamp[keep] = 0;
+        }
+        return dropped;
+    }
+
     /**
      * Low-bit set index by default (paper Section 4.2: "the cache set
      * mapping follows traditional caches, using the lower bits in the

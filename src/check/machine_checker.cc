@@ -196,5 +196,18 @@ MachineChecker::onRunEnd(const RunMetrics &m)
     ctx.raiseIfAny("run end");
 }
 
+void
+MachineChecker::onBlockMigrated(Addr block)
+{
+    MemSystem &mem = sys.memSystem();
+    if (!mem.cachingEnabled())
+        return;
+    std::uint32_t holders = 0;
+    for (UnitId u = 0; u < sys.numUnits(); ++u)
+        holders += mem.traveller(u).contains(block) ? 1 : 0;
+    checkNoStaleCampCopy(ctx, block, holders);
+    ctx.raiseIfAny("block migration");
+}
+
 } // namespace check
 } // namespace abndp

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "check/check_context.hh"
+#include "common/types.hh"
 #include "energy/energy.hh"
 
 namespace abndp
@@ -75,6 +76,14 @@ class MachineChecker
 
     /** Run-end hook: metrics reconciliation and bandwidth audits. */
     void onRunEnd(const RunMetrics &m);
+
+    /**
+     * Re-homing hook, called right after MemSystem::migrateBlock():
+     * no camp cache in the machine may still hold @p block. Probes
+     * every unit, not only the block's camps, so it also proves that
+     * the targeted invalidation found every copy.
+     */
+    void onBlockMigrated(Addr block);
 
     // ---- Primitive conservation predicates (perturbation-testable) ----
 
@@ -132,24 +141,37 @@ class MachineChecker
 
     /**
      * Data re-homing conservation: with camp caching on, every block
-     * migration runs exactly one stale-camp invalidation sweep;
-     * without a camp cache there is nothing to invalidate and the
-     * sweep count must stay zero. A missed sweep would leave a
-     * Traveller entry serving reads for a block its home no longer
-     * owns.
+     * migration runs exactly one stale-camp invalidation; without a
+     * camp cache there is nothing to invalidate and the count must
+     * stay zero. A missed invalidation would leave a Traveller entry
+     * serving reads for a block its home no longer owns.
      */
     static void
     checkMigrationConservation(CheckContext &ctx, std::uint64_t migrated,
-                               std::uint64_t invalidationSweeps,
+                               std::uint64_t invalidations,
                                bool cachingEnabled)
     {
         std::uint64_t want = cachingEnabled ? migrated : 0;
-        ctx.require(invalidationSweeps == want,
+        ctx.require(invalidations == want,
                     "migration conservation: ", migrated,
-                    " blocks re-homed but ", invalidationSweeps,
-                    " stale-camp invalidation sweeps ran (expected ",
-                    want, "; a missed sweep leaves a stale Traveller "
+                    " blocks re-homed but ", invalidations,
+                    " stale-camp invalidations ran (expected ", want,
+                    "; a missed invalidation leaves a stale Traveller "
                     "entry serving a moved block)");
+    }
+
+    /**
+     * After a re-homing, no camp cache holds the moved block: @p holders
+     * counts the units whose Traveller still contains it.
+     */
+    static void
+    checkNoStaleCampCopy(CheckContext &ctx, Addr block,
+                         std::uint32_t holders)
+    {
+        ctx.require(holders == 0, "stale camp copy: block ", block,
+                    " is still cached at ", holders,
+                    " units after re-homing (the invalidation missed a "
+                    "camp that holds it)");
     }
 
     /**

@@ -253,6 +253,21 @@ class RefTravellerCache
         return true;
     }
 
+    /** Erase one block in place (surviving ways keep their order). */
+    bool
+    invalidate(Addr blockAddr)
+    {
+        auto &set = sets[setOf(blockAddr)];
+        for (auto it = set.begin(); it != set.end(); ++it) {
+            if (it->block == blockAddr) {
+                set.erase(it);
+                ++nEvicts;
+                return true;
+            }
+        }
+        return false;
+    }
+
     void
     bulkInvalidate()
     {

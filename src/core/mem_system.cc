@@ -215,14 +215,16 @@ MemSystem::migrateBlock(Addr block, UnitId to, Tick now)
     net.transfer(from, to, PacketSizes::data, now);
     drams[to]->access(block, cachelineBytes, true, false, now);
     nMigrationTraffic += PacketSizes::data;
-    // The camp locations of a block derive from its home unit, so
-    // every cached copy placed under the old home is stale: sweep all
-    // camps. Dropped blocks count as evictions inside the Traveller,
-    // preserving the occupancy conservation law.
+    // Every cached copy was placed under an earlier home and is now
+    // stale. Copies only ever sit in the block's camp units, one per
+    // group, so one set probe per camp drops them all. Dropped blocks
+    // count as evictions inside the Traveller, preserving the
+    // occupancy conservation law.
     if (cachingEnabled()) {
-        for (auto &cc : campCaches)
-            cc->invalidateMatching(
-                [block](Addr b) { return b == block; });
+        CandidateList holders;
+        camps.campsUnderAnyHome(block, holders);
+        for (std::uint32_t g = 0; g < holders.n; ++g)
+            campCaches[holders.loc[g]]->invalidate(block);
         ++nMigrationInvalidations;
     }
     indirection.set(block, to, amap.homeOf(block));

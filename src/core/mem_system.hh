@@ -80,8 +80,8 @@ class MemSystem
      * Hotness-driven re-homing (src/sched/lb): move ownership of
      * @p block to unit @p to. Ships one data packet from the current
      * home, pays a DRAM read there and a write at the new home,
-     * sweeps every camp cache for stale copies of the block (the
-     * Traveller's camp locations are derived from the home), and
+     * drops the block's stale camp copies (one set probe in each of
+     * its camp units, CampMapping::campsUnderAnyHome), and
      * records the move in the indirection overlay consulted by
      * CampMapping::homeOf(). Traffic and energy are charged to the
      * meters; no task blocks on the move (re-homing rides the

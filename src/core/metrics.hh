@@ -116,7 +116,7 @@ struct RunMetrics
     std::uint64_t tasksShedInter = 0;
     /** Blocks re-homed by the migration engine. */
     std::uint64_t blocksMigrated = 0;
-    /** Stale-location Traveller sweeps issued by migrations. */
+    /** Stale-camp invalidations issued by migrations (one each). */
     std::uint64_t migrationInvalidations = 0;
     /** Bytes shipped moving re-homed blocks between units. */
     std::uint64_t migrationTrafficBytes = 0;

@@ -989,8 +989,11 @@ NdpSystem::runLbExchange()
     // would race the recovery re-homing (documented simplification).
     if (cfg.lb.migration.enabled && !(failuresOn && unitsDown)) {
         for (const MigrationCmd &m :
-                 lbEngine->planMigrations(mem.campMapping()))
+                 lbEngine->planMigrations(mem.campMapping())) {
             mem.migrateBlock(m.block, m.to, eq.now());
+            if (checker)
+                checker->onBlockMigrated(m.block);
+        }
     }
     lbEngine->onWindow();
 }

@@ -20,12 +20,11 @@ namespace
 {
 
 /**
- * Per-member hotness shares for a reserve tier ({} for the others —
- * the tracker is only consulted when a balancer will actually use it).
+ * Per-member hotness shares of @p counts for a reserve tier ({} for the
+ * others — only a reserve balancer weighs its moves by them).
  */
 std::vector<double>
-hotShares(LbTierKind kind, const DataHotness &hot,
-          const std::vector<std::uint64_t> &counts)
+hotShares(LbTierKind kind, const std::vector<std::uint64_t> &counts)
 {
     if (kind != LbTierKind::Reserve)
         return {};
@@ -57,8 +56,7 @@ LbEngine::planSheds(const std::vector<std::uint32_t> &qlen) const
                 loads[i] = qlen[members[i]];
                 counts[i] = hot.totalCount(members[i]);
             }
-            std::vector<double> frac =
-                hotShares(cfg.intraTier, hot, counts);
+            std::vector<double> frac = hotShares(cfg.intraTier, counts);
             for (const LbMove &mv :
                  planTier(cfg.intraTier, cfg, loads, frac))
                 cmds.push_back({members[mv.from], members[mv.to],
@@ -78,7 +76,7 @@ LbEngine::planSheds(const std::vector<std::uint32_t> &qlen) const
                 counts[s] += hot.totalCount(u);
             }
         }
-        std::vector<double> frac = hotShares(cfg.interTier, hot, counts);
+        std::vector<double> frac = hotShares(cfg.interTier, counts);
         for (const LbMove &mv : planTier(cfg.interTier, cfg, loads, frac)) {
             // Pin the stack-to-stack move to the most loaded unit of
             // the donor stack and the least loaded unit of the

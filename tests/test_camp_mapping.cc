@@ -160,6 +160,38 @@ TEST(CampMapping, NearestCandidateIsActuallyNearest)
     }
 }
 
+TEST(CampMapping, CampsUnderAnyHomeCoverEveryHomesCamps)
+{
+    // A re-homed block's stale copies sit in camps chosen under an
+    // earlier home; the home-independent list must hold, group by
+    // group, every camp that any home of the block would probe.
+    for (bool skewed : {true, false}) {
+        CampFixture f(skewed);
+        HomeIndirection indir;
+        f.camps_->setHomeIndirection(&indir);
+        Rng rng(5);
+        for (int i = 0; i < 64; ++i) {
+            const Addr a = blockAlign(rng.below(f.cfg.totalMemBytes()));
+            CandidateList any;
+            f.camps_->campsUnderAnyHome(a, any);
+            ASSERT_EQ(any.n, f.camps_->numGroups());
+            for (UnitId home = 0; home < f.cfg.numUnits(); ++home) {
+                indir.set(a, home, f.amap->homeOf(a));
+                ASSERT_EQ(f.camps_->homeOf(a), home);
+                CandidateList cl;
+                f.camps_->candidates(a, cl);
+                for (GroupId g = 0; g < cl.n; ++g) {
+                    if (g != f.topo->groupOf(home)) {
+                        ASSERT_EQ(cl.loc[g], any.loc[g])
+                            << "skewed " << skewed << " home " << home;
+                    }
+                }
+            }
+            indir.clear();
+        }
+    }
+}
+
 TEST(CampMapping, TagBitsMatchPaperArithmetic)
 {
     // Section 4.3: 64GB capacity, 32768 sets -> 15 tag bits without the

@@ -197,9 +197,10 @@ TEST(CheckerPerturbation, TaskConservationUnderFailureFires)
 
 TEST(CheckerPerturbation, MigrationConservationFires)
 {
-    // Re-homing law: with camp caching on, sweeps == migrations; with
-    // caching off, sweeps == 0. A missed sweep (stale Traveller entry
-    // left behind) and a phantom sweep both surface as an imbalance.
+    // Re-homing law: with camp caching on, invalidations == migrations;
+    // with caching off, invalidations == 0. A missed invalidation
+    // (stale Traveller entry left behind) and a phantom one both
+    // surface as an imbalance.
     check::CheckContext ctx;
     check::MachineChecker::checkMigrationConservation(ctx, 5, 5, true);
     check::MachineChecker::checkMigrationConservation(ctx, 5, 0, false);
@@ -210,9 +211,57 @@ TEST(CheckerPerturbation, MigrationConservationFires)
     EXPECT_NE(ctx.violations()[0].find("migration conservation"),
               std::string::npos);
     ctx.clearViolations();
-    // A sweep without caching means phantom invalidation work.
+    // An invalidation without caching means phantom work.
     check::MachineChecker::checkMigrationConservation(ctx, 5, 5, false);
     ASSERT_FALSE(ctx.clean());
+}
+
+TEST(CheckerPerturbation, StaleCampCopyFires)
+{
+    check::CheckContext ctx;
+    check::MachineChecker::checkNoStaleCampCopy(ctx, 0x40, 0);
+    EXPECT_TRUE(ctx.clean());
+    check::MachineChecker::checkNoStaleCampCopy(ctx, 0x40, 1);
+    ASSERT_FALSE(ctx.clean());
+    EXPECT_NE(ctx.violations()[0].find("stale camp copy"),
+              std::string::npos);
+}
+
+TEST(CheckerPerturbation, MigrationHookProbesEveryUnit)
+{
+    // Plant a copy of a block in a Traveller that is none of the
+    // block's camps — a placement the targeted invalidation would never
+    // probe. The hook must still find it: it checks every unit.
+    auto cfg = smallConfig(Design::HlbM, true);
+    cfg.traveller.bypassProb = 0.0;
+    NdpSystem sys(cfg);
+    auto *checker = sys.invariantChecker();
+    ASSERT_NE(checker, nullptr);
+    checker->context().setCollect(true);
+    MemSystem &mem = sys.memSystem();
+    const Addr block = 0x40;
+    CandidateList camps;
+    mem.campMapping().campsUnderAnyHome(block, camps);
+    UnitId stray = invalidUnit;
+    for (UnitId u = 0; u < sys.numUnits() && stray == invalidUnit; ++u) {
+        bool isCamp = false;
+        for (std::uint32_t g = 0; g < camps.n; ++g)
+            isCamp |= camps.loc[g] == u;
+        if (!isCamp)
+            stray = u;
+    }
+    ASSERT_NE(stray, invalidUnit);
+    ASSERT_TRUE(mem.traveller(stray).maybeInsert(block));
+
+    checker->onBlockMigrated(block);
+    ASSERT_FALSE(checker->context().clean());
+    EXPECT_NE(checker->context().violations()[0].find("stale camp copy"),
+              std::string::npos);
+
+    checker->context().clearViolations();
+    mem.traveller(stray).invalidate(block);
+    checker->onBlockMigrated(block);
+    EXPECT_TRUE(checker->context().clean());
 }
 
 TEST(CheckerPerturbation, EpochHookDetectsLostTask)
@@ -251,6 +300,11 @@ TEST_P(CheckedDesignRun, AllInvariantsHoldEndToEnd)
     RunMetrics m = sys.run(*wl);
     EXPECT_TRUE(wl->verify());
     EXPECT_GT(m.tasks, 0u);
+    // HLB-mig must actually re-home blocks here, or the per-migration
+    // stale-copy hook would go unexercised.
+    if (GetParam() == Design::HlbM) {
+        EXPECT_GT(m.blocksMigrated, 0u);
+    }
     EXPECT_TRUE(sys.invariantChecker()->context().clean());
 }
 

@@ -148,6 +148,11 @@ TEST_P(TravellerDifferential, LockStepAgainstReference)
             ASSERT_EQ(opt.maybeInsert(a), ref.maybeInsert(a))
                 << "op " << i;
             break;
+          case 6:
+            // Re-homing drop: the surviving ways must keep the order
+            // the reference keeps, or later random victims diverge.
+            ASSERT_EQ(opt.invalidate(a), ref.invalidate(a)) << "op " << i;
+            break;
           default:
             ASSERT_EQ(opt.contains(a), ref.contains(a)) << "op " << i;
             break;

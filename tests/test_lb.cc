@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "cache/camp_mapping.hh"
+#include "check/machine_checker.hh"
 #include "core/ndp_system.hh"
 #include "mem/address_map.hh"
 #include "net/topology.hh"
@@ -346,8 +347,28 @@ TEST(HlbEndToEnd, HlbMigMaintainsMigrationConservation)
     EXPECT_NE(dump.find("blocksMigrated"), std::string::npos);
     // HLB-mig caches camps (Traveller on), so the conservation law the
     // machine checker enforces per run holds in the reported metrics:
-    // one stale-camp invalidation sweep per re-homed block.
+    // one stale-camp invalidation per re-homed block.
     EXPECT_EQ(m.migrationInvalidations, m.blocksMigrated);
+}
+
+TEST(HlbEndToEnd, ReHomingLeavesNoStaleCampCopy)
+{
+    // The tiny input above never has a camp copy of a block when it
+    // moves; pr at scale 12 on the Table-1 machine has dozens. With the
+    // checker armed, every migration is followed by a probe of every
+    // unit's Traveller, so the targeted invalidation is tested against
+    // real placements.
+    SystemConfig cfg = applyDesign(SystemConfig{}, Design::HlbM);
+    cfg.checkInvariants = true;
+    NdpSystem sys(cfg);
+    WorkloadSpec spec;
+    spec.scale = 12;
+    auto wl = makeWorkload(spec);
+    RunMetrics m = sys.run(*wl);
+    EXPECT_TRUE(wl->verify());
+    EXPECT_GT(m.blocksMigrated, 0u);
+    EXPECT_EQ(m.migrationInvalidations, m.blocksMigrated);
+    EXPECT_TRUE(sys.invariantChecker()->context().clean());
 }
 
 TEST(HlbEndToEnd, UnconfiguredBalancerLeavesStatsTreeUntouched)

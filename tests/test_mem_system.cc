@@ -4,6 +4,7 @@
 
 #include <cstdlib>
 #include <memory>
+#include <vector>
 
 #include "core/mem_system.hh"
 
@@ -15,10 +16,12 @@ namespace
 
 struct MemFixture
 {
-    explicit MemFixture(CacheStyle style, double bypass = 0.0)
+    explicit MemFixture(CacheStyle style, double bypass = 0.0,
+                        bool migration = false)
     {
         cfg.traveller.style = style;
         cfg.traveller.bypassProb = bypass;
+        cfg.lb.migration.enabled = migration;
         topo = std::make_unique<Topology>(cfg);
         amap = std::make_unique<AddressMap>(cfg);
         energy = std::make_unique<EnergyAccount>(cfg);
@@ -148,6 +151,50 @@ TEST(MemSystem, BypassProbabilitySkipsInsertions)
     f.mem->readBlock(req, addr, 10000000);
     EXPECT_EQ(f.mem->cacheInsertions(), 0u);
     EXPECT_EQ(f.mem->campMisses(), 2u);
+}
+
+TEST(MemSystem, MigrationDropsEveryStaleCampCopy)
+{
+    // Fill the block's camps under home 90, re-home it into a group
+    // whose camp holds a copy (that camp is never probed again while
+    // the new home serves the group), refill under the new home, and
+    // move it back: after each move no Traveller anywhere holds it.
+    MemFixture f(CacheStyle::TravellerSramTags, 0.0, true);
+    const Addr block = f.amap->unitBase(90) + 0x40;
+    const UnitId n = f.cfg.numUnits();
+    auto readFromEveryUnit = [&](Tick t) {
+        for (UnitId u = 0; u < n; ++u)
+            f.mem->readBlock(u, block, t);
+    };
+    auto copies = [&] {
+        std::vector<UnitId> at;
+        for (UnitId u = 0; u < n; ++u)
+            if (f.mem->traveller(u).contains(block))
+                at.push_back(u);
+        return at;
+    };
+
+    readFromEveryUnit(0);
+    const std::vector<UnitId> first = copies();
+    ASSERT_GE(first.size(), 2u);
+    const UnitId stale = first[0];
+    const GroupId g = f.topo->groupOf(stale);
+    UnitId to = f.topo->unitInGroup(g, 0);
+    if (to == stale)
+        to = f.topo->unitInGroup(g, 1);
+
+    f.mem->migrateBlock(block, to, 10000000);
+    EXPECT_EQ(f.mem->campMapping().homeOf(block), to);
+    EXPECT_TRUE(copies().empty());
+    EXPECT_EQ(f.mem->migrationInvalidations(), 1u);
+
+    readFromEveryUnit(20000000);
+    ASSERT_FALSE(copies().empty());
+    f.mem->migrateBlock(block, 90, 30000000);
+    EXPECT_EQ(f.mem->campMapping().homeOf(block), 90u);
+    EXPECT_TRUE(copies().empty());
+    EXPECT_EQ(f.mem->migrationInvalidations(), 2u);
+    EXPECT_EQ(f.mem->blocksMigrated(), 2u);
 }
 
 TEST(MemSystem, ReadLatencySampled)

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cache/traveller_cache.hh"
 
 namespace abndp
@@ -17,6 +19,16 @@ smallCfg(double bypass = 0.0)
     cfg.traveller.style = CacheStyle::TravellerSramTags;
     cfg.traveller.bypassProb = bypass;
     return cfg;
+}
+
+/** @p n distinct blocks sharing set 0 (low-bit index: stride numSets). */
+std::vector<Addr>
+sameSetBlocks(const TravellerCache &tc, std::uint32_t n)
+{
+    std::vector<Addr> out;
+    for (std::uint32_t i = 0; i < n; ++i)
+        out.push_back(static_cast<Addr>(i) * tc.numSets() * cachelineBytes);
+    return out;
 }
 
 } // namespace
@@ -101,6 +113,64 @@ TEST(TravellerCache, DeterministicAcrossInstances)
         Addr addr = static_cast<Addr>(i) * 64;
         ASSERT_EQ(a.maybeInsert(addr), b.maybeInsert(addr));
     }
+}
+
+TEST(TravellerCache, InvalidateDropsOnlyThatBlock)
+{
+    auto cfg = smallCfg();
+    TravellerCache tc(cfg, 1);
+    const auto blocks = sameSetBlocks(tc, tc.associativity());
+    for (Addr b : blocks)
+        ASSERT_TRUE(tc.maybeInsert(b));
+    const std::uint64_t evicts = tc.evictions();
+
+    EXPECT_TRUE(tc.invalidate(blocks[1]));
+    EXPECT_FALSE(tc.invalidate(blocks[1])) << "already dropped";
+    EXPECT_FALSE(tc.contains(blocks[1]));
+    // The survivors were compacted in place: the lookup walk, which
+    // stops at the first empty way, still finds every one of them.
+    for (Addr b : {blocks[0], blocks[2], blocks[3]})
+        EXPECT_TRUE(tc.lookup(b));
+    EXPECT_EQ(tc.occupancy(), blocks.size() - 1);
+    EXPECT_EQ(tc.evictions(), evicts + 1) << "a drop counts as eviction";
+
+    // The freed way takes the next insert without a victim.
+    ASSERT_TRUE(tc.maybeInsert(blocks[1]));
+    EXPECT_EQ(tc.evictions(), evicts + 1);
+    EXPECT_EQ(tc.occupancy(), blocks.size());
+
+    // A set left behind by a bulk clear is empty: nothing to drop.
+    tc.bulkInvalidate();
+    EXPECT_FALSE(tc.invalidate(blocks[0]));
+    EXPECT_EQ(tc.occupancy(), 0u);
+}
+
+TEST(TravellerCache, InvalidateEqualsOneBlockSweep)
+{
+    // The one-set probe and a whole-cache predicate sweep for the same
+    // block leave identical contents, counters and way order; the
+    // order shows in every later random victim draw.
+    auto cfg = smallCfg(0.3);
+    cfg.memBytesPerUnit = 1ull << 20; // 256 blocks: the sets fill up
+    cfg.traveller.repl = ReplPolicy::Random;
+    TravellerCache probe(cfg, 9), sweep(cfg, 9);
+    Rng gen(0x51u);
+    for (int i = 0; i < 20000; ++i) {
+        const Addr a = static_cast<Addr>(gen.below(2048)) * cachelineBytes;
+        if (gen.below(4) == 0) {
+            const bool dropped = probe.invalidate(a);
+            ASSERT_EQ(dropped ? 1u : 0u, sweep.invalidateMatching(
+                                             [a](Addr b) { return b == a; }))
+                << "op " << i;
+        } else {
+            ASSERT_EQ(probe.maybeInsert(a), sweep.maybeInsert(a))
+                << "op " << i;
+        }
+    }
+    EXPECT_EQ(probe.occupancy(), sweep.occupancy());
+    EXPECT_EQ(probe.evictions(), sweep.evictions());
+    for (Addr a = 0; a < 2048 * cachelineBytes; a += cachelineBytes)
+        ASSERT_EQ(probe.contains(a), sweep.contains(a)) << "block " << a;
 }
 
 } // namespace abndp
