@@ -223,22 +223,38 @@ BM_BandwidthMeterReserve(benchmark::State &state)
 }
 BENCHMARK(BM_BandwidthMeterReserve);
 
+/**
+ * One hybrid decision on a @p mesh x @p mesh machine as a running
+ * system sees it: every unit has queued work in the exchanged snapshot
+ * (so costload is scored), and creators alternate between a unit that
+ * has forwarded since the exchange (its own patched view row) and one
+ * that has not (the snapshot row). At 8x8 the candidate-stack table
+ * exceeds its bound, so that variant times the per-candidate minimum.
+ */
 void
-BM_SchedulerChoose(benchmark::State &state)
+schedulerChoose(benchmark::State &state, std::uint32_t mesh)
 {
     auto cfg = cachedConfig();
+    cfg.meshX = cfg.meshY = mesh;
     cfg.sched.policy = SchedPolicy::Hybrid;
     Topology topo(cfg);
     AddressMap amap(cfg);
     CampMapping camps(cfg, topo, amap);
     Scheduler sched(cfg, topo, camps);
+    const std::uint32_t units = topo.numUnits();
+
+    Rng rng(3);
+    for (UnitId u = 0; u < units; ++u)
+        sched.onEnqueued(u, 100.0 + static_cast<double>(rng.below(1000)));
+    sched.exchangeSnapshot();
+    for (UnitId u = 1; u < units; u += 2)
+        sched.onForwarded(u, (u + 7) % units, 50.0);
 
     // A representative vertex task: one main record + 16 neighbors.
     Task task;
-    Rng rng(3);
     for (int i = 0; i < 17; ++i)
         task.hint.data.push_back(amap.unitBase(
-                                     static_cast<UnitId>(rng.below(128)))
+                                     static_cast<UnitId>(rng.below(units)))
                                  + rng.below(1 << 20) * 64);
     task.mainHome = amap.homeOf(task.hint.data[0]);
     task.loadEstimate = sched.estimateLoad(task);
@@ -246,10 +262,23 @@ BM_SchedulerChoose(benchmark::State &state)
     UnitId creator = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(sched.choose(task, creator));
-        creator = (creator + 1) % 128;
+        creator = (creator + 1) % units;
     }
 }
+
+void
+BM_SchedulerChoose(benchmark::State &state)
+{
+    schedulerChoose(state, 4);
+}
 BENCHMARK(BM_SchedulerChoose);
+
+void
+BM_SchedulerChoose8x8(benchmark::State &state)
+{
+    schedulerChoose(state, 8);
+}
+BENCHMARK(BM_SchedulerChoose8x8);
 
 } // namespace
 } // namespace abndp

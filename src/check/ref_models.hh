@@ -28,11 +28,15 @@
 #include <utility>
 #include <vector>
 
+#include "cache/camp_mapping.hh"
 #include "common/config.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
+#include "fault/fault_model.hh"
+#include "net/topology.hh"
 #include "sched/lb/data_hotness.hh"
+#include "tasking/task.hh"
 
 namespace abndp
 {
@@ -1006,6 +1010,255 @@ class RefHomeIndirection
 
   private:
     std::map<Addr, UnitId> map;
+};
+
+/**
+ * Reference Eq.-1 scorer: Scheduler's hybrid placement (or, with
+ * @p hybrid false, its lowest-distance placement) recomputed from
+ * scratch at every decision. Each sampled address takes the minimum
+ * over its candidates of stack-pair costs derived from the mesh
+ * coordinates; the forward penalty multiplies the unit distance on the
+ * fly; costload adds the creator's delta (one vector per viewer, zero
+ * for a unit that never forwarded) to the snapshot of every unit and
+ * divides by the speed factor and W_avg, with no cached rows. The sums
+ * per unit keep the order Scheduler promises (costmem, then the
+ * penalty, then B * costload), so score rows must match bit for bit.
+ */
+class RefHybridScorer
+{
+  public:
+    RefHybridScorer(const SystemConfig &cfg, const Topology &topo,
+                    const CampMapping &camps, const FaultModel *faults,
+                    bool hybrid)
+        : topo(topo), camps(camps), faults(faults), hybrid(hybrid),
+          withCamps(hybrid && cfg.traveller.style != CacheStyle::None),
+          exhaustive(!hybrid || cfg.sched.exhaustiveScoring),
+          weightB(cfg.sched.hybridAlpha * topo.interCost()),
+          forwardPenalty(cfg.sched.forwardPenaltyFrac),
+          deadband(cfg.sched.costloadDeadband), n(topo.numUnits()),
+          wTrue(n, 0.0), wSnap(n, 0.0), speed(n, 1.0),
+          delta(n, std::vector<double>(n, 0.0))
+    {
+    }
+
+    void onEnqueued(UnitId u, double load) { wTrue[u] += load; }
+
+    void
+    onDequeued(UnitId u, double load)
+    {
+        drain(u, load);
+    }
+
+    void
+    onStolen(UnitId victim, UnitId thief, double load)
+    {
+        drain(victim, load);
+        wTrue[thief] += load;
+    }
+
+    void
+    onForwarded(UnitId from, UnitId to, double load)
+    {
+        drain(from, load);
+        wTrue[to] += load;
+        delta[from][from] -= load;
+        delta[from][to] += load;
+    }
+
+    void
+    exchangeSnapshot(Tick now)
+    {
+        wSnap = wTrue;
+        if (faults && faults->anyInjector())
+            for (UnitId u = 0; u < n; ++u)
+                speed[u] = faults->speedFactor(u, now);
+        double sum = 0.0;
+        for (UnitId u = 0; u < n; ++u)
+            sum += wSnap[u] / speed[u];
+        wAvg = sum / n;
+        if (!exhaustive) {
+            idleHint.clear();
+            for (UnitId u = 0; u < n; ++u)
+                if (!masked() || faults->isLive(u))
+                    idleHint.push_back(u);
+            const std::size_t depth =
+                std::min<std::size_t>(8, idleHint.size());
+            std::partial_sort(idleHint.begin(), idleHint.begin() + depth,
+                              idleHint.end(), [this](UnitId a, UnitId b) {
+                                  return wSnap[a] < wSnap[b];
+                              });
+            idleHint.resize(depth);
+        }
+        for (auto &row : delta)
+            std::fill(row.begin(), row.end(), 0.0);
+    }
+
+    UnitId
+    choose(const Task &task, UnitId creator)
+    {
+        scoreCostMem(task);
+        if (hybrid) {
+            if (forwardPenalty > 0.0)
+                for (UnitId u = 0; u < n; ++u)
+                    score[u] +=
+                        forwardPenalty * topo.distanceCost(creator, u);
+            if (wAvg > 0.0) {
+                for (UnitId u = 0; u < n; ++u) {
+                    double w = u == creator
+                        ? wTrue[u]
+                        : wSnap[u] + delta[creator][u];
+                    w /= speed[u];
+                    double r = w / wAvg - 1.0;
+                    r = r > deadband
+                        ? r - deadband
+                        : (r < -deadband ? r + deadband : 0.0);
+                    score[u] += weightB * r;
+                }
+            }
+        }
+        UnitId best = exhaustive ? argminLive() : argminPruned(task, creator);
+        return resolveTies(task, creator, best);
+    }
+
+    const std::vector<double> &scores() const { return score; }
+    double trueW(UnitId u) const { return wTrue[u]; }
+    double snapshotW(UnitId u) const { return wSnap[u]; }
+
+  private:
+    void
+    drain(UnitId u, double load)
+    {
+        wTrue[u] -= load;
+        if (wTrue[u] < 0.0)
+            wTrue[u] = 0.0;
+    }
+
+    bool masked() const { return faults && faults->anyUnitDown(); }
+
+    double
+    stackCost(StackId from, StackId to, double d_intra) const
+    {
+        if (from == to)
+            return d_intra;
+        auto [x1, y1] = topo.stackCoord(to);
+        auto [x2, y2] = topo.stackCoord(from);
+        std::uint32_t hops = (x1 > x2 ? x1 - x2 : x2 - x1)
+            + (y1 > y2 ? y1 - y2 : y2 - y1);
+        return topo.interCost() * hops;
+    }
+
+    void
+    scoreCostMem(const Task &task)
+    {
+        std::vector<Addr> addrs(task.hint.data.begin(),
+                                task.hint.data.end());
+        for (const auto &r : task.hint.ranges) {
+            addrs.push_back(r.start);
+            if (r.lines() > 2)
+                addrs.push_back(r.start + r.bytes / 2);
+            if (r.lines() > 1)
+                addrs.push_back(r.start + r.bytes - 1);
+        }
+        score.assign(n, 0.0);
+        if (addrs.empty())
+            return;
+        const std::size_t step =
+            addrs.size() <= 64 ? 1 : (addrs.size() + 63) / 64;
+        const double d_intra = topo.intraCost() * topo.meanIntraHops();
+        std::vector<double> stackSum(topo.numStacks(), 0.0);
+        std::vector<double> bonus(n, 0.0);
+        std::uint32_t sampled = 0;
+        for (std::size_t i = 0; i < addrs.size(); i += step, ++sampled) {
+            CandidateList cl;
+            if (withCamps) {
+                camps.candidates(addrs[i], cl);
+            } else {
+                cl.loc[0] = camps.homeOf(addrs[i]);
+                cl.n = 1;
+            }
+            for (StackId s = 0; s < topo.numStacks(); ++s) {
+                double m = stackCost(topo.stackOf(cl.loc[0]), s, d_intra);
+                for (std::uint32_t c = 1; c < cl.n; ++c) {
+                    double v =
+                        stackCost(topo.stackOf(cl.loc[c]), s, d_intra);
+                    m = v < m ? v : m;
+                }
+                stackSum[s] += m;
+            }
+            for (std::uint32_t c = 0; c < cl.n; ++c)
+                bonus[cl.loc[c]] += d_intra;
+        }
+        const double inv = 1.0 / sampled;
+        for (UnitId u = 0; u < n; ++u)
+            score[u] = (stackSum[topo.stackOf(u)] - bonus[u]) * inv;
+    }
+
+    UnitId
+    argminLive() const
+    {
+        UnitId best = invalidUnit;
+        for (UnitId u = 0; u < n; ++u) {
+            if (masked() && !faults->isLive(u))
+                continue;
+            if (best == invalidUnit || score[u] < score[best])
+                best = u;
+        }
+        return best;
+    }
+
+    UnitId
+    argminPruned(const Task &task, UnitId creator) const
+    {
+        std::vector<UnitId> set{creator};
+        if (task.mainHome < n)
+            set.push_back(task.mainHome);
+        const auto &data = task.hint.data;
+        const std::size_t step =
+            data.size() <= 16 ? 1 : (data.size() + 15) / 16;
+        for (std::size_t i = 0; i < data.size(); i += step) {
+            CandidateList cl;
+            camps.candidates(data[i], cl);
+            set.insert(set.end(), cl.loc.begin(), cl.loc.begin() + cl.n);
+        }
+        set.insert(set.end(), idleHint.begin(), idleHint.end());
+        UnitId best = creator;
+        for (UnitId u : set)
+            if ((!masked() || faults->isLive(u)) && score[u] < score[best])
+                best = u;
+        return best;
+    }
+
+    UnitId
+    resolveTies(const Task &task, UnitId creator, UnitId best) const
+    {
+        constexpr double eps = 1e-9;
+        if ((!masked() || faults->isLive(creator))
+            && score[creator] <= score[best] + eps)
+            return creator;
+        if (task.mainHome < n
+            && (!masked() || faults->isLive(task.mainHome))
+            && score[task.mainHome] <= score[best] + eps)
+            return task.mainHome;
+        return best;
+    }
+
+    const Topology &topo;
+    const CampMapping &camps;
+    const FaultModel *faults;
+    bool hybrid;
+    bool withCamps;
+    bool exhaustive;
+    double weightB;
+    double forwardPenalty;
+    double deadband;
+    std::uint32_t n;
+    std::vector<double> wTrue;
+    std::vector<double> wSnap;
+    std::vector<double> speed;
+    std::vector<std::vector<double>> delta;
+    double wAvg = 0.0;
+    std::vector<UnitId> idleHint;
+    std::vector<double> score;
 };
 
 } // namespace check

@@ -372,11 +372,11 @@ NdpSystem::enqueueTask(Task &&task)
         // scheduler serializes the whole initial batch.
         if (creatorCtx == invalidUnit)
             creator = static_cast<UnitId>(initialSpread++ % units.size());
-        sched.onEnqueued(creator, task.loadEstimate, creator);
+        sched.onEnqueued(creator, task.loadEstimate);
         units[creator].stagedPending.push_back(std::move(task));
     } else {
         UnitId dst = sched.choose(task, creator);
-        sched.onEnqueued(dst, task.loadEstimate, creator);
+        sched.onEnqueued(dst, task.loadEstimate);
         units[dst].stagedReady.push_back(std::move(task));
     }
     ++stagedCount;
@@ -436,7 +436,7 @@ NdpSystem::pumpScheduler(UnitId u)
             unit.ready.push_back(std::move(task));
             tryDispatch(u);
         } else {
-            sched.onForwarded(u, dst, task.loadEstimate, u);
+            sched.onForwarded(u, dst, task.loadEstimate);
             ++forwardedTasks;
             if (tracer.enabled())
                 tracer.record(obs::TraceEvent::TaskForward, u,
@@ -1292,14 +1292,14 @@ NdpSystem::injectServingTask(Task &&task)
             static_cast<UnitId>(initialSpread++ % units.size());
         if (failuresOn && !faults.isLive(creator))
             creator = faults.rehomeOf(creator);
-        sched.onEnqueued(creator, task.loadEstimate, creator);
+        sched.onEnqueued(creator, task.loadEstimate);
         units[creator].pending.push_back(std::move(task));
         pumpScheduler(creator);
     } else {
         UnitId dst = sched.choose(task, task.mainHome);
         if (failuresOn && !faults.isLive(dst))
             dst = faults.rehomeOf(dst);
-        sched.onEnqueued(dst, task.loadEstimate, task.mainHome);
+        sched.onEnqueued(dst, task.loadEstimate);
         units[dst].ready.push_back(std::move(task));
         tryDispatch(dst);
     }

@@ -13,11 +13,10 @@ HybridPolicy::choose(Scheduler &sched, const Task &task, UnitId creator)
     // creator's (possibly stale) view of the system. Both argmin
     // variants and the tie resolution consult the liveness mask while
     // a unit failure is active, so a down unit never wins Eq. 1.
-    sched.scoreCostMem(task, sched.campAwareScoring());
-    sched.addForwardPenalty(creator);
-    sched.addCostLoad(creator);
-    UnitId best = sched.exhaustive() ? sched.argminAllUnits()
-                                     : sched.argminPruned(task, creator);
+    UnitId best = sched.scoreUnits(task, creator, sched.campAwareScoring(),
+                                   /*withLoad=*/true);
+    if (!sched.exhaustive())
+        best = sched.argminPruned(task, creator);
     return sched.resolveTies(task, creator, best);
 }
 

@@ -11,11 +11,12 @@ MemMatchPolicy::choose(Scheduler &sched, const Task &task, UnitId creator)
     // Pure data-affinity scoring: camp copies are not consulted even
     // when a cache layer is present (design C matches the paper's
     // lowest-distance baseline, which is cache-oblivious). Under an
-    // active unit failure argminAllUnits/resolveTies score live units
+    // active unit failure scoreUnits/resolveTies pick live units
     // only, so the lowest-distance choice degrades to the nearest
     // live unit.
-    sched.scoreCostMem(task, false);
-    return sched.resolveTies(task, creator, sched.argminAllUnits());
+    UnitId best = sched.scoreUnits(task, creator, /*withCamps=*/false,
+                                   /*withLoad=*/false);
+    return sched.resolveTies(task, creator, best);
 }
 
 } // namespace abndp

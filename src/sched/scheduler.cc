@@ -20,29 +20,36 @@ Scheduler::Scheduler(const SystemConfig &cfg, const Topology &topo,
       deadband(cfg.sched.costloadDeadband),
       nUnits(topo.numUnits()),
       nStacks(topo.numStacks()),
+      dIntraEst(topo.intraCost() * topo.meanIntraHops()),
+      penalty(!(forwardPenalty > 0.0) ? Penalty::None
+              : nUnits <= fwdPenMaxUnits ? Penalty::Row
+                                         : Penalty::OnTheFly),
       wTrue(nUnits, 0.0),
       wSnap(nUnits, 0.0),
       wDelta(static_cast<std::size_t>(nUnits) * nUnits, 0.0),
       deltaDirty(nUnits, 0),
       speed(nUnits, 1.0),
+      loadSnap(nUnits, 0.0),
+      loadView(static_cast<std::size_t>(nUnits) * nUnits, 0.0),
       stackOfUnit(nUnits, 0),
       stackBase(nStacks, 0.0),
       stackMin(nStacks, 0.0),
       unitBonus(nUnits, 0.0),
       unitScore(nUnits, 0.0)
 {
-    // Eq. 2 stack-pair costs, precomputed with the exact expressions
-    // scoreCostMem() used to evaluate inline (bit-equal by operand
-    // identity): the diagonal is the intra-stack estimate, off-diagonal
-    // entries are Dinter * XY-mesh hops.
-    const double d_intra = topo.intraCost() * topo.meanIntraHops();
+    // Eq. 2 stack-pair costs: the diagonal is the intra-stack
+    // estimate, off-diagonal entries are Dinter * XY-mesh hops. With
+    // the crossbar NoC Dintra is constant (the paper's setting); for
+    // the ring option the stack-level term uses the mean ring
+    // distance as an estimate (placement within the stack is then a
+    // second-order effect).
     const double d_inter = topo.interCost();
     stackPairCost.resize(static_cast<std::size_t>(nStacks) * nStacks);
     for (StackId cs = 0; cs < nStacks; ++cs) {
         for (StackId s = 0; s < nStacks; ++s) {
             double cost;
             if (cs == s) {
-                cost = d_intra;
+                cost = dIntraEst;
             } else {
                 auto [x1, y1] = topo.stackCoord(s);
                 auto [x2, y2] = topo.stackCoord(cs);
@@ -56,12 +63,57 @@ Scheduler::Scheduler(const SystemConfig &cfg, const Topology &topo,
     }
     for (UnitId u = 0; u < nUnits; ++u)
         stackOfUnit[u] = topo.stackOf(u);
-    if (forwardPenalty > 0.0 && nUnits <= fwdPenMaxUnits) {
+    if (penalty == Penalty::Row) {
         fwdPen.resize(static_cast<std::size_t>(nUnits) * nUnits);
         for (UnitId c = 0; c < nUnits; ++c)
             for (UnitId u = 0; u < nUnits; ++u)
                 fwdPen[static_cast<std::size_t>(c) * nUnits + u] =
                     forwardPenalty * topo.distanceCost(c, u);
+    }
+
+    // Nearest-candidate rows for every candidate-stack tuple. Digit g
+    // is the candidate's stack among group g's stacks (first-seen
+    // order); its place value is the product of the earlier groups'
+    // stack counts. The minimum of doubles is exact, so each stored
+    // row equals the per-candidate min it replaces.
+    if (!campAware)
+        return;
+    const GroupId ngroups = topo.numGroups();
+    std::vector<std::vector<StackId>> groupStacks(ngroups);
+    for (GroupId g = 0; g < ngroups; ++g) {
+        auto &gs = groupStacks[g];
+        for (UnitId u : topo.unitsOfGroup(g))
+            if (std::find(gs.begin(), gs.end(), topo.stackOf(u))
+                == gs.end())
+                gs.push_back(topo.stackOf(u));
+    }
+    std::vector<std::size_t> place(ngroups);
+    std::size_t tuples = 1;
+    for (GroupId g = 0; g < ngroups; ++g) {
+        place[g] = tuples;
+        tuples *= groupStacks[g].size();
+        if (tuples * nStacks > stackMinMaxDoubles)
+            return;
+    }
+    tupleWeight.resize(nUnits);
+    for (UnitId u = 0; u < nUnits; ++u) {
+        const GroupId g = topo.groupOf(u);
+        const auto &gs = groupStacks[g];
+        auto digit = static_cast<std::size_t>(
+            std::find(gs.begin(), gs.end(), topo.stackOf(u)) - gs.begin());
+        tupleWeight[u] = static_cast<std::uint32_t>(place[g] * digit);
+    }
+    stackMinRows.resize(tuples * nStacks);
+    for (std::size_t t = 0; t < tuples; ++t) {
+        double *out = stackMinRows.data() + t * nStacks;
+        for (GroupId g = 0; g < ngroups; ++g) {
+            const auto &gs = groupStacks[g];
+            const double *row = stackPairCost.data()
+                + static_cast<std::size_t>(gs[(t / place[g]) % gs.size()])
+                    * nStacks;
+            for (StackId s = 0; s < nStacks; ++s)
+                out[s] = (g == 0 || row[s] < out[s]) ? row[s] : out[s];
+        }
     }
 }
 
@@ -80,16 +132,16 @@ Scheduler::estimateLoad(const Task &task) const
     return task_overhead + nominal_access * static_cast<double>(lines);
 }
 
-void
-Scheduler::scoreCostMem(const Task &task, bool withCamps)
+UnitId
+Scheduler::choose(const Task &task, UnitId creator)
 {
-    // With the crossbar NoC Dintra is constant (the paper's setting);
-    // for the ring option the stack-level term uses the mean ring
-    // distance as an estimate (placement within the stack is then a
-    // second-order effect). Both terms live premultiplied in
-    // stackPairCost (see the constructor).
-    const double d_intra = topo.intraCost() * topo.meanIntraHops();
+    ++nDecisions;
+    return policyObj->choose(*this, task, creator);
+}
 
+double
+Scheduler::accumulateCostMem(const Task &task, bool withCamps)
+{
     std::fill(stackBase.begin(), stackBase.end(), 0.0);
     for (UnitId u : bonusDirty)
         unitBonus[u] = 0.0;
@@ -109,10 +161,8 @@ Scheduler::scoreCostMem(const Task &task, bool withCamps)
             sampleScratch.push_back(r.start + r.bytes - 1);
     }
     const auto &data = sampleScratch;
-    if (data.empty()) {
-        std::fill(unitScore.begin(), unitScore.end(), 0.0);
-        return;
-    }
+    if (data.empty())
+        return 0.0;
 
     // Sample at most sampleCap addresses for huge hints (a hardware
     // scheduler would summarize long address lists the same way).
@@ -130,30 +180,9 @@ Scheduler::scoreCostMem(const Task &task, bool withCamps)
             cl.loc[0] = camps.homeOf(a);
             cl.n = 1;
         }
-
-        // Per-stack nearest-candidate cost: streaming add of one
-        // contiguous stackPairCost row per candidate (min across rows
-        // keeps the first minimum, matching the original candidate-
-        // order scan).
-        const double *row0 = stackPairCost.data()
-            + static_cast<std::size_t>(topo.stackOf(cl.loc[0])) * nStacks;
-        if (cl.n == 1) {
-            for (StackId s = 0; s < nStacks; ++s)
-                stackBase[s] += row0[s];
-        } else {
-            for (StackId s = 0; s < nStacks; ++s)
-                stackMin[s] = row0[s];
-            for (std::uint32_t c = 1; c < cl.n; ++c) {
-                const double *row = stackPairCost.data()
-                    + static_cast<std::size_t>(topo.stackOf(cl.loc[c]))
-                        * nStacks;
-                for (StackId s = 0; s < nStacks; ++s)
-                    stackMin[s] =
-                        row[s] < stackMin[s] ? row[s] : stackMin[s];
-            }
-            for (StackId s = 0; s < nStacks; ++s)
-                stackBase[s] += stackMin[s];
-        }
+        const double *row = nearestStackRow(cl);
+        for (StackId s = 0; s < nStacks; ++s)
+            stackBase[s] += row[s];
 
         // A unit equal to a candidate saves (Dintra - Dlocal) for this
         // address relative to the stack-level bound.
@@ -161,114 +190,133 @@ Scheduler::scoreCostMem(const Task &task, bool withCamps)
             UnitId cand = cl.loc[c];
             if (unitBonus[cand] == 0.0)
                 bonusDirty.push_back(cand);
-            unitBonus[cand] += d_intra; // Dlocal == 0
+            unitBonus[cand] += dIntraEst; // Dlocal == 0
         }
     }
 
     abndp_assert(sampled > 0);
-    const double inv = 1.0 / sampled;
+    return 1.0 / sampled;
+}
+
+const double *
+Scheduler::nearestStackRow(const CandidateList &cl)
+{
+    const double *row0 = stackPairCost.data()
+        + static_cast<std::size_t>(stackOfUnit[cl.loc[0]]) * nStacks;
+    if (cl.n == 1)
+        return row0;
+    if (!stackMinRows.empty()) {
+        std::size_t t = 0;
+        for (std::uint32_t c = 0; c < cl.n; ++c)
+            t += tupleWeight[cl.loc[c]];
+        return stackMinRows.data() + t * nStacks;
+    }
+    // Machines too large for the table: min across the candidates'
+    // contiguous rows.
+    for (StackId s = 0; s < nStacks; ++s)
+        stackMin[s] = row0[s];
+    for (std::uint32_t c = 1; c < cl.n; ++c) {
+        const double *row = stackPairCost.data()
+            + static_cast<std::size_t>(stackOfUnit[cl.loc[c]]) * nStacks;
+        for (StackId s = 0; s < nStacks; ++s)
+            stackMin[s] = row[s] < stackMin[s] ? row[s] : stackMin[s];
+    }
+    return stackMin.data();
+}
+
+double
+Scheduler::loadTerm(UnitId u, double w) const
+{
+    double r = w / speed[u] / wAvg - 1.0;
+    // Small deviations are measurement noise on shallow queues, not
+    // imbalance worth moving tasks for.
+    r = r > deadband ? r - deadband : (r < -deadband ? r + deadband : 0.0);
+    return weightB * r;
+}
+
+template <Scheduler::Penalty Pen, bool Load>
+UnitId
+Scheduler::scorePass(double inv, UnitId creator)
+{
     const double *sb = stackBase.data();
     const StackId *sou = stackOfUnit.data();
     const double *ub = unitBonus.data();
-    for (UnitId u = 0; u < nUnits; ++u)
-        unitScore[u] = (sb[sou[u]] - ub[u]) * inv;
+    const double *pen = nullptr;
+    if constexpr (Pen == Penalty::Row)
+        pen = fwdPen.data() + static_cast<std::size_t>(creator) * nUnits;
+    // costload from the creator's view (Eq. 3): its forward-patched
+    // row, or the snapshot row while it has not forwarded since the
+    // last exchange. Its own entry always uses its true local queue.
+    const double *load = nullptr;
+    double creatorLoad = 0.0;
+    if constexpr (Load) {
+        load = deltaDirty[creator]
+            ? loadView.data() + static_cast<std::size_t>(creator) * nUnits
+            : loadSnap.data();
+        creatorLoad = loadTerm(creator, wTrue[creator]);
+    }
+    auto scoreOf = [&](UnitId u) {
+        double s = (sb[sou[u]] - ub[u]) * inv;
+        if constexpr (Pen == Penalty::Row)
+            s += pen[u];
+        else if constexpr (Pen == Penalty::OnTheFly)
+            s += forwardPenalty * topo.distanceCost(creator, u);
+        if constexpr (Load)
+            s += u == creator ? creatorLoad : load[u];
+        return s;
+    };
+
+    // Branchless first-min-wins scan (strict < keeps the
+    // lowest-numbered unit on ties).
+    double *score = unitScore.data();
+    UnitId best = 0;
+    double bestV = score[0] = scoreOf(0);
+    for (UnitId u = 1; u < nUnits; ++u) {
+        const double s = score[u] = scoreOf(u);
+        const bool lt = s < bestV;
+        best = lt ? u : best;
+        bestV = lt ? s : bestV;
+    }
+    return best;
 }
 
 UnitId
-Scheduler::choose(const Task &task, UnitId creator)
+Scheduler::scoreUnits(const Task &task, UnitId creator, bool withCamps,
+                      bool withLoad)
 {
-    ++nDecisions;
-    return policyObj->choose(*this, task, creator);
-}
-
-void
-Scheduler::addForwardPenalty(UnitId creator)
-{
-    // Moving the task itself ships its descriptor to the target: a
-    // real (if small) cost that keeps tiny tasks from migrating for
-    // negligible gains. The premultiplied row makes this a streaming
-    // add over contiguous doubles.
-    if (forwardPenalty > 0.0) {
-        if (!fwdPen.empty()) {
-            const double *row = fwdPen.data()
-                + static_cast<std::size_t>(creator) * nUnits;
-            for (UnitId u = 0; u < nUnits; ++u)
-                unitScore[u] += row[u];
-        } else {
-            for (UnitId u = 0; u < nUnits; ++u)
-                unitScore[u] +=
-                    forwardPenalty * topo.distanceCost(creator, u);
-        }
+    const double inv = accumulateCostMem(task, withCamps);
+    // Moving the task ships its descriptor to the target: a real (if
+    // small) cost that keeps tiny tasks from migrating for negligible
+    // gains. costload joins once an exchange has seen queued work.
+    const Penalty pen = withLoad ? penalty : Penalty::None;
+    const bool load = withLoad && wAvg > 0.0;
+    UnitId best;
+    switch (pen) {
+      case Penalty::Row:
+        best = load ? scorePass<Penalty::Row, true>(inv, creator)
+                    : scorePass<Penalty::Row, false>(inv, creator);
+        break;
+      case Penalty::OnTheFly:
+        best = load ? scorePass<Penalty::OnTheFly, true>(inv, creator)
+                    : scorePass<Penalty::OnTheFly, false>(inv, creator);
+        break;
+      default:
+        best = load ? scorePass<Penalty::None, true>(inv, creator)
+                    : scorePass<Penalty::None, false>(inv, creator);
+        break;
     }
-}
 
-void
-Scheduler::addCostLoad(UnitId creator)
-{
-    // costload from the stale snapshot plus this creator's local
-    // adjustments since the last exchange (Eq. 3). The loop runs the
-    // uniform snapshot expression for every unit (branchless, over
-    // contiguous rows) and then patches the creator, whose own queue
-    // it always knows exactly — the terms are per-unit independent,
-    // so the reordering is bit-exact. Clean viewers (no forwards
-    // since the last exchange) skip the all-zero delta row: adding
-    // 0.0 to a non-negative W is an exact no-op. Likewise the speed
-    // division is skipped while every factor is exactly 1.0.
-    const double avg = wAvg; // forwards are sum-preserving
-    if (avg > 0.0) {
-        const double b = weightB;
-        const double dead = deadband;
-        const double *snap = wSnap.data();
-        const double *spd = speed.data();
-        const double *delta = wDelta.data()
-            + static_cast<std::size_t>(creator) * nUnits;
-        const bool dirty = deltaDirty[creator] != 0;
-        const double creatorBase = unitScore[creator];
-        for (UnitId u = 0; u < nUnits; ++u) {
-            double w = dirty ? snap[u] + delta[u] : snap[u];
-            if (!speedsUniform)
-                w /= spd[u];
-            double r = w / avg - 1.0;
-            // Small deviations are measurement noise on shallow
-            // queues, not imbalance worth moving tasks for.
-            r = r > dead ? r - dead : (r < -dead ? r + dead : 0.0);
-            unitScore[u] += b * r;
-        }
-        double w = wTrue[creator];
-        if (!speedsUniform)
-            w /= spd[creator];
-        double r = w / avg - 1.0;
-        r = r > dead ? r - dead : (r < -dead ? r + dead : 0.0);
-        unitScore[creator] = creatorBase + b * r;
-    }
-}
-
-UnitId
-Scheduler::argminAllUnits() const
-{
     // Degraded mode: a down unit must never win a placement decision.
     // The mask is consulted only while a failure is active, so the
     // no-fault argmin (and with it every golden run) is untouched.
     if (faults && faults->anyUnitDown()) {
-        UnitId best = invalidUnit;
+        best = invalidUnit;
         for (UnitId u = 0; u < nUnits; ++u) {
             if (!faults->isLive(u))
                 continue;
             if (best == invalidUnit || unitScore[u] < unitScore[best])
                 best = u;
         }
-        return best;
-    }
-    // Branchless first-min-wins scan over the contiguous score row
-    // (strict < keeps the lowest-numbered unit on ties, exactly like
-    // the branching loop it replaces).
-    const double *score = unitScore.data();
-    UnitId best = 0;
-    double bestV = score[0];
-    for (UnitId u = 1; u < nUnits; ++u) {
-        const bool lt = score[u] < bestV;
-        best = lt ? u : best;
-        bestV = lt ? score[u] : bestV;
     }
     return best;
 }
@@ -329,14 +377,13 @@ Scheduler::resolveTies(const Task &task, UnitId creator, UnitId best) const
 }
 
 void
-Scheduler::onEnqueued(UnitId u, double load, UnitId creatorView)
+Scheduler::onEnqueued(UnitId u, double load)
 {
     // Only the true W changes: task creation (staging children for the
     // next timestamp) happens at a similar rate on every unit, so units
     // reconcile it at the next exchange. Local view adjustments are
     // reserved for this unit's own placement decisions (onForwarded),
     // which would otherwise dogpile within an exchange interval.
-    (void)creatorView;
     wTrue[u] += load;
 }
 
@@ -358,20 +405,28 @@ Scheduler::onStolen(UnitId victim, UnitId thief, double load)
 }
 
 void
-Scheduler::onForwarded(UnitId from, UnitId to, double load, UnitId viewer)
+Scheduler::onForwarded(UnitId from, UnitId to, double load)
 {
     wTrue[from] -= load;
     if (wTrue[from] < 0.0)
         wTrue[from] = 0.0;
     wTrue[to] += load;
     // The forwarding unit immediately reflects its own decision in its
-    // local view; other units learn at the next exchange.
-    double *row = wDelta.data() + static_cast<std::size_t>(viewer) * nUnits;
-    row[from] -= load;
-    row[to] += load;
-    if (!deltaDirty[viewer]) {
-        deltaDirty[viewer] = 1;
-        dirtyViewers.push_back(viewer);
+    // local view; other units learn at the next exchange. Only the two
+    // entries this forward moved change in its costload row.
+    const std::size_t rowBase = static_cast<std::size_t>(from) * nUnits;
+    double *delta = wDelta.data() + rowBase;
+    double *view = loadView.data() + rowBase;
+    delta[from] -= load;
+    delta[to] += load;
+    if (!deltaDirty[from]) {
+        deltaDirty[from] = 1;
+        dirtyViewers.push_back(from);
+        std::copy(loadSnap.begin(), loadSnap.end(), view);
+    }
+    if (wAvg > 0.0) {
+        view[from] = loadTerm(from, wSnap[from] + delta[from]);
+        view[to] = loadTerm(to, wSnap[to] + delta[to]);
     }
 }
 
@@ -384,19 +439,19 @@ Scheduler::exchangeSnapshot(Tick now)
                        obs::Tracer::systemUnit, 1, now, 0,
                        nExchanges.value());
     wSnap = wTrue;
-    if (faults && faults->anyInjector()) {
-        speedsUniform = true;
-        for (UnitId u = 0; u < nUnits; ++u) {
+    if (faults && faults->anyInjector())
+        for (UnitId u = 0; u < nUnits; ++u)
             speed[u] = faults->speedFactor(u, now);
-            speedsUniform = speedsUniform && speed[u] == 1.0;
-        }
-    }
     // The average uses the same effective (speed-scaled) W values the
     // per-unit costload terms see.
     wSnapSum = 0.0;
     for (UnitId u = 0; u < nUnits; ++u)
         wSnapSum += wSnap[u] / speed[u];
     wAvg = wSnapSum / nUnits;
+    // Every viewer scores costload from this row until it forwards.
+    if (wAvg > 0.0)
+        for (UnitId u = 0; u < nUnits; ++u)
+            loadSnap[u] = loadTerm(u, wSnap[u]);
     // Refresh the most-idle hint used by the pruned scoring mode. The
     // hint depth is capped by the unit count: machines smaller than
     // the nominal 8-entry hint must not sort past the end.

@@ -16,6 +16,7 @@
 #ifndef ABNDP_SCHED_SCHEDULER_HH
 #define ABNDP_SCHED_SCHEDULER_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -70,7 +71,7 @@ class Scheduler
     UnitId choose(const Task &task, UnitId creator);
 
     /** Account a task (with loadEstimate set) entering unit @p u. */
-    void onEnqueued(UnitId u, double load, UnitId creatorView);
+    void onEnqueued(UnitId u, double load);
 
     /** Account a task leaving unit @p u (dequeued for execution). */
     void onDequeued(UnitId u, double load);
@@ -80,9 +81,10 @@ class Scheduler
 
     /**
      * Account a scheduling-window forward of @p load from @p from to
-     * @p to, visible immediately in @p viewer's local W adjustments.
+     * @p to, visible immediately in the forwarding unit's own local W
+     * adjustments (its view when it next scores as a creator).
      */
-    void onForwarded(UnitId from, UnitId to, double load, UnitId viewer);
+    void onForwarded(UnitId from, UnitId to, double load);
 
     /**
      * Periodic hierarchical workload information exchange: refresh the
@@ -143,21 +145,18 @@ class Scheduler
         return u;
     }
 
-    /** Fill unitScore with costmem for all units (Eq. 2). */
-    void scoreCostMem(const Task &task, bool withCamps);
-
-    /** Add the task-descriptor shipping cost from @p creator (Eq. 1). */
-    void addForwardPenalty(UnitId creator);
-
     /**
-     * Add B * costload from @p creator's view: the stale snapshot plus
-     * its own forwarding adjustments, its true local queue for itself,
-     * straggler speed derating, and the deadband (Eq. 3).
+     * Score every unit into the shared score row and return the argmin:
+     * the lowest-numbered unit of minimum score, among live units only
+     * while a unit failure is active. The score is costmem (Eq. 2;
+     * camp copies count as data locations when @p withCamps); with
+     * @p withLoad it adds the rest of Eq. 1 from @p creator's view:
+     * the task-descriptor shipping cost, then B * costload (the stale
+     * snapshot plus the creator's own forwards, its true local queue
+     * for itself, straggler speed derating and the deadband, Eq. 3).
      */
-    void addCostLoad(UnitId creator);
-
-    /** Argmin of unitScore over every unit (paper behaviour). */
-    UnitId argminAllUnits() const;
+    UnitId scoreUnits(const Task &task, UnitId creator, bool withCamps,
+                      bool withLoad);
 
     /** Argmin over the pruned candidate set (hardware-scorer mode). */
     UnitId argminPruned(const Task &task, UnitId creator);
@@ -168,6 +167,9 @@ class Scheduler
      * not move the task).
      */
     UnitId resolveTies(const Task &task, UnitId creator, UnitId best) const;
+
+    /** The score row written by the last scoreUnits() call. */
+    const std::vector<double> &scores() const { return unitScore; }
 
     /** Snapshot exchanges performed so far. */
     std::uint64_t exchanges() const { return nExchanges.value(); }
@@ -185,6 +187,41 @@ class Scheduler
     }
 
   private:
+    /** How scoreUnits() adds the descriptor shipping cost. */
+    enum class Penalty
+    {
+        None,     ///< penalty is zero (or the score is costmem only)
+        Row,      ///< premultiplied fwdPen row of the creator
+        OnTheFly, ///< forwardPenalty * distanceCost (above fwdPenMaxUnits)
+    };
+
+    /**
+     * Eq. 2 sums of @p task's sampled hint addresses: stackBase gets
+     * each sample's nearest-candidate cost per stack, unitBonus the
+     * (Dintra - Dlocal) saving of each unit that is a candidate.
+     * Returns 1 / samples, or 0 for a task without hint addresses
+     * (whose costmem is then exactly 0.0 on every unit).
+     */
+    double accumulateCostMem(const Task &task, bool withCamps);
+
+    /**
+     * Cost of each stack to its nearest candidate in @p cl: the stored
+     * row of the candidates' stack tuple, or the per-candidate minimum
+     * when the machine is too large for stackMinRows.
+     */
+    const double *nearestStackRow(const CandidateList &cl);
+
+    /** B * costload of unit @p u with queued work @p w (Eq. 3). */
+    double loadTerm(UnitId u, double w) const;
+
+    /**
+     * The one pass over the units: costmem, then the shipping cost,
+     * then B * costload, summed per unit in that order into unitScore
+     * while tracking the first-min argmin.
+     */
+    template <Penalty Pen, bool Load>
+    UnitId scorePass(double inv, UnitId creator);
+
     const SystemConfig &cfg;
     const Topology &topo;
     const CampMapping &camps;
@@ -198,6 +235,9 @@ class Scheduler
     double deadband;
     std::uint32_t nUnits;
     std::uint32_t nStacks;
+    /** Intra-stack estimate Dintra * meanIntraHops (Eq. 2). */
+    double dIntraEst;
+    Penalty penalty;
 
     /** Max hint addresses sampled when scoring huge tasks. */
     static constexpr std::uint32_t sampleCap = 64;
@@ -213,8 +253,8 @@ class Scheduler
      * that unit's own forwarding decisions). Stored as one flat
      * nUnits x nUnits row-major array; rows are touched lazily — a
      * viewer that never forwarded since the last exchange has an
-     * all-zero row, marked clean in deltaDirty so both the exchange
-     * refill and addCostLoad() skip it entirely.
+     * all-zero row, marked clean in deltaDirty so the exchange refill
+     * skips it and scoring reads loadSnap instead of its view row.
      */
     std::vector<double> wDelta;
     std::vector<std::uint8_t> deltaDirty;
@@ -226,9 +266,20 @@ class Scheduler
      * loaded.
      */
     std::vector<double> speed;
-    /** True while every sampled speed factor is exactly 1.0 (the
-     *  common no-straggler case): lets costload skip the division. */
-    bool speedsUniform = true;
+    /**
+     * B * costload of every unit from the snapshot alone, computed at
+     * each exchange; read only while wAvg > 0 (before that the
+     * costload term is skipped).
+     */
+    std::vector<double> loadSnap;
+    /**
+     * Per-viewer B * costload rows, row-major nUnits x nUnits. Row v
+     * is valid while v is dirty: onForwarded copies loadSnap into it
+     * on the first forward of an interval and recomputes the two
+     * entries each forward moves from snapshot + delta. An untouched
+     * entry has a delta of exactly 0.0, so it equals loadSnap's.
+     */
+    std::vector<double> loadView;
 
     /** Most-idle units as of the last exchange (pruned-mode hint). */
     std::vector<UnitId> idleHint;
@@ -241,6 +292,20 @@ class Scheduler
      * streaming add / min over nStacks doubles.
      */
     std::vector<double> stackPairCost;
+    /**
+     * Element-wise minimum of the stackPairCost rows of every tuple of
+     * candidate stacks, row-major [tuple * nStacks + s]. A block has
+     * one candidate per camp group, so a tuple has one digit per group
+     * ranging over that group's stacks (a single value for a group
+     * inside one stack). Built for camp-aware scoring while it holds
+     * at most stackMinMaxDoubles; empty otherwise.
+     */
+    std::vector<double> stackMinRows;
+    /** Per unit: its stack's digit times its group's place value, so a
+     *  candidate list's tuple index is the sum over its units. */
+    std::vector<std::uint32_t> tupleWeight;
+    /** 512 KiB; an 8x8 mesh at C = 3 (16^4 tuples x 64) exceeds it. */
+    static constexpr std::size_t stackMinMaxDoubles = std::size_t{1} << 16;
     /** topo.stackOf(u) flattened for the final scoring pass. */
     std::vector<StackId> stackOfUnit;
     /**

@@ -36,8 +36,11 @@ class BandwidthMeter
 {
   public:
     /**
-     * @param bucketTicks bucket width; must be >= the largest single
-     *        service time reserved on this resource
+     * @param bucketTicks bucket width. A service may be longer than
+     *        one bucket (the DRAM backends reserve 260 ns refreshes on
+     *        the default 256 ns buckets): reserve() pours it into the
+     *        free room of consecutive buckets until all of it is
+     *        booked.
      */
     explicit BandwidthMeter(Tick bucketTicks = 256 * ticksPerNs)
         : width(bucketTicks)

@@ -8,11 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
+#include "cache/camp_mapping.hh"
 #include "cache/prefetch_buffer.hh"
 #include "cache/set_assoc_cache.hh"
 #include "cache/traveller_cache.hh"
@@ -20,9 +23,13 @@
 #include "common/config.hh"
 #include "common/rng.hh"
 #include "energy/energy.hh"
+#include "fault/fault_model.hh"
+#include "mem/address_map.hh"
 #include "mem/ddr_backend.hh"
+#include "net/topology.hh"
 #include "sched/lb/data_hotness.hh"
 #include "sched/lb/home_indirection.hh"
+#include "sched/scheduler.hh"
 #include "serve/latency_recorder.hh"
 #include "serve/zipf.hh"
 #include "sim/bandwidth_meter.hh"
@@ -612,6 +619,235 @@ TEST(HomeIndirectionDifferential, LockStepAgainstReference)
             << "block " << b;
     }
 }
+
+// ---- Scheduler (Eq. 1 scoring) vs RefHybridScorer --------------------
+
+struct SchedDiffCase
+{
+    std::uint32_t seed;
+    std::uint32_t meshX;
+    std::uint32_t meshY;
+    std::uint32_t unitsPerStack;
+    std::uint32_t campCount;
+    bool hybrid;     ///< false: the lowest-distance (memmatch) policy
+    bool exhaustive; ///< false: the pruned hardware-scorer mode
+    bool failUnits;  ///< take units down and up mid-stream
+    std::uint64_t ops;
+    const char *name;
+};
+
+void
+PrintTo(const SchedDiffCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+class SchedulerDifferential
+    : public ::testing::TestWithParam<SchedDiffCase>
+{
+};
+
+namespace
+{
+
+/**
+ * A task whose hint addresses sit in a 32-block window per unit, so
+ * re-homed blocks recur. Some tasks carry no address, some more than
+ * the 64-address sampling cap, some a range; some main homes are out
+ * of range (no home preference).
+ */
+Task
+drawSchedTask(Rng &gen, const AddressMap &amap, std::uint32_t units)
+{
+    auto addr = [&] {
+        return amap.unitBase(static_cast<UnitId>(gen.below(units)))
+            + gen.below(32) * cachelineBytes;
+    };
+    Task t;
+    const std::uint64_t kind = gen.below(16);
+    const std::uint64_t n =
+        kind == 0 ? 0 : kind == 1 ? 65 + gen.below(100) : 1 + gen.below(18);
+    for (std::uint64_t i = 0; i < n; ++i)
+        t.hint.data.push_back(addr());
+    if (gen.below(4) == 0)
+        t.hint.ranges.push_back(AddrRange{
+            addr(),
+            static_cast<std::uint32_t>(1 + gen.below(4 * cachelineBytes))});
+    t.mainHome = static_cast<UnitId>(gen.below(units + 1));
+    return t;
+}
+
+::testing::AssertionResult
+sameBits(const std::vector<double> &opt, const std::vector<double> &ref)
+{
+    if (opt.size() != ref.size())
+        return ::testing::AssertionFailure()
+            << "rows of " << opt.size() << " vs " << ref.size();
+    for (std::size_t u = 0; u < opt.size(); ++u)
+        if (std::bit_cast<std::uint64_t>(opt[u])
+            != std::bit_cast<std::uint64_t>(ref[u]))
+            return ::testing::AssertionFailure()
+                << "unit " << u << ": " << std::hexfloat << opt[u]
+                << " vs " << ref[u];
+    return ::testing::AssertionSuccess();
+}
+
+} // namespace
+
+TEST_P(SchedulerDifferential, LockStepAgainstReference)
+{
+    // The precomputed stack-tuple rows, the exchange-cached costload
+    // rows with their per-forward patches, and the fused scoring pass
+    // against a from-scratch Eq. 1 per decision. Two stragglers are
+    // derated inside [2, 6) us and exchanges land anywhere in
+    // [0, 8) us, so speeds flip between uniform and derated; a few
+    // re-homed blocks put homes outside their static group.
+    const SchedDiffCase &g = GetParam();
+    SystemConfig cfg;
+    cfg.meshX = g.meshX;
+    cfg.meshY = g.meshY;
+    cfg.unitsPerStack = g.unitsPerStack;
+    cfg.traveller.style = CacheStyle::TravellerSramTags;
+    cfg.traveller.campCount = g.campCount;
+    cfg.sched.policy =
+        g.hybrid ? SchedPolicy::Hybrid : SchedPolicy::LowestDistance;
+    cfg.sched.exhaustiveScoring = g.exhaustive;
+    cfg.fault.straggler.units = {1, 5};
+    cfg.fault.straggler.computeDerate = 0.4;
+    cfg.fault.straggler.bandwidthDerate = 0.7;
+    cfg.fault.straggler.windowStartNs = 2000.0;
+    cfg.fault.straggler.windowEndNs = 6000.0;
+    cfg.validate();
+    Topology topo(cfg);
+    AddressMap amap(cfg);
+    CampMapping camps(cfg, topo, amap);
+    HomeIndirection indir;
+    camps.setHomeIndirection(&indir);
+    FaultModel faults(cfg);
+    Scheduler opt(cfg, topo, camps, &faults);
+    check::RefHybridScorer ref(cfg, topo, camps, &faults, g.hybrid);
+    const std::uint32_t units = topo.numUnits();
+    const UnitId failSet[2] = {2, 6};
+
+    Rng gen(g.seed);
+    std::uint64_t decisions = 0, moved = 0;
+    for (std::uint64_t i = 0; i < g.ops; ++i) {
+        const auto a = static_cast<UnitId>(gen.below(units));
+        auto b = static_cast<UnitId>(gen.below(units));
+        if (b == a)
+            b = (b + 1) % units;
+        const double load = gen.uniform(20.0, 2000.0);
+        switch (gen.below(16)) {
+          case 7:
+          case 8:
+            opt.onEnqueued(a, load);
+            ref.onEnqueued(a, load);
+            break;
+          case 9:
+          case 10:
+            opt.onDequeued(a, load);
+            ref.onDequeued(a, load);
+            break;
+          case 11:
+            opt.onStolen(a, b, load);
+            ref.onStolen(a, b, load);
+            break;
+          case 12:
+            opt.onForwarded(a, b, load);
+            ref.onForwarded(a, b, load);
+            break;
+          case 13: {
+            const Tick now = gen.below(8000) * ticksPerNs;
+            opt.exchangeSnapshot(now);
+            ref.exchangeSnapshot(now);
+            break;
+          }
+          case 14:
+            if (g.failUnits) {
+                const UnitId f = failSet[gen.below(2)];
+                if (faults.isLive(f))
+                    faults.markDown(f);
+                else
+                    faults.markUp(f);
+            } else {
+                Addr block = blockAlign(amap.unitBase(a)
+                                        + gen.below(32) * cachelineBytes);
+                indir.set(block, b, amap.homeOf(block));
+            }
+            break;
+          case 15:
+            // Rarely drain every queue: the next exchange then sees
+            // W_avg == 0 and costload drops out mid-stream.
+            if (gen.below(32) == 0)
+                for (UnitId u = 0; u < units; ++u) {
+                    opt.onDequeued(u, 1e30);
+                    ref.onDequeued(u, 1e30);
+                }
+            break;
+          default: {
+            // A scheduling-window decision, then what the window does
+            // with it: forward the task or keep it.
+            Task t = drawSchedTask(gen, amap, units);
+            UnitId creator = a;
+            while (!faults.isLive(creator))
+                creator = (creator + 1) % units;
+            const UnitId got = opt.choose(t, creator);
+            const UnitId want = ref.choose(t, creator);
+            ASSERT_TRUE(sameBits(opt.scores(), ref.scores()))
+                << "op " << i;
+            ASSERT_EQ(got, want) << "op " << i;
+            ++decisions;
+            if (got != creator) {
+                ++moved;
+                opt.onForwarded(creator, got, load);
+                ref.onForwarded(creator, got, load);
+            } else {
+                opt.onEnqueued(got, load);
+                ref.onEnqueued(got, load);
+            }
+            break;
+          }
+        }
+        if (i % 64 == 0)
+            for (UnitId u = 0; u < units; ++u) {
+                ASSERT_EQ(opt.trueW(u), ref.trueW(u)) << "op " << i;
+                ASSERT_EQ(opt.snapshotW(u), ref.snapshotW(u)) << "op " << i;
+            }
+    }
+    // The stream must exercise both outcomes of the window.
+    EXPECT_GT(moved, decisions / 20);
+    EXPECT_LT(moved, decisions);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Machines, SchedulerDifferential,
+    ::testing::Values(
+        // 4 groups of 4 stacks: 256 stack tuples.
+        SchedDiffCase{0x5c01u, 4, 4, 8, 3, true, true, false, kOps,
+                      "mesh4x4_c3"},
+        // 16 groups of one stack each: a single stored row.
+        SchedDiffCase{0x5c02u, 4, 4, 8, 15, true, true, false, kOps,
+                      "mesh4x4_c15"},
+        // The golden geometry: 8 units, one stack per group.
+        SchedDiffCase{0x5c03u, 2, 2, 2, 3, true, true, false, kOps,
+                      "golden2x2"},
+        // 8 groups on 4 stacks: two groups inside every stack.
+        SchedDiffCase{0x5c04u, 2, 2, 8, 7, true, true, false, kOps,
+                      "groups_in_stacks"},
+        // 16^4 tuples x 64 stacks exceed the table bound: the
+        // per-candidate minimum.
+        SchedDiffCase{0x5c05u, 8, 8, 8, 3, true, true, false, kOps,
+                      "mesh8x8_c3_fallback"},
+        SchedDiffCase{0x5c06u, 4, 4, 8, 3, true, false, false, kOps,
+                      "pruned"},
+        SchedDiffCase{0x5c07u, 4, 4, 8, 3, true, true, true, kOps,
+                      "unit_failure"},
+        SchedDiffCase{0x5c08u, 4, 4, 8, 3, false, true, false, kOps,
+                      "memmatch"},
+        // 1088 units: no premultiplied penalty rows above 1024.
+        SchedDiffCase{0x5c09u, 8, 8, 17, 3, true, true, false, 3000,
+                      "penalty_on_the_fly"}),
+    [](const auto &info) { return std::string(info.param.name); });
 
 TEST(ZipfSamplerDifferential, EmpiricalFrequencyTracksExactPmf)
 {

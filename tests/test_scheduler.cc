@@ -80,7 +80,7 @@ TEST(Scheduler, HybridStaysHomeWhenBalanced)
     SchedFixture f(SchedPolicy::Hybrid);
     // Uniform load everywhere.
     for (UnitId u = 0; u < 128; ++u)
-        f.sched->onEnqueued(u, 100.0, u);
+        f.sched->onEnqueued(u, 100.0);
     f.sched->exchangeSnapshot();
     Task t = f.taskOn(42);
     EXPECT_EQ(f.sched->choose(t, 42), 42u);
@@ -91,7 +91,7 @@ TEST(Scheduler, HybridAvoidsOverloadedHome)
     SchedFixture f(SchedPolicy::Hybrid);
     // Home unit 42 is massively overloaded; everyone else idle-ish.
     for (UnitId u = 0; u < 128; ++u)
-        f.sched->onEnqueued(u, u == 42 ? 100000.0 : 10.0, u);
+        f.sched->onEnqueued(u, u == 42 ? 100000.0 : 10.0);
     f.sched->exchangeSnapshot();
     Task t = f.taskOn(42);
     UnitId dst = f.sched->choose(t, 7);
@@ -125,7 +125,7 @@ TEST(Scheduler, EstimateLoadGrowsWithHintSize)
 TEST(Scheduler, WBookkeepingRoundTrips)
 {
     SchedFixture f(SchedPolicy::Hybrid);
-    f.sched->onEnqueued(3, 50.0, 3);
+    f.sched->onEnqueued(3, 50.0);
     EXPECT_DOUBLE_EQ(f.sched->trueW(3), 50.0);
     f.sched->onDequeued(3, 50.0);
     EXPECT_DOUBLE_EQ(f.sched->trueW(3), 0.0);
@@ -137,7 +137,7 @@ TEST(Scheduler, WBookkeepingRoundTrips)
 TEST(Scheduler, StealMovesW)
 {
     SchedFixture f(SchedPolicy::LowestDistance);
-    f.sched->onEnqueued(1, 80.0, 1);
+    f.sched->onEnqueued(1, 80.0);
     f.sched->onStolen(1, 2, 30.0);
     EXPECT_DOUBLE_EQ(f.sched->trueW(1), 50.0);
     EXPECT_DOUBLE_EQ(f.sched->trueW(2), 30.0);
@@ -146,7 +146,7 @@ TEST(Scheduler, StealMovesW)
 TEST(Scheduler, SnapshotIsStaleUntilExchange)
 {
     SchedFixture f(SchedPolicy::Hybrid);
-    f.sched->onEnqueued(9, 500.0, 9);
+    f.sched->onEnqueued(9, 500.0);
     EXPECT_DOUBLE_EQ(f.sched->snapshotW(9), 0.0);
     f.sched->exchangeSnapshot();
     EXPECT_DOUBLE_EQ(f.sched->snapshotW(9), 500.0);
@@ -159,7 +159,7 @@ TEST(Scheduler, CampAwareHybridCanPickACampLocation)
     // the destination should be (or sit near) one of the candidates.
     Addr addr = f.amap->unitBase(0) + 64;
     for (UnitId u = 0; u < 128; ++u)
-        f.sched->onEnqueued(u, u == 0 ? 100000.0 : 10.0, u);
+        f.sched->onEnqueued(u, u == 0 ? 100000.0 : 10.0);
     f.sched->exchangeSnapshot();
 
     Task t;
@@ -182,8 +182,8 @@ TEST(Scheduler, CampAwareHybridCanPickACampLocation)
 TEST(Scheduler, ForwardedUpdatesViewsAndTrueW)
 {
     SchedFixture f(SchedPolicy::Hybrid);
-    f.sched->onEnqueued(4, 60.0, 4);
-    f.sched->onForwarded(4, 9, 60.0, 4);
+    f.sched->onEnqueued(4, 60.0);
+    f.sched->onForwarded(4, 9, 60.0);
     EXPECT_DOUBLE_EQ(f.sched->trueW(4), 0.0);
     EXPECT_DOUBLE_EQ(f.sched->trueW(9), 60.0);
 }

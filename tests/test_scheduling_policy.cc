@@ -135,7 +135,7 @@ TEST(SchedulingPolicy, HybridKeepsWhenBalancedForwardsWhenLoaded)
     PolicyFixture f(SchedPolicy::Hybrid);
     // Uniform load: data locality wins, the home keeps the task.
     for (UnitId u = 0; u < f.sched->unitCount(); ++u)
-        f.sched->onEnqueued(u, 100.0, u);
+        f.sched->onEnqueued(u, 100.0);
     f.sched->exchangeSnapshot();
     Task local = f.taskOn(9);
     EXPECT_EQ(f.sched->choose(local, 9), 9u);
@@ -144,7 +144,7 @@ TEST(SchedulingPolicy, HybridKeepsWhenBalancedForwardsWhenLoaded)
     // costload term forwards a home-bound task created elsewhere.
     PolicyFixture g(SchedPolicy::Hybrid);
     for (UnitId u = 0; u < g.sched->unitCount(); ++u)
-        g.sched->onEnqueued(u, u == 9 ? 100000.0 : 10.0, u);
+        g.sched->onEnqueued(u, u == 9 ? 100000.0 : 10.0);
     g.sched->exchangeSnapshot();
     Task t = g.taskOn(9);
     EXPECT_NE(g.sched->choose(t, 3), 9u);
