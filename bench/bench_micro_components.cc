@@ -2,13 +2,16 @@
  * @file
  * Component microbenchmarks (google-benchmark): throughput of the hot
  * simulator primitives — camp mapping, cache probes, the event queue,
- * DRAM/network reservations, and scheduler scoring. These guard the
- * simulator's own performance, not the paper's results.
+ * DRAM/network reservations, scheduler scoring — and of the graph
+ * set-up every graph workload starts with. These guard the simulator's
+ * own performance, not the paper's results.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "cache/camp_mapping.hh"
 #include "cache/set_assoc_cache.hh"
@@ -23,6 +26,7 @@
 #include "sched/scheduler.hh"
 #include "sim/bandwidth_meter.hh"
 #include "sim/event_queue.hh"
+#include "workloads/graph_gen.hh"
 
 namespace abndp
 {
@@ -279,6 +283,58 @@ BM_SchedulerChoose8x8(benchmark::State &state)
     schedulerChoose(state, 8);
 }
 BENCHMARK(BM_SchedulerChoose8x8);
+
+/** R-MAT inputs of the set-up benchmarks: scale 12, 64k draws. */
+RmatParams
+setupGraphParams(bool undirected)
+{
+    RmatParams p;
+    p.scale = 12;
+    p.undirected = undirected;
+    return p;
+}
+
+void
+BM_MakeRmatGraph(benchmark::State &state)
+{
+    const RmatParams p = setupGraphParams(true);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(makeRmatGraph(p));
+}
+BENCHMARK(BM_MakeRmatGraph)->Unit(benchmark::kMicrosecond);
+
+/**
+ * The CSR build alone: the arcs of a directed R-MAT graph in a seeded
+ * shuffle (R-MAT draws arrive in no order), built undirected. Each
+ * iteration includes copying the list in.
+ */
+void
+BM_GraphFromEdgesUndirected(benchmark::State &state)
+{
+    const Graph g = makeRmatGraph(setupGraphParams(false));
+    std::vector<Graph::Edge> edges;
+    for (std::uint32_t v = 0; v < g.numVertices(); ++v)
+        for (std::uint32_t n : g.neighbors(v))
+            edges.emplace_back(v, n);
+    Rng rng(5);
+    for (std::size_t i = edges.size() - 1; i > 0; --i)
+        std::swap(edges[i], edges[rng.below(i + 1)]);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            Graph::fromEdges(g.numVertices(), edges, true));
+    }
+}
+BENCHMARK(BM_GraphFromEdgesUndirected)->Unit(benchmark::kMicrosecond);
+
+/** PageRank's in-neighbour graph of a directed R-MAT graph. */
+void
+BM_GraphTransposed(benchmark::State &state)
+{
+    const Graph g = makeRmatGraph(setupGraphParams(false));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(g.transposed());
+}
+BENCHMARK(BM_GraphTransposed)->Unit(benchmark::kMicrosecond);
 
 } // namespace
 } // namespace abndp

@@ -37,6 +37,7 @@
 #include "net/topology.hh"
 #include "sched/lb/data_hotness.hh"
 #include "tasking/task.hh"
+#include "workloads/graph.hh"
 
 namespace abndp
 {
@@ -1259,6 +1260,49 @@ class RefHybridScorer
     double wAvg = 0.0;
     std::vector<UnitId> idleHint;
     std::vector<double> score;
+};
+
+/**
+ * Reference CSR build by one sort of the whole edge list: mirror the
+ * arcs if undirected, drop self-loops, sort and unique every
+ * (src, dst) pair, then count the rows; the sorted pairs are already
+ * the column array. Graph::fromEdges instead counts, scatters and
+ * sorts each row, so Graph::row() and Graph::col() must equal @c row
+ * and @c col exactly.
+ */
+struct RefCsr
+{
+    std::vector<std::uint64_t> row;
+    std::vector<std::uint32_t> col;
+
+    static RefCsr
+    fromEdges(std::uint32_t numVertices, std::vector<Graph::Edge> edges,
+              bool undirected)
+    {
+        if (undirected) {
+            std::size_t n = edges.size();
+            edges.reserve(n * 2);
+            for (std::size_t i = 0; i < n; ++i)
+                edges.emplace_back(edges[i].second, edges[i].first);
+        }
+        std::erase_if(edges, [](const Graph::Edge &e) {
+            return e.first == e.second;
+        });
+        std::sort(edges.begin(), edges.end());
+        edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+
+        RefCsr csr;
+        csr.row.assign(std::size_t{numVertices} + 1, 0);
+        for (const auto &[src, dst] : edges) {
+            abndp_assert(src < numVertices && dst < numVertices,
+                         "edge endpoint out of range");
+            ++csr.row[std::size_t{src} + 1];
+            csr.col.push_back(dst);
+        }
+        for (std::size_t v = 0; v < numVertices; ++v)
+            csr.row[v + 1] += csr.row[v];
+        return csr;
+    }
 };
 
 } // namespace check

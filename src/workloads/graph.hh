@@ -26,9 +26,17 @@ class Graph
     /**
      * Build from an edge list. Self-loops are dropped and duplicate
      * edges collapsed. If @p undirected, both directions are stored.
+     * Each row lists its neighbours in ascending order. Linear in the
+     * edge count plus a sort of each row (a counting sort by source).
      */
     static Graph fromEdges(std::uint32_t numVertices,
                            std::vector<Edge> edges, bool undirected);
+
+    /**
+     * The graph with every arc reversed, built by one counting pass and
+     * one scatter; rows come out sorted without a sort.
+     */
+    Graph transposed() const;
 
     std::uint32_t numVertices() const { return nV; }
     std::uint64_t numEdges() const { return colIdx.size(); }

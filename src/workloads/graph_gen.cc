@@ -9,26 +9,24 @@ namespace abndp
 Graph
 makeRmatGraph(const RmatParams &p)
 {
-    abndp_assert(p.a + p.b + p.c < 1.0, "bad R-MAT probabilities");
+    abndp_assert(p.a >= 0.0 && p.b >= 0.0 && p.c >= 0.0
+                     && p.a + p.b + p.c < 1.0,
+                 "bad R-MAT probabilities");
     std::uint32_t n = 1u << p.scale;
     std::uint64_t m = static_cast<std::uint64_t>(n) * p.edgeFactor;
     Rng rng(p.seed);
+    // Cumulative thresholds, summed left to right; a, b, c >= 0 keeps
+    // them monotone, as rmatQuadrant needs.
+    const double t0 = p.a;
+    const double t1 = p.a + p.b;
+    const double t2 = p.a + p.b + p.c;
 
     std::vector<Graph::Edge> edges;
     edges.reserve(m);
     for (std::uint64_t e = 0; e < m; ++e) {
         std::uint32_t src = 0, dst = 0;
         for (std::uint32_t bit = 0; bit < p.scale; ++bit) {
-            double r = rng.uniform();
-            std::uint32_t quad;
-            if (r < p.a)
-                quad = 0;
-            else if (r < p.a + p.b)
-                quad = 1;
-            else if (r < p.a + p.b + p.c)
-                quad = 2;
-            else
-                quad = 3;
+            std::uint32_t quad = rmatQuadrant(rng.uniform(), t0, t1, t2);
             src = (src << 1) | (quad >> 1);
             dst = (dst << 1) | (quad & 1);
         }

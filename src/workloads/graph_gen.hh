@@ -30,6 +30,19 @@ struct RmatParams
     bool undirected = true;
 };
 
+/**
+ * The quadrant one R-MAT step picks for a uniform draw @p r in [0, 1):
+ * the number of cumulative thresholds t0 = a, t1 = a + b and
+ * t2 = a + b + c at or below @p r, so a draw equal to a threshold
+ * takes the higher quadrant. Needs t0 <= t1 <= t2. Branch-free, since
+ * every draw is random and a compare chain would mispredict.
+ */
+inline std::uint32_t
+rmatQuadrant(double r, double t0, double t1, double t2)
+{
+    return static_cast<std::uint32_t>(r >= t0) + (r >= t1) + (r >= t2);
+}
+
 /** Power-law (scale-free) graph via recursive matrix sampling. */
 Graph makeRmatGraph(const RmatParams &params);
 

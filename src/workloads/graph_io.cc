@@ -31,8 +31,10 @@ loadEdgeList(const std::string &path, bool undirected)
         if (!(iss >> src >> dst))
             fatal("malformed edge at ", path, ":", lineno, ": '", line,
                   "'");
-        if (src > 0xffffffffull || dst > 0xffffffffull)
-            fatal("vertex id out of range at ", path, ":", lineno);
+        // The vertex count, max id + 1, must fit in 32 bits.
+        if (src >= 0xffffffffull || dst >= 0xffffffffull)
+            fatal("vertex id out of range at ", path, ":", lineno,
+                  " (ids must be below 4294967295)");
         edges.emplace_back(static_cast<std::uint32_t>(src),
                            static_cast<std::uint32_t>(dst));
         max_id = std::max(max_id,

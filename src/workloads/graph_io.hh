@@ -18,7 +18,8 @@ namespace abndp
 
 /**
  * Load a SNAP-style edge list. Vertex ids are used as-is; the vertex
- * count is max id + 1. fatal() on unreadable files or malformed lines.
+ * count is max id + 1. fatal() on unreadable files, malformed lines,
+ * or ids of 2^32 - 1 and above (the count would not fit in 32 bits).
  *
  * @param undirected store both arc directions
  */

@@ -34,6 +34,7 @@
 #include "serve/zipf.hh"
 #include "sim/bandwidth_meter.hh"
 #include "sim/event_queue.hh"
+#include "workloads/graph.hh"
 
 namespace abndp
 {
@@ -876,6 +877,146 @@ TEST(ZipfSamplerDifferential, EmpiricalFrequencyTracksExactPmf)
     EXPECT_GT(mass, 0.5);
     // Skew sanity: the head key dominates the median key.
     EXPECT_GT(count[0], 8 * count[keys / 2]);
+}
+
+// ---- Graph::fromEdges / transposed vs RefCsr --------------------------
+
+namespace
+{
+
+/** Every arc of @p g, reversed. */
+std::vector<Graph::Edge>
+reversedArcs(const Graph &g)
+{
+    std::vector<Graph::Edge> rev;
+    for (std::uint32_t v = 0; v < g.numVertices(); ++v)
+        for (std::uint32_t n : g.neighbors(v))
+            rev.emplace_back(n, v);
+    return rev;
+}
+
+/**
+ * Build @p edges with Graph::fromEdges and with the whole-list-sort
+ * reference and compare the CSR arrays exactly; then compare
+ * transposed() with the reference build of the reversed arcs.
+ */
+void
+expectSameCsr(std::uint32_t nV, const std::vector<Graph::Edge> &edges,
+              bool undirected)
+{
+    SCOPED_TRACE(undirected ? "undirected" : "directed");
+    Graph g = Graph::fromEdges(nV, edges, undirected);
+    check::RefCsr ref = check::RefCsr::fromEdges(nV, edges, undirected);
+    EXPECT_EQ(g.numVertices(), nV);
+    EXPECT_EQ(g.row(), ref.row);
+    EXPECT_EQ(g.col(), ref.col);
+
+    Graph t = g.transposed();
+    check::RefCsr refT = check::RefCsr::fromEdges(nV, reversedArcs(g),
+                                                  false);
+    EXPECT_EQ(t.numVertices(), nV);
+    EXPECT_EQ(t.row(), refT.row);
+    EXPECT_EQ(t.col(), refT.col);
+}
+
+/** @p count arcs with both endpoints uniform over [0, nV). */
+std::vector<Graph::Edge>
+uniformEdges(Rng &gen, std::uint32_t nV, std::uint64_t count)
+{
+    std::vector<Graph::Edge> edges;
+    for (std::uint64_t i = 0; i < count; ++i)
+        edges.emplace_back(static_cast<std::uint32_t>(gen.below(nV)),
+                           static_cast<std::uint32_t>(gen.below(nV)));
+    return edges;
+}
+
+} // namespace
+
+TEST(GraphBuildDifferential, SeededRandomLists)
+{
+    // From dense (most arcs repeat, many self-loops) to sparse (most
+    // vertices isolated), in random order.
+    struct Shape
+    {
+        std::uint32_t nV;
+        std::uint64_t edges;
+    };
+    Rng gen(0x6ea7u);
+    for (Shape s : {Shape{2, 40}, Shape{16, 2000}, Shape{300, 4000},
+                    Shape{1000, 20000}, Shape{4096, 3000}}) {
+        for (bool undirected : {false, true}) {
+            SCOPED_TRACE("nV " + std::to_string(s.nV));
+            expectSameCsr(s.nV, uniformEdges(gen, s.nV, s.edges),
+                          undirected);
+        }
+    }
+}
+
+TEST(GraphBuildDifferential, SelfLoopsAndDuplicates)
+{
+    // Repeated arcs, self-loops, and arcs next to their reverse (which
+    // collapse to one arc each way when undirected).
+    const std::vector<Graph::Edge> mixed = {
+        {3, 3}, {0, 0}, {1, 2}, {2, 1}, {1, 2}, {3, 3},
+        {0, 3}, {0, 3}, {3, 0}, {2, 2}, {1, 2}, {0, 1}};
+    const std::vector<Graph::Edge> loopsOnly = {{2, 2}, {0, 0}, {2, 2}};
+    for (bool undirected : {false, true}) {
+        expectSameCsr(4, mixed, undirected);
+        expectSameCsr(4, loopsOnly, undirected);
+    }
+}
+
+TEST(GraphBuildDifferential, UnsortedInput)
+{
+    // Descending order: every row is scattered back to front.
+    std::vector<Graph::Edge> edges;
+    for (std::uint32_t src = 64; src-- > 0;)
+        for (std::uint32_t dst = 64; dst-- > 0;)
+            if ((src * 7 + dst) % 5 == 0)
+                edges.emplace_back(src, dst);
+    for (bool undirected : {false, true})
+        expectSameCsr(64, edges, undirected);
+}
+
+TEST(GraphBuildDifferential, IsolatedVerticesEmptyListsAndOneVertex)
+{
+    // Vertex 0, most middle vertices and a trailing run have no arc.
+    const std::vector<Graph::Edge> sparse = {
+        {5, 9}, {9, 40}, {40, 5}, {70, 41}, {41, 70}};
+    for (bool undirected : {false, true}) {
+        expectSameCsr(100, sparse, undirected);
+        expectSameCsr(5, {}, undirected);
+        expectSameCsr(0, {}, undirected);
+        expectSameCsr(1, {}, undirected);
+        expectSameCsr(1, {{0, 0}}, undirected);
+    }
+}
+
+TEST(GraphBuildDifferential, HubRow)
+{
+    // One vertex with thousands of arcs, repeats included, shuffled
+    // into a sparse rest, like an R-MAT hub.
+    constexpr std::uint32_t nV = 4096;
+    Rng gen(0x4b0bu);
+    std::vector<Graph::Edge> edges = uniformEdges(gen, nV, 2000);
+    for (int i = 0; i < 6000; ++i)
+        edges.emplace_back(17, static_cast<std::uint32_t>(gen.below(nV)));
+    for (std::size_t i = edges.size() - 1; i > 0; --i)
+        std::swap(edges[i], edges[gen.below(i + 1)]);
+    for (bool undirected : {false, true})
+        expectSameCsr(nV, edges, undirected);
+}
+
+TEST(GraphBuildDeath, OutOfRangeEndpointPanicsBeforeAnyWrite)
+{
+    // Endpoints far past nV: a build that indexed a row with one before
+    // the range check would fault instead of panicking. The bad arcs
+    // come after valid ones, once as a source and once as a
+    // destination that only the undirected build indexes.
+    EXPECT_DEATH(Graph::fromEdges(4, {{0, 1}, {0xfffffff0u, 2}}, false),
+                 "edge endpoint out of range");
+    EXPECT_DEATH(Graph::fromEdges(4, {{0, 1}, {2, 0xfffffff0u}}, true),
+                 "edge endpoint out of range");
 }
 
 } // namespace abndp

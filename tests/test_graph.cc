@@ -2,13 +2,42 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <span>
 
 #include "workloads/graph.hh"
 #include "workloads/graph_gen.hh"
 
 namespace abndp
 {
+
+namespace
+{
+
+/** FNV-1a (64-bit) over the little-endian bytes of @p values. */
+template <typename T>
+std::uint64_t
+fnv1a(std::span<const T> values, std::uint64_t h = 0xcbf29ce484222325ull)
+{
+    for (T v : values) {
+        for (std::size_t i = 0; i < sizeof(T); ++i) {
+            h ^= (static_cast<std::uint64_t>(v) >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    }
+    return h;
+}
+
+/** One hash of a graph's CSR arrays: row(), then col(). */
+std::uint64_t
+csrHash(const Graph &g)
+{
+    return fnv1a(std::span(g.col()), fnv1a(std::span(g.row())));
+}
+
+} // namespace
 
 TEST(Graph, FromEdgesBuildsCsr)
 {
@@ -55,6 +84,41 @@ TEST(GraphGen, RmatIsDeterministic)
     EXPECT_EQ(a.numEdges(), b.numEdges());
     EXPECT_EQ(a.row(), b.row());
     EXPECT_EQ(a.col(), b.col());
+}
+
+TEST(GraphGen, RmatOutputPinned)
+{
+    // The exact R-MAT stream and CSR build, hashed. A changed draw
+    // order, threshold or row layout moves these values; update them
+    // only for an intended change of every graph input.
+    RmatParams p;
+    p.scale = 12;
+    p.edgeFactor = 8;
+    p.undirected = false;
+    Graph directed = makeRmatGraph(p);
+    EXPECT_EQ(directed.numEdges(), 28623u);
+    EXPECT_EQ(csrHash(directed), 0x1cbc6c79ba36519aull);
+    p.undirected = true;
+    Graph undirected = makeRmatGraph(p);
+    EXPECT_EQ(undirected.numEdges(), 53276u);
+    EXPECT_EQ(csrHash(undirected), 0x789233dfa26f8facull);
+}
+
+TEST(GraphGen, RmatQuadrantTiesGoToTheHigherQuadrant)
+{
+    // A draw equal to a threshold lies past it; one ulp below does not.
+    const double t[3] = {0.57, 0.57 + 0.19, 0.57 + 0.19 + 0.19};
+    for (std::uint32_t q = 0; q < 3; ++q) {
+        EXPECT_EQ(rmatQuadrant(t[q], t[0], t[1], t[2]), q + 1);
+        EXPECT_EQ(rmatQuadrant(std::nextafter(t[q], 0.0), t[0], t[1],
+                               t[2]),
+                  q);
+    }
+    EXPECT_EQ(rmatQuadrant(0.0, t[0], t[1], t[2]), 0u);
+    EXPECT_EQ(rmatQuadrant(std::nextafter(1.0, 0.0), t[0], t[1], t[2]),
+              3u);
+    // Zero-width quadrants are skipped: with b = 0, t0 == t1.
+    EXPECT_EQ(rmatQuadrant(0.5, 0.5, 0.5, 0.75), 2u);
 }
 
 TEST(GraphGen, RmatHasPowerLawSkew)

@@ -122,4 +122,16 @@ TEST(GraphIoDeath, MalformedLineIsFatal)
     EXPECT_DEATH(loadEdgeList(f.path, false), "malformed");
 }
 
+TEST(GraphIoDeath, MaxVertexIdIsFatal)
+{
+    // Id 2^32 - 1 would make the vertex count, max id + 1, wrap to 0.
+    TempFile f;
+    {
+        std::ofstream out(f.path);
+        out << "0 1\n# comment\n1 4294967295\n";
+    }
+    EXPECT_DEATH(loadEdgeList(f.path, false),
+                 "vertex id out of range at .*:3");
+}
+
 } // namespace abndp
