@@ -110,11 +110,11 @@ splitCsv(const std::string &s)
 }
 
 std::vector<double>
-parseCsvDoubles(const std::string &s)
+parseCsvDoubles(const std::string &what, const std::string &s)
 {
     std::vector<double> out;
     for (const std::string &tok : splitCsv(s))
-        out.push_back(std::strtod(tok.c_str(), nullptr));
+        out.push_back(parseDouble(what, tok));
     return out;
 }
 

@@ -83,8 +83,12 @@ bool extractJsonNumber(const std::string &json, const std::string &key,
 /** Split a comma-separated flag value; empty fields are dropped. */
 std::vector<std::string> splitCsv(const std::string &s);
 
-/** Parse a comma-separated list of numbers (strtod per field). */
-std::vector<double> parseCsvDoubles(const std::string &s);
+/**
+ * Parse a comma-separated list of numbers, each field through
+ * parseDouble() (a malformed field is a fatal() naming @p what).
+ */
+std::vector<double> parseCsvDoubles(const std::string &what,
+                                    const std::string &s);
 
 /** Shorthand formatter. */
 inline std::string

@@ -45,9 +45,9 @@ main(int argc, char **argv)
     const std::string outPath = opts.flags.getString("out", "");
 
     const std::vector<double> rates =
-        parseCsvDoubles(opts.flags.getString("rates", "2,8"));
+        parseCsvDoubles("--rates", opts.flags.getString("rates", "2,8"));
     const std::vector<double> skews =
-        parseCsvDoubles(opts.flags.getString("skews", "0,0.99"));
+        parseCsvDoubles("--skews", opts.flags.getString("skews", "0,0.99"));
     const std::vector<std::string> designLetters =
         splitCsv(opts.flags.getString("designs", "B,Sl,O"));
     if (rates.empty() || skews.empty() || designLetters.empty())

@@ -8,9 +8,11 @@
 #include "check/config_fuzz.hh"
 
 #include <cstddef>
+#include <limits>
 #include <sstream>
 #include <vector>
 
+#include "common/cli.hh"
 #include "common/logging.hh"
 #include "core/ndp_system.hh"
 #include "driver/cell_runner.hh"
@@ -24,22 +26,29 @@ namespace check
 namespace
 {
 
-bool
-isPow2(std::uint64_t x)
-{
-    return x != 0 && (x & (x - 1)) == 0;
-}
-
 std::string
 fmtU64(std::uint64_t v)
 {
     return std::to_string(v);
 }
 
-std::uint64_t
-parseU64(const std::string &v)
+/** How a repro value's parse errors name its key. */
+std::string
+reproKey(const char *key)
 {
-    return std::stoull(v);
+    return std::string("fuzz repro: key '") + key + "'";
+}
+
+/** Parse a decimal repro value into an unsigned field of type T. */
+template <typename T>
+T
+parseUintKnob(const char *key, const std::string &v)
+{
+    const std::uint64_t x = parseUint(reproKey(key), v, 10);
+    if (x > std::numeric_limits<T>::max())
+        fatal(reproKey(key), ": '", v, "' does not fit its ",
+              8 * sizeof(T), "-bit field");
+    return static_cast<T>(x);
 }
 
 std::string
@@ -50,12 +59,6 @@ fmtDouble(double v)
     std::ostringstream oss;
     oss << std::hexfloat << v;
     return oss.str();
-}
-
-double
-parseDouble(const std::string &v)
-{
-    return std::strtod(v.c_str(), nullptr);
 }
 
 std::string
@@ -159,14 +162,14 @@ struct Knob
           return fmtU64(static_cast<std::uint64_t>(c.field));           \
       },                                                                \
       [](SystemConfig &c, const std::string &v) {                       \
-          c.field = static_cast<decltype(c.field)>(parseU64(v));        \
+          c.field = parseUintKnob<decltype(c.field)>(key, v);           \
       } }
 
 #define ABNDP_DOUBLE_KNOB(key, field)                                   \
     { key,                                                              \
       [](const SystemConfig &c) { return fmtDouble(c.field); },         \
       [](SystemConfig &c, const std::string &v) {                       \
-          c.field = parseDouble(v);                                     \
+          c.field = parseDouble(reproKey(key), v);                      \
       } }
 
 #define ABNDP_BOOL_KNOB(key, field)                                     \
@@ -450,8 +453,7 @@ sampleFuzzCase(Rng &rng)
     // every case, which switches the balancer on regardless of the
     // sampled base), so this axis varies *which* machine the HLB
     // designs build, not *whether* one is built. At most one tier may
-    // be none; every other combination is valid by construction
-    // (mirrored in fuzzConfigValid below).
+    // be none; every other combination is valid by construction.
     if (rng.below(3) == 0) {
         auto &lb = cfg.lb;
         auto draw_tier = [&rng](bool allow_none) {
@@ -507,8 +509,7 @@ sampleFuzzCase(Rng &rng)
     // of the point-query services. Rates stay modest and streams
     // short: the sampled machines are tiny (1-2 cores), and an
     // unsustainable rate is a watchdog fatal(), not a bug. Every
-    // sampled combination satisfies validate() by construction
-    // (mirrored in fuzzConfigValid below).
+    // sampled combination satisfies validate() by construction.
     if (rng.below(3) == 0) {
         auto &sv = cfg.serving;
         sv.requests = 100ull << rng.below(3); // 100..400
@@ -536,138 +537,13 @@ sampleFuzzCase(Rng &rng)
     return c;
 }
 
-bool
-fuzzConfigValid(const SystemConfig &cfg)
+std::string
+fuzzConfigError(const SystemConfig &cfg)
 {
-    if (cfg.meshX == 0 || cfg.meshY == 0 || cfg.unitsPerStack == 0 ||
-        cfg.coresPerUnit == 0)
-        return false;
-    if (!isPow2(cfg.memBytesPerUnit))
-        return false;
-    if (cfg.coreFreqGHz <= 0.0)
-        return false;
-    if (cfg.l1d.sizeBytes == 0 || cfg.l1d.assoc == 0 ||
-        cfg.l1d.lineBytes == 0 ||
-        cfg.l1d.sizeBytes % cfg.l1d.lineBytes != 0 ||
-        cfg.l1d.numSets() == 0)
-        return false;
-    if (cfg.prefetchBufBytes < cachelineBytes)
-        return false;
-    if (cfg.tlb.entries == 0 || cfg.tlb.assoc == 0 ||
-        cfg.tlb.entries % cfg.tlb.assoc != 0 ||
-        !isPow2(cfg.tlb.pageBytes))
-        return false;
-    if (cfg.dram.busBits == 0 || cfg.dram.banks == 0 ||
-        cfg.dram.rowBytes == 0 || cfg.dram.busGHz <= 0.0)
-        return false;
-    if (cfg.dram.tCasNs < 0.0 || cfg.dram.tRcdNs < 0.0 ||
-        cfg.dram.tRpNs < 0.0)
-        return false;
-    if (cfg.dram.refreshEnabled &&
-        (cfg.dram.tRefiNs <= 0.0 || cfg.dram.tRfcNs < 0.0 ||
-         cfg.dram.refreshCatchupMax == 0))
-        return false;
-    if (cfg.dram.backend == MemBackendKind::Ddr) {
-        // Mirror of the DDR-only section of SystemConfig::validate().
-        if (!isPow2(cfg.dram.burstBytes) ||
-            cfg.dram.rowBytes % cfg.dram.burstBytes != 0)
-            return false;
-        if (cfg.dram.bankGroups == 0 ||
-            cfg.dram.banks % cfg.dram.bankGroups != 0)
-            return false;
-        if (cfg.dram.tRasNs < cfg.dram.tRcdNs)
-            return false;
-        if (cfg.dram.tWrNs < 0.0 || cfg.dram.tFawNs < 0.0)
-            return false;
-        if (cfg.dram.addrMap == DramAddrMapKind::BankRowColumn &&
-            cfg.memBytesPerUnit % cfg.dram.banks != 0)
-            return false;
-    }
-    if (!isPow2(cfg.traveller.ratioDenom) || cfg.traveller.assoc == 0 ||
-        cfg.travellerSets() == 0)
-        return false;
-    if (cfg.traveller.campCount == 0 ||
-        cfg.numUnits() % cfg.numGroups() != 0)
-        return false;
-    if (cfg.traveller.bypassProb < 0.0 || cfg.traveller.bypassProb > 1.0)
-        return false;
-    if (cfg.sched.prefetchWindow == 0 || cfg.sched.schedulingWindow == 0 ||
-        cfg.sched.stealBatch == 0 ||
-        cfg.sched.exchangeIntervalCycles == 0)
-        return false;
-    if (cfg.sched.missPipelineDepth == 0 ||
-        cfg.sched.missPipelineDepth > 64)
-        return false;
-    // Hierarchical-lb knobs are mirrored *unconditionally* (validate()
-    // only checks them under lb.enabled): runFuzzCase applies every
-    // NDP design over the case, and the HLB designs enable the
-    // balancer whatever the sampled base says, so a knob combination
-    // validate() would reject under HLB must not survive minimization.
-    if (cfg.lb.intraTier == LbTierKind::None
-        && cfg.lb.interTier == LbTierKind::None)
-        return false;
-    if (cfg.lb.hotK == 0 || cfg.lb.decayShift > 63)
-        return false;
-    if (cfg.lb.chunkSize == 0
-        && (cfg.lb.intraTier == LbTierKind::Stealing
-            || cfg.lb.interTier == LbTierKind::Stealing))
-        return false;
-    if ((cfg.lb.reserveFrac < 0.0 || cfg.lb.reserveFrac > 1.0)
-        && (cfg.lb.intraTier == LbTierKind::Reserve
-            || cfg.lb.interTier == LbTierKind::Reserve))
-        return false;
-    if (cfg.lb.migration.threshold == 0
-        || cfg.lb.migration.maxPerExchange == 0)
-        return false;
-    const auto &uf = cfg.fault.unitFailure;
-    for (std::uint32_t u : uf.units)
-        if (u >= cfg.numUnits())
-            return false;
-    if (uf.enabled()) {
-        // Conservative mirror of validate(): explicit ids are counted
-        // without dedup (the sampler only ever draws count).
-        std::uint32_t nFailed = !uf.units.empty()
-            ? static_cast<std::uint32_t>(uf.units.size())
-            : uf.count;
-        if (nFailed >= cfg.numUnits())
-            return false;
-        if (uf.failAtNs < 0.0 || uf.recoverAtNs < 0.0)
-            return false;
-        if (uf.recoverAtNs != 0.0 && uf.recoverAtNs <= uf.failAtNs)
-            return false;
-        if (uf.ackTimeoutNs <= 0.0 || uf.redispatchBackoffNs < 0.0)
-            return false;
-        if (uf.maxRedispatch == 0)
-            return false;
-    }
-    const auto &sv = cfg.serving;
-    if (sv.enabled()) {
-        // Mirror of the serving section of SystemConfig::validate().
-        if (sv.ratePerUs <= 0.0 || sv.burstFactor < 1.0)
-            return false;
-        if (sv.burstFraction < 0.0 || sv.burstFraction >= 1.0)
-            return false;
-        if (sv.profile == RateProfile::Bursty
-            && sv.burstFactor * sv.burstFraction >= 1.0)
-            return false;
-        if (sv.burstPeriodUs <= 0.0 || sv.diurnalPeriodUs <= 0.0)
-            return false;
-        if (sv.diurnalDepth < 0.0 || sv.diurnalDepth >= 1.0)
-            return false;
-        if (sv.zipfS < 0.0)
-            return false;
-        if (sv.tenants == 0 || sv.tenants > 64)
-            return false;
-        if (!sv.tenantWeights.empty()
-            && sv.tenantWeights.size() != sv.tenants)
-            return false;
-        for (double w : sv.tenantWeights)
-            if (w <= 0.0)
-                return false;
-        if (sv.sloNs <= 0.0)
-            return false;
-    }
-    return true;
+    for (Design d : ndpDesigns())
+        if (auto e = applyDesign(cfg, d).validationError(); !e.empty())
+            return std::string("design ") + designName(d) + ": " + e;
+    return {};
 }
 
 std::string
@@ -936,7 +812,7 @@ minimizeConfig(const SystemConfig &failing,
                 continue;
             SystemConfig candidate = cur;
             k.set(candidate, want);
-            if (!fuzzConfigValid(candidate))
+            if (!fuzzConfigError(candidate).empty())
                 continue;
             if (stillFails(candidate)) {
                 cur = candidate;

@@ -52,19 +52,20 @@ struct FuzzReport
 SystemConfig minimalFuzzBaseline();
 
 /**
- * Draw a valid configuration + workload from @p rng. Validity is by
- * construction (e.g. the camp-group count is drawn from the divisors
- * of the sampled unit count), so SystemConfig::validate() always
- * passes; checkInvariants is set on every sample.
+ * Draw a configuration + workload from @p rng that is valid under
+ * every NDP design. Validity is by construction (e.g. the camp-group
+ * count is drawn from the divisors of the sampled unit count);
+ * checkInvariants is set on every sample.
  */
 FuzzCase sampleFuzzCase(Rng &rng);
 
 /**
- * Cheap non-fatal validity predicate over the knobs the fuzzer
- * mutates (validate() itself calls fatal(), which a fuzz driver must
- * never trigger while *searching* for a smaller repro).
+ * Why runFuzzCase() cannot build @p cfg: "design <name>: <message>"
+ * for the first NDP design under which it breaks a
+ * SystemConfig::validationError() rule, or "" when every design is
+ * valid. Never exits, so the minimizer can probe invalid candidates.
  */
-bool fuzzConfigValid(const SystemConfig &cfg);
+std::string fuzzConfigError(const SystemConfig &cfg);
 
 /**
  * Deterministic digest of a run: every RunMetrics field except the
@@ -91,7 +92,7 @@ FuzzCase fuzzCaseFromJson(const std::string &json);
  * Greedy minimization: walk every knob and try resetting it to the
  * minimal baseline; keep each reset for which @p stillFails holds
  * (invalid intermediate configs are skipped, not run). The predicate
- * receives candidate configs that already passed fuzzConfigValid().
+ * receives only candidates whose fuzzConfigError() is empty.
  */
 SystemConfig
 minimizeConfig(const SystemConfig &failing,

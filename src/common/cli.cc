@@ -1,5 +1,8 @@
 #include "common/cli.hh"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "common/logging.hh"
@@ -42,31 +45,19 @@ CliFlags::getString(const std::string &name, const std::string &defval) const
     return it == flags.end() ? defval : it->second;
 }
 
-std::int64_t
-CliFlags::getInt(const std::string &name, std::int64_t defval) const
-{
-    auto it = flags.find(name);
-    if (it == flags.end())
-        return defval;
-    return std::strtoll(it->second.c_str(), nullptr, 0);
-}
-
 std::uint64_t
 CliFlags::getUint(const std::string &name, std::uint64_t defval) const
 {
     auto it = flags.find(name);
-    if (it == flags.end())
-        return defval;
-    return std::strtoull(it->second.c_str(), nullptr, 0);
+    return it == flags.end() ? defval : parseUint("--" + name, it->second);
 }
 
 double
 CliFlags::getDouble(const std::string &name, double defval) const
 {
     auto it = flags.find(name);
-    if (it == flags.end())
-        return defval;
-    return std::strtod(it->second.c_str(), nullptr);
+    return it == flags.end() ? defval
+                             : parseDouble("--" + name, it->second);
 }
 
 bool
@@ -81,6 +72,40 @@ CliFlags::getBool(const std::string &name, bool defval) const
     if (v == "false" || v == "0" || v == "no" || v == "off")
         return false;
     fatal("bad boolean flag --", name, "=", v);
+}
+
+std::uint64_t
+parseUint(const std::string &what, const std::string &text, int base)
+{
+    // strtoull skips leading space and negates a '-' modulo 2^64, so
+    // the text must open with a digit.
+    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
+        fatal(what, ": '", text, "' is not an unsigned integer");
+    char *end = nullptr;
+    errno = 0;
+    const std::uint64_t v = std::strtoull(text.c_str(), &end, base);
+    if (end != text.c_str() + text.size())
+        fatal(what, ": '", text, "' is not an unsigned integer");
+    if (errno == ERANGE)
+        fatal(what, ": '", text, "' does not fit in 64 bits");
+    return v;
+}
+
+double
+parseDouble(const std::string &what, const std::string &text)
+{
+    if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])))
+        fatal(what, ": '", text, "' is not a number");
+    char *end = nullptr;
+    errno = 0;
+    const double v = std::strtod(text.c_str(), &end);
+    if (end != text.c_str() + text.size())
+        fatal(what, ": '", text, "' is not a number");
+    if (errno == ERANGE)
+        fatal(what, ": '", text, "' is out of double range");
+    if (!std::isfinite(v))
+        fatal(what, ": '", text, "' is not finite");
+    return v;
 }
 
 std::string

@@ -29,9 +29,10 @@ class CliFlags
 
     std::string getString(const std::string &name,
                           const std::string &defval) const;
-    std::int64_t getInt(const std::string &name, std::int64_t defval) const;
+    /** The flag's value through parseUint(), or @p defval if absent. */
     std::uint64_t getUint(const std::string &name,
                           std::uint64_t defval) const;
+    /** The flag's value through parseDouble(), or @p defval if absent. */
     double getDouble(const std::string &name, double defval) const;
     bool getBool(const std::string &name, bool defval) const;
 
@@ -41,6 +42,23 @@ class CliFlags
     std::map<std::string, std::string> flags;
     std::vector<std::string> args;
 };
+
+/**
+ * Parse all of @p text as an unsigned integer in @p base (0 = C
+ * prefixes: "0x" hex, a leading "0" octal). fatal() naming @p what and
+ * the text on anything else: an empty string, leading space, a sign,
+ * trailing characters, or a value past 64 bits.
+ */
+std::uint64_t parseUint(const std::string &what, const std::string &text,
+                        int base = 0);
+
+/**
+ * Parse all of @p text as a finite double (decimal or hexfloat).
+ * fatal() naming @p what and the text on anything else: an empty
+ * string, leading space, trailing characters, a magnitude strtod()
+ * flags as out of range, infinity or NaN.
+ */
+double parseDouble(const std::string &what, const std::string &text);
 
 /**
  * Insert @p tag into @p path before its extension — "out/trace.json"

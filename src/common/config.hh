@@ -482,7 +482,14 @@ struct SystemConfig
         return travellerBytesPerUnit() / cachelineBytes / traveller.assoc;
     }
 
-    /** Sanity-check invariants; calls fatal() on bad user configs. */
+    /**
+     * The message of the first rule this configuration breaks, or ""
+     * when it breaks none. The one statement of the config rules:
+     * validate(), the CLI and the config fuzzer all ask it.
+     */
+    std::string validationError() const;
+
+    /** fatal() with validationError()'s message on a bad user config. */
     void validate() const;
 
     /** Pretty-print the configuration (bench_table1_config). */

@@ -45,9 +45,63 @@ TEST(Cli, ParsesSpaceForm)
 TEST(Cli, DefaultsWhenMissing)
 {
     auto f = parse({});
-    EXPECT_EQ(f.getInt("x", -7), -7);
+    EXPECT_EQ(f.getUint("x", 7), 7u);
     EXPECT_EQ(f.getString("y", "dflt"), "dflt");
     EXPECT_FALSE(f.has("x"));
+}
+
+TEST(Cli, ParsesCPrefixedBasesAndHexfloats)
+{
+    auto f = parse({"--a=0x10", "--b=010", "--c=0x1p-2", "--d=-2.5"});
+    EXPECT_EQ(f.getUint("a", 0), 16u);
+    EXPECT_EQ(f.getUint("b", 0), 8u);
+    EXPECT_DOUBLE_EQ(f.getDouble("c", 0.0), 0.25);
+    EXPECT_DOUBLE_EQ(f.getDouble("d", 0.0), -2.5);
+    EXPECT_EQ(parseUint("n", "18446744073709551615"),
+              18446744073709551615ull);
+    EXPECT_EQ(parseUint("n", "010", 10), 10u);
+}
+
+TEST(CliDeath, RejectsMalformedUnsignedValues)
+{
+    // Plain strtoull() takes each of these silently: as 0, as a wrapped
+    // 2^64 - 1, or as its leading digits.
+    const auto exit1 = ::testing::ExitedWithCode(1);
+    EXPECT_EXIT(parse({"--scale=abc"}).getUint("scale", 13), exit1,
+                "fatal: --scale: 'abc' is not an unsigned integer");
+    EXPECT_EXIT(parse({"--scale=-1"}).getUint("scale", 13), exit1,
+                "--scale: '-1' is not an unsigned integer");
+    EXPECT_EXIT(parse({"--scale=+1"}).getUint("scale", 13), exit1,
+                "'\\+1' is not an unsigned integer");
+    EXPECT_EXIT(parse({"--scale= 1"}).getUint("scale", 13), exit1,
+                "' 1' is not an unsigned integer");
+    EXPECT_EXIT(parse({"--scale=12k"}).getUint("scale", 13), exit1,
+                "'12k' is not an unsigned integer");
+    EXPECT_EXIT(parse({"--scale=08"}).getUint("scale", 13), exit1,
+                "'08' is not an unsigned integer");
+    // A bare flag reads as "true".
+    EXPECT_EXIT(parse({"--scale"}).getUint("scale", 13), exit1,
+                "--scale: 'true' is not an unsigned integer");
+    EXPECT_EXIT(parse({"--seed=18446744073709551616"}).getUint("seed", 1),
+                exit1, "--seed: '18446744073709551616' does not fit in 64 "
+                "bits");
+}
+
+TEST(CliDeath, RejectsMalformedDoubleValues)
+{
+    const auto exit1 = ::testing::ExitedWithCode(1);
+    EXPECT_EXIT(parse({"--bypass=high"}).getDouble("bypass", 0.4), exit1,
+                "fatal: --bypass: 'high' is not a number");
+    EXPECT_EXIT(parse({"--bypass=0.4x"}).getDouble("bypass", 0.4), exit1,
+                "'0.4x' is not a number");
+    EXPECT_EXIT(parse({"--bypass="}).getDouble("bypass", 0.4), exit1,
+                "--bypass: '' is not a number");
+    EXPECT_EXIT(parse({"--alpha=1e999"}).getDouble("alpha", 3.0), exit1,
+                "--alpha: '1e999' is out of double range");
+    EXPECT_EXIT(parse({"--alpha=inf"}).getDouble("alpha", 3.0), exit1,
+                "--alpha: 'inf' is not finite");
+    EXPECT_EXIT(parse({"--alpha=nan"}).getDouble("alpha", 3.0), exit1,
+                "--alpha: 'nan' is not finite");
 }
 
 TEST(Cli, BooleanSpellings)

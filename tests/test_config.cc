@@ -132,20 +132,4 @@ TEST(Config, PrintMentionsKeyParameters)
     EXPECT_NE(out.find("100000-cycle"), std::string::npos);
 }
 
-TEST(ConfigDeath, ValidateRejectsBadConfigs)
-{
-    SystemConfig cfg;
-    cfg.memBytesPerUnit = 1000; // not a power of two
-    EXPECT_DEATH(cfg.validate(), "power of two");
-
-    SystemConfig cfg2;
-    cfg2.traveller.style = CacheStyle::TravellerSramTags;
-    cfg2.traveller.bypassProb = 1.5;
-    EXPECT_DEATH(cfg2.validate(), "bypassProb");
-
-    SystemConfig cfg3;
-    cfg3.meshX = 0;
-    EXPECT_DEATH(cfg3.validate(), "mesh");
-}
-
 } // namespace abndp

@@ -19,7 +19,7 @@ namespace abndp
 TEST(ConfigFuzz, BaselineIsValid)
 {
     SystemConfig cfg = check::minimalFuzzBaseline();
-    EXPECT_TRUE(check::fuzzConfigValid(cfg));
+    EXPECT_EQ(check::fuzzConfigError(cfg), "");
     cfg.validate(); // would fatal() on inconsistency
     EXPECT_TRUE(cfg.checkInvariants);
 }
@@ -30,7 +30,7 @@ TEST(ConfigFuzz, SamplerProducesValidVariedConfigs)
     std::set<std::string> jsons;
     for (int i = 0; i < 200; ++i) {
         check::FuzzCase c = check::sampleFuzzCase(rng);
-        ASSERT_TRUE(check::fuzzConfigValid(c.cfg)) << "draw " << i;
+        ASSERT_EQ(check::fuzzConfigError(c.cfg), "") << "draw " << i;
         c.cfg.validate(); // must never fatal(): validity by construction
         EXPECT_TRUE(c.cfg.checkInvariants);
         EXPECT_EQ(c.cfg.numUnits() % c.cfg.numGroups(), 0u);
@@ -73,6 +73,55 @@ TEST(ConfigFuzzDeath, JsonRejectsUnknownKeyAndGarbage)
                  "unknown key");
     EXPECT_DEATH(check::fuzzCaseFromJson("no pairs here"),
                  "no key/value pairs");
+}
+
+TEST(ConfigFuzzDeath, JsonRejectsMalformedNumbers)
+{
+    // Parsed unchecked, each would throw, wrap to a huge allocation,
+    // or replay a different machine from the one the file names.
+    auto replay = [](const char *key, const char *value) {
+        check::fuzzCaseFromJson(std::string("{\"") + key + "\": \"" +
+                                value + "\"}");
+    };
+    const auto exit1 = ::testing::ExitedWithCode(1);
+    EXPECT_EXIT(replay("meshX", "abc"), exit1,
+                "fatal: fuzz repro: key 'meshX': 'abc' is not an "
+                "unsigned integer");
+    EXPECT_EXIT(replay("meshX", "-1"), exit1,
+                "key 'meshX': '-1' is not an unsigned integer");
+    EXPECT_EXIT(replay("meshX", "4x"), exit1, "'4x' is not an unsigned");
+    EXPECT_EXIT(replay("meshX", ""), exit1, "'' is not an unsigned");
+    EXPECT_EXIT(replay("meshX", "4294967298"), exit1,
+                "key 'meshX': '4294967298' does not fit its 32-bit field");
+    EXPECT_EXIT(replay("seed", "18446744073709551616"), exit1,
+                "key 'seed': '18446744073709551616' does not fit in 64 "
+                "bits");
+    EXPECT_EXIT(replay("coreFreqGHz", "fast"), exit1,
+                "key 'coreFreqGHz': 'fast' is not a number");
+    EXPECT_EXIT(replay("coreFreqGHz", "nan"), exit1,
+                "key 'coreFreqGHz': 'nan' is not finite");
+}
+
+TEST(ConfigFuzz, JsonAcceptsFullWidthFields)
+{
+    check::FuzzCase c = check::fuzzCaseFromJson(
+        "{\"meshX\": \"4294967295\", \"seed\": "
+        "\"18446744073709551615\", \"coreFreqGHz\": \"0x1.8p+0\"}");
+    EXPECT_EQ(c.cfg.meshX, 4294967295u);
+    EXPECT_EQ(c.cfg.seed, 18446744073709551615ull);
+    EXPECT_EQ(c.cfg.coreFreqGHz, 1.5);
+}
+
+TEST(ConfigFuzz, ErrorNamesTheDesignAndTheRule)
+{
+    // The balancer knobs only bind under the HLB designs, which
+    // runFuzzCase builds over every sampled base.
+    SystemConfig cfg = check::minimalFuzzBaseline();
+    cfg.lb.hotK = 0;
+    cfg.validate(); // the base itself leaves the balancer off
+    EXPECT_EQ(check::fuzzConfigError(cfg),
+              "design HLB: lb hotK must be nonzero (the hotness tracker "
+              "needs at least one counter slot per unit)");
 }
 
 TEST(ConfigFuzz, MetricsFingerprintSeparatesFields)
@@ -145,10 +194,10 @@ TEST(ConfigFuzz, MinimizerSkipsInvalidIntermediates)
              c.cfg.numUnits() < 8);
     SystemConfig minimized = check::minimizeConfig(
         c.cfg, [](const SystemConfig &cfg) {
-            EXPECT_TRUE(check::fuzzConfigValid(cfg));
+            EXPECT_EQ(check::fuzzConfigError(cfg), "");
             return true;
         });
-    EXPECT_TRUE(check::fuzzConfigValid(minimized));
+    EXPECT_EQ(check::fuzzConfigError(minimized), "");
     EXPECT_EQ(minimized.numUnits() % minimized.numGroups(), 0u);
 }
 

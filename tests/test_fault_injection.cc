@@ -3,7 +3,8 @@
  * Tests of the deterministic fault & straggler injection subsystem:
  * bit-determinism under every injector, exact no-op at zero rates,
  * workload correctness under degradation, graceful-degradation steering,
- * the epoch watchdog, and FaultConfig validation.
+ * and the epoch watchdog. The FaultConfig rules are rows of the config
+ * rule table (test_config_validation.cc).
  */
 
 #include <gtest/gtest.h>
@@ -269,68 +270,6 @@ TEST(FaultInjection, WatchdogQuietWithGenerousBudget)
     cfg.fault.watchdog.maxEpochTicks = Tick(1) << 60;
     RunMetrics m = runTiny(cfg);
     expectIdentical(clean, m, "watchdog-armed");
-}
-
-TEST(FaultConfigValidate, RejectsOutOfRangeValues)
-{
-    {
-        auto cfg = tinySystem(Design::B);
-        cfg.fault.straggler.count = 1;
-        cfg.fault.straggler.computeDerate = 0.0;
-        EXPECT_DEATH(cfg.validate(), "computeDerate");
-    }
-    {
-        auto cfg = tinySystem(Design::B);
-        cfg.fault.straggler.count = 1;
-        cfg.fault.straggler.bandwidthDerate = 1.5;
-        EXPECT_DEATH(cfg.validate(), "bandwidthDerate");
-    }
-    {
-        auto cfg = tinySystem(Design::B);
-        cfg.fault.straggler.count = cfg.numUnits() + 1;
-        EXPECT_DEATH(cfg.validate(), "exceeds the unit count");
-    }
-    {
-        auto cfg = tinySystem(Design::B);
-        cfg.fault.straggler.units = {cfg.numUnits()};
-        EXPECT_DEATH(cfg.validate(), "out of range");
-    }
-    {
-        auto cfg = tinySystem(Design::B);
-        cfg.fault.straggler.units = {0};
-        cfg.fault.straggler.windowStartNs = 50.0;
-        cfg.fault.straggler.windowEndNs = 50.0;
-        EXPECT_DEATH(cfg.validate(), "window is empty");
-    }
-    {
-        auto cfg = tinySystem(Design::B);
-        cfg.fault.link.count = 1;
-        cfg.fault.link.dropProb = 1.0;
-        EXPECT_DEATH(cfg.validate(), "dropProb");
-    }
-    {
-        auto cfg = tinySystem(Design::B);
-        cfg.fault.link.links = {cfg.numStacks() * 4};
-        EXPECT_DEATH(cfg.validate(), "out of range");
-    }
-    {
-        auto cfg = tinySystem(Design::B);
-        cfg.fault.link.count = 1;
-        cfg.fault.link.dropProb = 0.1;
-        cfg.fault.link.maxRetries = 0;
-        EXPECT_DEATH(cfg.validate(), "maxRetries");
-    }
-    {
-        auto cfg = tinySystem(Design::B);
-        cfg.fault.dram.eccRetryProb = -0.1;
-        EXPECT_DEATH(cfg.validate(), "eccRetryProb");
-    }
-    {
-        auto cfg = tinySystem(Design::B);
-        cfg.fault.dram.eccRetryProb = 0.5;
-        cfg.fault.dram.eccRetryNs = -1.0;
-        EXPECT_DEATH(cfg.validate(), "eccRetryNs");
-    }
 }
 
 TEST(FaultInjection, ExperimentOptionsOverrideAppliesFaults)

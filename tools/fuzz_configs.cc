@@ -105,9 +105,8 @@ main(int argc, char **argv)
         std::ostringstream buf;
         buf << ifs.rdbuf();
         check::FuzzCase c = check::fuzzCaseFromJson(buf.str());
-        if (!check::fuzzConfigValid(c.cfg))
-            fatal("repro config fails validity checks");
-        c.cfg.validate();
+        if (auto e = check::fuzzConfigError(c.cfg); !e.empty())
+            fatal("repro config is invalid under ", e);
         std::cout << "replaying " << replay << " (workload "
                   << c.workload << ", " << c.cfg.numUnits()
                   << " units)\n";
@@ -137,7 +136,9 @@ main(int argc, char **argv)
             }
         }
         check::FuzzCase c = check::sampleFuzzCase(rng);
-        c.cfg.validate(); // belt and braces: sampler is valid by design
+        if (auto e = check::fuzzConfigError(c.cfg); !e.empty())
+            panic("sampled case ", i, " is invalid under ", e,
+                  " (the sampler must draw valid configs)");
         if (verbose)
             std::cout << "case " << i << ": workload=" << c.workload
                       << " units=" << c.cfg.numUnits()
