@@ -15,8 +15,7 @@ parseOptions(int argc, char **argv, bool sweepBench)
 {
     Options opts;
     opts.flags.parse(argc, argv);
-    opts.scale = static_cast<std::uint32_t>(
-        opts.flags.getUint("scale", sweepBench ? 13 : 14));
+    opts.scale = opts.flags.getUint32("scale", sweepBench ? 13 : 14);
     opts.verify = opts.flags.getBool("verify", false);
     opts.seed = opts.flags.getUint("seed", 42);
     opts.base.seed = opts.flags.getUint("sim-seed", 1);

@@ -20,8 +20,7 @@ main(int argc, char **argv)
 
     Options opts = parseOptions(argc, argv);
     // Bigger default input: 512 NDP units need enough parallel work.
-    opts.scale = static_cast<std::uint32_t>(
-        opts.flags.getUint("scale", 15));
+    opts.scale = opts.flags.getUint32("scale", 15);
     printBanner("Figure 10 — scalability (Page Rank; 2x2 / 4x4 / 8x8)",
                 "O's speedup and energy reduction over B grow with "
                 "scale; Sm/C scale worse than B; 8x8 gains <15% over "

@@ -2,9 +2,10 @@
  * @file
  * Component microbenchmarks (google-benchmark): throughput of the hot
  * simulator primitives — camp mapping, cache probes, the event queue,
- * DRAM/network reservations, scheduler scoring — and of the graph
- * set-up every graph workload starts with. These guard the simulator's
- * own performance, not the paper's results.
+ * DRAM/network reservations and meter pages, scheduler scoring, the
+ * serving key draw — and of the graph set-up every graph workload
+ * starts with. These guard the simulator's own performance, not the
+ * paper's results.
  */
 
 #include <benchmark/benchmark.h>
@@ -24,6 +25,7 @@
 #include "net/network.hh"
 #include "net/topology.hh"
 #include "sched/scheduler.hh"
+#include "serve/zipf.hh"
 #include "sim/bandwidth_meter.hh"
 #include "sim/event_queue.hh"
 #include "workloads/graph_gen.hh"
@@ -226,6 +228,47 @@ BM_BandwidthMeterReserve(benchmark::State &state)
     }
 }
 BENCHMARK(BM_BandwidthMeterReserve);
+
+/**
+ * The page lifecycle on sparse meters, as kv-serve's DRAM banks see it:
+ * each iteration books a 260 ns refresh every 32 buckets of 256 ns
+ * across one 1,024-bucket page of one bank (64 touched buckets, about
+ * what a kv-serve page of 256 ns buckets holds at retirement), then
+ * fences past the page, so it is retired and its storage reused; time
+ * per iteration is ns per page cycled. 512 banks taken in turn keep
+ * the pages out of the core's caches, as a run's are.
+ */
+void
+BM_BandwidthMeterPageChurn(benchmark::State &state)
+{
+    const Tick width = 256 * ticksPerNs;
+    const Tick page = 1024 * width;
+    std::vector<BandwidthMeter> banks(512, BandwidthMeter(width));
+    std::size_t bank = 0;
+    Tick base = 0;
+    for (auto _ : state) {
+        BandwidthMeter &m = banks[bank];
+        for (Tick t = base; t < base + page; t += 32 * width)
+            benchmark::DoNotOptimize(m.reserve(t, 260 * ticksPerNs));
+        m.discardBefore(base + page);
+        if (++bank == banks.size()) {
+            bank = 0;
+            base += page;
+        }
+    }
+}
+BENCHMARK(BM_BandwidthMeterPageChurn);
+
+/** kv-serve's key draw: one uniform inverted over 2^20 Zipf keys. */
+void
+BM_ZipfKeyFor(benchmark::State &state)
+{
+    const serve::ZipfianSampler zipf(1u << 20, 0.99);
+    Rng rng(9);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(zipf(rng));
+}
+BENCHMARK(BM_ZipfKeyFor);
 
 /**
  * One hybrid decision on a @p mesh x @p mesh machine as a running

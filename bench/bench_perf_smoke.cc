@@ -40,8 +40,7 @@ main(int argc, char **argv)
     using namespace abndp::bench;
 
     Options opts = parseOptions(argc, argv, /*sweepBench=*/true);
-    std::uint32_t scale = static_cast<std::uint32_t>(
-        opts.flags.getUint("scale", 12));
+    std::uint32_t scale = opts.flags.getUint32("scale", 12);
     opts.scale = scale;
     const std::string outPath = opts.flags.getString("out", "");
 

@@ -36,8 +36,7 @@ main(int argc, char **argv)
     using namespace abndp::bench;
 
     Options opts = parseOptions(argc, argv, /*sweepBench=*/true);
-    const auto linkFaults = static_cast<std::uint32_t>(
-        opts.flags.getUint("link-faults", 0));
+    const auto linkFaults = opts.flags.getUint32("link-faults", 0);
     const double dropProb = opts.flags.getDouble("drop-prob", 0.05);
     const double eccProb = opts.flags.getDouble("ecc-prob", 0.0);
 

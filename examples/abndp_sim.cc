@@ -74,34 +74,26 @@ main(int argc, char **argv)
 
     WorkloadSpec spec;
     spec.name = flags.getString("workload", "pr");
-    spec.scale = static_cast<std::uint32_t>(flags.getUint("scale", 13));
-    spec.edgeFactor =
-        static_cast<std::uint32_t>(flags.getUint("edge-factor", 16));
+    spec.scale = flags.getUint32("scale", 13);
+    spec.edgeFactor = flags.getUint32("edge-factor", 16);
     spec.seed = flags.getUint("seed", 42);
     spec.graphFile = flags.getString("graph-file", "");
     spec.explicitLoadHints = flags.getBool("explicit-hints", false);
     spec.kmeansPoints = flags.getUint("points", spec.kmeansPoints);
-    spec.knnPoints = static_cast<std::uint32_t>(
-        flags.getUint("knn-points", spec.knnPoints));
-    spec.knnQueries = static_cast<std::uint32_t>(
-        flags.getUint("queries", spec.knnQueries));
-    spec.astarQueries = static_cast<std::uint32_t>(
-        flags.getUint("astar-queries", spec.astarQueries));
+    spec.knnPoints = flags.getUint32("knn-points", spec.knnPoints);
+    spec.knnQueries = flags.getUint32("queries", spec.knnQueries);
+    spec.astarQueries = flags.getUint32("astar-queries", spec.astarQueries);
 
     SystemConfig cfg;
-    auto mesh = static_cast<std::uint32_t>(flags.getUint("mesh", 4));
+    auto mesh = flags.getUint32("mesh", 4);
     cfg.meshX = cfg.meshY = mesh;
-    cfg.unitsPerStack = static_cast<std::uint32_t>(
-        flags.getUint("units-per-stack", cfg.unitsPerStack));
-    cfg.coresPerUnit = static_cast<std::uint32_t>(
-        flags.getUint("cores-per-unit", cfg.coresPerUnit));
+    cfg.unitsPerStack = flags.getUint32("units-per-stack", cfg.unitsPerStack);
+    cfg.coresPerUnit = flags.getUint32("cores-per-unit", cfg.coresPerUnit);
     if (flags.has("mem-mb"))
         cfg.memBytesPerUnit = flags.getUint("mem-mb", 512) << 20;
-    cfg.traveller.campCount =
-        static_cast<std::uint32_t>(flags.getUint("camps", 3));
+    cfg.traveller.campCount = flags.getUint32("camps", 3);
     cfg.traveller.ratioDenom = flags.getUint("ratio", 64);
-    cfg.traveller.assoc =
-        static_cast<std::uint32_t>(flags.getUint("assoc", 4));
+    cfg.traveller.assoc = flags.getUint32("assoc", 4);
     cfg.traveller.bypassProb = flags.getDouble("bypass", 0.4);
     cfg.traveller.skewedMapping = flags.getBool("skewed", true);
     if (flags.has("alpha")) {

@@ -24,8 +24,7 @@ main(int argc, char **argv)
     CliFlags flags(argc, argv);
     SystemConfig cfg;
     cfg.traveller.style = CacheStyle::TravellerSramTags;
-    cfg.traveller.campCount =
-        static_cast<std::uint32_t>(flags.getUint("camps", 3));
+    cfg.traveller.campCount = flags.getUint32("camps", 3);
     cfg.traveller.skewedMapping = !flags.getBool("identical", false);
     cfg.validate();
 

@@ -41,9 +41,8 @@ main(int argc, char **argv)
     CliFlags flags(argc, argv);
     WorkloadSpec spec;
     spec.name = flags.getString("workload", "pr");
-    spec.scale = static_cast<std::uint32_t>(flags.getUint("scale", 13));
-    spec.edgeFactor =
-        static_cast<std::uint32_t>(flags.getUint("edge-factor", 16));
+    spec.scale = flags.getUint32("scale", 13);
+    spec.edgeFactor = flags.getUint32("edge-factor", 16);
 
     SystemConfig base;
     base.seed = flags.getUint("seed", 1);

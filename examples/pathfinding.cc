@@ -27,12 +27,10 @@ main(int argc, char **argv)
 
     CliFlags flags(argc, argv);
     RmatParams params;
-    params.scale =
-        static_cast<std::uint32_t>(flags.getUint("scale", 13));
+    params.scale = flags.getUint32("scale", 13);
     params.edgeFactor = 16;
     params.undirected = true;
-    auto queries =
-        static_cast<std::uint32_t>(flags.getUint("queries", 16));
+    auto queries = flags.getUint32("queries", 16);
 
     std::cout << "Batch pathfinding: " << queries
               << " concurrent ALT-A* queries over a 2^" << params.scale

@@ -30,10 +30,8 @@ main(int argc, char **argv)
 
     CliFlags flags(argc, argv);
     RmatParams params;
-    params.scale =
-        static_cast<std::uint32_t>(flags.getUint("scale", 13));
-    params.edgeFactor =
-        static_cast<std::uint32_t>(flags.getUint("edge-factor", 16));
+    params.scale = flags.getUint32("scale", 13);
+    params.edgeFactor = flags.getUint32("edge-factor", 16);
     params.seed = flags.getUint("seed", 2026);
     params.undirected = false;
 

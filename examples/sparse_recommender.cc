@@ -47,10 +47,8 @@ main(int argc, char **argv)
     using namespace abndp;
 
     CliFlags flags(argc, argv);
-    std::uint32_t scale =
-        static_cast<std::uint32_t>(flags.getUint("scale", 13));
-    std::uint32_t layers =
-        static_cast<std::uint32_t>(flags.getUint("layers", 2));
+    std::uint32_t scale = flags.getUint32("scale", 13);
+    std::uint32_t layers = flags.getUint32("layers", 2);
 
     RmatParams interactions;
     interactions.scale = scale;

@@ -63,10 +63,8 @@ main(int argc, char **argv)
     std::string outPath = flags.getString("out", "");
 
     WorkloadSpec baseSpec;
-    baseSpec.scale =
-        static_cast<std::uint32_t>(flags.getUint("scale", 13));
-    baseSpec.edgeFactor =
-        static_cast<std::uint32_t>(flags.getUint("edge-factor", 16));
+    baseSpec.scale = flags.getUint32("scale", 13);
+    baseSpec.edgeFactor = flags.getUint32("edge-factor", 16);
     baseSpec.seed = flags.getUint("seed", 42);
 
     std::vector<CellSpec> cells;

@@ -109,6 +109,33 @@ checkBucketFill(CheckContext &ctx, const char *what, std::size_t idx,
                 width, " (capacity x window violated)");
 }
 
+/**
+ * Clean-page predicate shared by the same meter audits, over
+ * BandwidthMeter::staleEntries(): every nonzero fill or skip entry
+ * lies in a group the meter marked as touched, and stashed spare pages
+ * hold nothing. Page cleaning walks only marked groups, so a write
+ * path that skipped the mark would leave stale fills in a recycled
+ * page and silently move later reservations.
+ */
+inline void
+checkMeterClean(CheckContext &ctx, const char *what, std::size_t idx,
+                std::size_t stale)
+{
+    ctx.require(stale == 0, what, " meter ", idx, " has ", stale,
+                " entries outside its touched marks (a recycled page",
+                " would keep stale fills)");
+}
+
+/** Both meter laws over one BandwidthMeter @p m. */
+template <typename Meter>
+void
+checkMeter(CheckContext &ctx, const char *what, std::size_t idx,
+           const Meter &m)
+{
+    checkBucketFill(ctx, what, idx, m.maxBucketFill(), m.bucketWidth());
+    checkMeterClean(ctx, what, idx, m.staleEntries());
+}
+
 } // namespace check
 } // namespace abndp
 

@@ -371,12 +371,13 @@ class RefBandwidthMeter
 
     Tick bucketWidth() const { return width; }
 
+    /** Largest fill at or after bucket @p from (0: the whole meter). */
     Tick
-    maxBucketFill() const
+    maxBucketFill(std::uint64_t from = 0) const
     {
         Tick mx = 0;
-        for (const auto &[b, f] : fill)
-            mx = f > mx ? f : mx;
+        for (auto it = fill.lower_bound(from); it != fill.end(); ++it)
+            mx = it->second > mx ? it->second : mx;
         return mx;
     }
 

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "common/logging.hh"
 
@@ -50,6 +51,16 @@ CliFlags::getUint(const std::string &name, std::uint64_t defval) const
 {
     auto it = flags.find(name);
     return it == flags.end() ? defval : parseUint("--" + name, it->second);
+}
+
+std::uint32_t
+CliFlags::getUint32(const std::string &name, std::uint32_t defval) const
+{
+    const std::uint64_t v = getUint(name, defval);
+    if (v > std::numeric_limits<std::uint32_t>::max())
+        fatal("--", name, ": '", getString(name, ""),
+              "' does not fit in 32 bits");
+    return static_cast<std::uint32_t>(v);
 }
 
 double

@@ -32,6 +32,13 @@ class CliFlags
     /** The flag's value through parseUint(), or @p defval if absent. */
     std::uint64_t getUint(const std::string &name,
                           std::uint64_t defval) const;
+    /**
+     * getUint() for a 32-bit target: fatal() naming the flag and the
+     * value when it does not fit, where a cast would drop the high
+     * bits and run with the wrapped value.
+     */
+    std::uint32_t getUint32(const std::string &name,
+                            std::uint32_t defval) const;
     /** The flag's value through parseDouble(), or @p defval if absent. */
     double getDouble(const std::string &name, double defval) const;
     bool getBool(const std::string &name, bool defval) const;

@@ -10,9 +10,9 @@ RunFlags
 parseRunFlags(const CliFlags &flags, std::uint32_t threadsDefault)
 {
     RunFlags rf;
-    rf.threads = static_cast<std::uint32_t>(flags.getUint(
+    rf.threads = flags.getUint32(
         "threads",
-        threadsDefault > 0 ? threadsDefault : defaultThreads()));
+        threadsDefault > 0 ? threadsDefault : defaultThreads());
     rf.traceOut = flags.getString("trace-out", "");
     rf.statsOut = flags.getString("stats-out", "");
     rf.statsInterval = flags.getUint("stats-interval", 0);

@@ -181,9 +181,7 @@ void
 DdrBackend::auditBandwidth(check::CheckContext &ctx) const
 {
     for (std::size_t b = 0; b < banks.size(); ++b)
-        check::checkBucketFill(ctx, "ddr bank", b,
-                               banks[b].meter.maxBucketFill(),
-                               banks[b].meter.bucketWidth());
+        check::checkMeter(ctx, "ddr bank", b, banks[b].meter);
 }
 
 void
@@ -201,6 +199,8 @@ DdrBackend::auditTiming(check::CheckContext &ctx) const
                 " is not a whole number of quarter windows (",
                 actQuarter, " ticks) — something other than ACT",
                 " slots was poured into the ACT meter");
+    check::checkMeterClean(ctx, "ddr channel ACT", unit,
+                           actMeter.staleEntries());
 }
 
 void

@@ -78,9 +78,7 @@ void
 MeterBackend::auditBandwidth(check::CheckContext &ctx) const
 {
     for (std::size_t b = 0; b < banks.size(); ++b)
-        check::checkBucketFill(ctx, "dram bank", b,
-                               banks[b].meter.maxBucketFill(),
-                               banks[b].meter.bucketWidth());
+        check::checkMeter(ctx, "dram bank", b, banks[b].meter);
 }
 
 void

@@ -206,17 +206,11 @@ void
 Network::auditBandwidth(check::CheckContext &ctx) const
 {
     for (std::size_t i = 0; i < linkMeter.size(); ++i)
-        check::checkBucketFill(ctx, "net link", i,
-                               linkMeter[i].maxBucketFill(),
-                               linkMeter[i].bucketWidth());
+        check::checkMeter(ctx, "net link", i, linkMeter[i]);
     for (std::size_t i = 0; i < portMeter.size(); ++i)
-        check::checkBucketFill(ctx, "net port", i,
-                               portMeter[i].maxBucketFill(),
-                               portMeter[i].bucketWidth());
+        check::checkMeter(ctx, "net port", i, portMeter[i]);
     for (std::size_t i = 0; i < ringMeter.size(); ++i)
-        check::checkBucketFill(ctx, "net ring", i,
-                               ringMeter[i].maxBucketFill(),
-                               ringMeter[i].bucketWidth());
+        check::checkMeter(ctx, "net ring", i, ringMeter[i]);
 }
 
 void

@@ -1,6 +1,7 @@
 #include "serve/zipf.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -27,17 +28,42 @@ ZipfianSampler::ZipfianSampler(std::uint64_t n, double s)
         cdf[k] /= total;
     // Guard against rounding leaving the last bucket unreachable.
     cdf[n - 1] = 1.0;
+
+    // Eight keys per slice on average: the slice search then stays
+    // within a few cache lines of the CDF (docs/ARCHITECTURE.md §10).
+    const std::uint64_t m =
+        std::bit_floor(std::max<std::uint64_t>(n / 8, 1));
+    guide.resize(m + 1);
+    std::uint64_t k = 0;
+    for (std::uint64_t j = 0; j <= m; ++j) {
+        const double edge =
+            static_cast<double>(j) / static_cast<double>(m);
+        while (k < n && !(edge < cdf[k]))
+            ++k;
+        guide[j] = k;
+    }
 }
 
 std::uint64_t
 ZipfianSampler::keyFor(double u) const
 {
-    // First key whose cumulative probability exceeds u — the same
-    // predicate a linear scan uses, so both agree on every draw.
-    auto it = std::upper_bound(cdf.begin(), cdf.end(), u);
-    if (it == cdf.end())
+    // j = floor(u * m) is exact, so j/m <= u < (j+1)/m and the first
+    // key whose cumulative probability exceeds u lies in
+    // [guide[j], guide[j+1]]: searching only there with the predicate
+    // of a linear scan agrees with it on every draw. u >= 1 (and NaN)
+    // takes the last slice and falls off its end like a whole-table
+    // search would; u < 0 takes the first.
+    const std::uint64_t m = guide.size() - 1;
+    const double x = u * static_cast<double>(m);
+    const std::uint64_t j = x < static_cast<double>(m)
+        ? (x > 0 ? static_cast<std::uint64_t>(x) : 0)
+        : m - 1;
+    const double *lo = cdf.data() + guide[j];
+    const double *hi = cdf.data() + guide[j + 1];
+    const double *it = std::upper_bound(lo, hi, u);
+    if (it == cdf.data() + cdf.size())
         --it;
-    return static_cast<std::uint64_t>(it - cdf.begin());
+    return static_cast<std::uint64_t>(it - cdf.data());
 }
 
 std::uint64_t

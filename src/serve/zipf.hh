@@ -6,9 +6,15 @@
  * generators, this sampler precomputes the full cumulative
  * distribution over the key space once (sequential accumulation, so
  * the table is bit-identical on every host) and inverts one uniform
- * draw by binary search. The contract is exactly reproducible by a
- * linear scan over the same table, which is what the differential
- * test (tests/test_differential.cc, check::RefZipfSampler) exploits:
+ * draw u by binary search inside one slice of a guide table. The
+ * table splits [0, 1] into m equal slices, m a power of two near n/8,
+ * and records the first key whose CDF exceeds each slice's lower
+ * edge; since u * m and j / m are exact in double for a power-of-two
+ * m, the key for u lies between slice floor(u * m)'s entry and the
+ * next one, so the short search returns exactly what a search of the
+ * whole table would. The contract is exactly reproducible by a linear
+ * scan over the same CDF, which is what the differential test
+ * (tests/test_differential.cc, check::RefZipfSampler) exploits:
  * identical uniform draws must yield identical keys, bit for bit.
  *
  * s = 0 degenerates to a uniform sampler; larger s concentrates mass
@@ -32,7 +38,8 @@ namespace serve
 class ZipfianSampler
 {
   public:
-    /** Precompute the CDF table for @p n keys and exponent @p s. */
+    /** Precompute the CDF and guide tables for @p n keys and exponent
+     *  @p s. */
     ZipfianSampler(std::uint64_t n, double s);
 
     /** Draw one key using exactly one uniform draw from @p rng. */
@@ -46,9 +53,17 @@ class ZipfianSampler
 
     std::uint64_t numKeys() const { return cdf.size(); }
 
+    /** Slices m of the guide table; the tests probe each edge j/m. */
+    std::uint64_t guideSlices() const { return guide.size() - 1; }
+
   private:
     /** cdf[k] = P(key <= k); cdf.back() == 1.0 by construction. */
     std::vector<double> cdf;
+    /**
+     * m + 1 entries: guide[j] is the first key whose CDF exceeds j/m
+     * (guide[m] == n, as nothing exceeds 1). m = guide.size() - 1.
+     */
+    std::vector<std::uint64_t> guide;
 };
 
 } // namespace serve

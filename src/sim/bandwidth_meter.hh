@@ -22,6 +22,7 @@
 #define ABNDP_SIM_BANDWIDTH_METER_HH
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -85,10 +86,13 @@ class BandwidthMeter
         // loop would drain in one take.
         const std::uint64_t first = b & ~(pageBuckets - 1);
         if (lastIdx < pages.size() && pages[lastIdx].first == first) {
-            Tick &used = pages[lastIdx].fill[b - first];
+            Page &pg = pages[lastIdx];
+            Tick &used = pg.fill[b - first];
             if (used + service <= width) {
-                if (used == 0)
+                if (used == 0) {
                     ++nTouched;
+                    markTouched(pg, b - first);
+                }
                 Tick begin = b * width + used;
                 used += service;
                 return begin < t ? t : begin;
@@ -223,8 +227,10 @@ class BandwidthMeter
                 Tick &used = fill[idx];
                 Tick free = width - used;
                 Tick take = remaining < free ? remaining : free;
-                if (take > 0 && used == 0)
+                if (take > 0 && used == 0) {
                     ++nTouched;
+                    markTouched(pg, idx);
+                }
                 used += take;
                 remaining -= take;
                 if (used >= width)
@@ -239,17 +245,14 @@ class BandwidthMeter
   public:
     /**
      * Drop all reservations (e.g., between independent runs); pages
-     * are zeroed in place, so the next run allocates nothing.
+     * are cleaned in place, touched groups only, so the next run
+     * allocates nothing.
      */
     void
     reset()
     {
-        for (Page &p : pages) {
-            std::fill(p.fill.begin(), p.fill.end(), Tick{0});
-            std::fill(p.skip.begin(), p.skip.end(),
-                      std::uint16_t{0});
-            p.fullUpTo = 0;
-        }
+        for (Page &p : pages)
+            cleanPage(p);
         nTouched = 0;
         minFreeBucket = 0;
         retiredMaxFill = 0;
@@ -264,8 +267,11 @@ class BandwidthMeter
      * bulk-synchronous barrier (a global time fence), this bounds live
      * pages to the current epoch's backlog window instead of the whole
      * simulated timeline — the difference between ~100 MB and ~10 GB
-     * resident at scale 20. Retired storage is stashed and recycled by
-     * ensurePage(), so steady-state epochs allocate nothing.
+     * resident at scale 20. Retired storage is cleaned, stashed and
+     * recycled by ensurePage(), so steady-state epochs allocate
+     * nothing. A page cycled this way costs time per touched group of
+     * buckets, not per bucket: a sparse meter (a DRAM bank seeing only
+     * refreshes) cycles many pages holding a few dozen reservations.
      *
      * Observational state is preserved exactly: retired pages' peak
      * fill folds into maxBucketFill() and bucketsInUse() keeps its
@@ -302,9 +308,39 @@ class BandwidthMeter
         return mx;
     }
 
+    /**
+     * Entries the touched marks fail to cover: nonzero fill or skip
+     * entries in an unmarked group of a live page, plus every nonzero
+     * entry, mark or frontier fact left in a stashed spare. Cleaning
+     * walks only marked groups, so anything counted here would survive
+     * into a recycled page and move later reservations; 0 by
+     * construction. Walks every page — audit-time only.
+     */
+    std::size_t
+    staleEntries() const
+    {
+        std::size_t n = 0;
+        for (const Page &p : pages)
+            for (std::uint64_t i = 0; i < pageBuckets; ++i)
+                if (!isTouched(p, i) && (p.fill[i] != 0 || p.skip[i] != 0))
+                    ++n;
+        for (const Page &p : spares) {
+            for (std::uint64_t i = 0; i < pageBuckets; ++i)
+                n += (p.fill[i] != 0) + (p.skip[i] != 0);
+            for (std::uint64_t w : p.touched)
+                n += static_cast<std::size_t>(std::popcount(w));
+            n += p.fullUpTo != 0;
+        }
+        return n;
+    }
+
   private:
     /** Buckets per page; a power of two. */
     static constexpr std::uint64_t pageBuckets = 1024;
+    /** Buckets per touched mark: one 64-byte line of fill. */
+    static constexpr std::uint64_t groupBuckets = 8;
+    /** 64-bit words of touched marks per page (128 bits). */
+    static constexpr std::uint64_t markWords = pageBuckets / groupBuckets / 64;
     /** Pages stampable with the frontier fact per scan (the rest
      *  compress over subsequent scans). */
     static constexpr std::uint32_t maxProven = 8;
@@ -325,8 +361,60 @@ class BandwidthMeter
          * entering under it jumps to the frontier in one hop.
          */
         std::uint64_t fullUpTo = 0;
+        /**
+         * One bit per group of groupBuckets buckets, set on a bucket's
+         * first write. A skip entry is only ever set on a full bucket,
+         * so every nonzero fill and skip entry lies in a marked group
+         * and cleaning walks only those.
+         */
+        std::uint64_t touched[markWords] = {};
     };
     static_assert(pageBuckets < 65535, "skip pointers are uint16");
+    static_assert(pageBuckets % (groupBuckets * 64) == 0,
+                  "touched marks fill whole words");
+
+    static void
+    markTouched(Page &p, std::uint64_t idx)
+    {
+        const std::uint64_t g = idx / groupBuckets;
+        p.touched[g / 64] |= std::uint64_t{1} << (g % 64);
+    }
+
+    static bool
+    isTouched(const Page &p, std::uint64_t idx)
+    {
+        const std::uint64_t g = idx / groupBuckets;
+        return (p.touched[g / 64] >> (g % 64)) & 1;
+    }
+
+    /**
+     * Zero the fill and skip entries of @p p's touched groups, then its
+     * marks and frontier fact, leaving the page as clean as a fresh
+     * one at a cost per touched group.
+     * @return the largest fill cleaned (the page's peak).
+     */
+    static Tick
+    cleanPage(Page &p)
+    {
+        Tick peak = 0;
+        for (std::uint64_t w = 0; w < markWords; ++w) {
+            for (std::uint64_t bits = p.touched[w]; bits != 0;
+                 bits &= bits - 1) {
+                const std::uint64_t lo =
+                    (w * 64 + static_cast<std::uint64_t>(
+                                  std::countr_zero(bits)))
+                    * groupBuckets;
+                for (std::uint64_t i = lo; i < lo + groupBuckets; ++i) {
+                    peak = std::max(peak, p.fill[i]);
+                    p.fill[i] = 0;
+                    p.skip[i] = 0;
+                }
+            }
+            p.touched[w] = 0;
+        }
+        p.fullUpTo = 0;
+        return peak;
+    }
 
     /** The page starting at bucket @p first, or nullptr if absent. */
     const Page *
@@ -354,8 +442,9 @@ class BandwidthMeter
      * Retire every page that ends at or below bucket @p floorBucket
      * (shared by discardBefore() and the minFreeBucket self-retire;
      * both callers guarantee no future scan or pour reaches below it).
-     * Folds retired peaks into retiredMaxFill, stashes the storage
-     * for ensurePage() reuse, and resets the page cache index.
+     * Cleans each retired page's touched groups, folding their peak
+     * into retiredMaxFill, stashes the clean storage for ensurePage()
+     * reuse, and resets the page cache index.
      */
     void
     retirePagesBelow(std::uint64_t floorBucket)
@@ -367,8 +456,7 @@ class BandwidthMeter
         if (n == 0)
             return;
         for (std::size_t i = 0; i < n; ++i) {
-            for (Tick f : pages[i].fill)
-                retiredMaxFill = std::max(retiredMaxFill, f);
+            retiredMaxFill = std::max(retiredMaxFill, cleanPage(pages[i]));
             if (spares.size() < maxSpares)
                 spares.push_back(std::move(pages[i]));
         }
@@ -377,7 +465,11 @@ class BandwidthMeter
         lastIdx = 0;
     }
 
-    /** The page starting at bucket @p first, created if absent. */
+    /**
+     * The page starting at bucket @p first. If absent, it is made from
+     * a stashed spare as it stands (retirement left it clean) or from
+     * a fresh allocation.
+     */
     Page &
     ensurePage(std::uint64_t first)
     {
@@ -387,18 +479,14 @@ class BandwidthMeter
             pages.begin(), pages.end(), first,
             [](const Page &p, std::uint64_t f) { return p.first < f; });
         if (it == pages.end() || it->first != first) {
-            // Prefer storage retired by discardBefore(): zeroing a
-            // stashed page in place reuses warm, already-faulted
-            // memory instead of taking a fresh 10 KB allocation (and
-            // its kernel zero-page faults) per created page.
+            // Prefer storage retired by discardBefore(): a stashed page
+            // was cleaned at retirement, so reusing it takes no zeroing
+            // pass and no fresh 10 KB allocation (and its kernel
+            // zero-page faults) per created page.
             if (!spares.empty()) {
                 Page pg = std::move(spares.back());
                 spares.pop_back();
                 pg.first = first;
-                std::fill(pg.fill.begin(), pg.fill.end(), Tick{0});
-                std::fill(pg.skip.begin(), pg.skip.end(),
-                          std::uint16_t{0});
-                pg.fullUpTo = 0;
                 it = pages.insert(it, std::move(pg));
             } else {
                 it = pages.insert(

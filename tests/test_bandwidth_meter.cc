@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "sim/bandwidth_meter.hh"
 
 namespace abndp
@@ -85,6 +86,34 @@ TEST(BandwidthMeter, BurstDelayGrowsWithBurstSize)
     for (int i = 0; i < 40; ++i)
         heavyDelay += heavy.reserve(0, 200);
     EXPECT_LT(lightDelay / 8, heavyDelay / 40);
+}
+
+TEST(BandwidthMeter, ChurnedMeterLeavesNoStaleEntries)
+{
+    // Backlogged, sparse and spilling reservations cycle pages through
+    // discardBefore(), the congestion cursor's self-retirement, the
+    // spare stash and reset(); the touched marks must cover every
+    // entry written and the stash must hold only clean pages.
+    const Tick width = 256;
+    BandwidthMeter m(width);
+    Rng gen(17);
+    Tick fence = 0;
+    for (int round = 0; round < 2; ++round) {
+        for (int w = 0; w < 400; ++w) {
+            const bool dense = w % 100 < 10;
+            const int n = dense ? 400 : 8;
+            for (int i = 0; i < n; ++i)
+                m.reserve(fence + gen.below(256 * width),
+                          1 + gen.below(dense ? 2 * width : width + 8));
+            fence += 256 * width;
+            m.discardBefore(fence);
+            ASSERT_EQ(m.staleEntries(), 0u) << "window " << w;
+        }
+        m.reset();
+        fence = 0;
+        EXPECT_EQ(m.staleEntries(), 0u);
+        EXPECT_EQ(m.bucketsInUse(), 0u);
+    }
 }
 
 } // namespace abndp

@@ -179,6 +179,19 @@ TEST(CheckerPerturbation, BucketFillFires)
     EXPECT_NE(ctx.violations()[0].find("overbooked"), std::string::npos);
 }
 
+TEST(CheckerPerturbation, MeterCleanFires)
+{
+    // A bucket written past its touched mark, or a spare page stashed
+    // dirty, would keep stale fills through page recycling.
+    check::CheckContext ctx;
+    check::checkMeterClean(ctx, "ddr bank", 5, 0);
+    EXPECT_TRUE(ctx.clean());
+    check::checkMeterClean(ctx, "ddr bank", 5, 3);
+    ASSERT_FALSE(ctx.clean());
+    EXPECT_NE(ctx.violations()[0].find("outside its touched marks"),
+              std::string::npos);
+}
+
 TEST(CheckerPerturbation, TaskConservationUnderFailureFires)
 {
     // The failure-mode split law: staged == direct + recovered. A lost

@@ -87,6 +87,27 @@ TEST(CliDeath, RejectsMalformedUnsignedValues)
                 "bits");
 }
 
+TEST(Cli, Uint32AccessorTakesTheWholeRange)
+{
+    auto f = parse({"--scale=4294967295", "--mesh=0x10"});
+    EXPECT_EQ(f.getUint32("scale", 13), 4294967295u);
+    EXPECT_EQ(f.getUint32("mesh", 4), 16u);
+    EXPECT_EQ(f.getUint32("camps", 3), 3u);
+}
+
+TEST(CliDeath, RejectsUnsignedValuesPast32Bits)
+{
+    // A cast to 32 bits would run --scale=4294967306 as scale 10.
+    const auto exit1 = ::testing::ExitedWithCode(1);
+    EXPECT_EXIT(parse({"--scale=4294967306"}).getUint32("scale", 13),
+                exit1, "fatal: --scale: '4294967306' does not fit in 32 "
+                "bits");
+    EXPECT_EXIT(parse({"--threads=0x100000000"}).getUint32("threads", 1),
+                exit1, "--threads: '0x100000000' does not fit in 32 bits");
+    EXPECT_EXIT(parse({"--mesh=-4"}).getUint32("mesh", 4), exit1,
+                "--mesh: '-4' is not an unsigned integer");
+}
+
 TEST(CliDeath, RejectsMalformedDoubleValues)
 {
     const auto exit1 = ::testing::ExitedWithCode(1);

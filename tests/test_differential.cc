@@ -224,6 +224,192 @@ TEST(BandwidthMeterDifferential, LockStepAgainstReference)
     EXPECT_LE(opt.maxBucketFill(), width);
 }
 
+namespace
+{
+
+/**
+ * A BandwidthMeter and its reference in lock-step under the
+ * discardBefore() contract: each fence lets the meter retire and
+ * recycle its pages below it, and no later reservation starts before
+ * the fence. The reference keeps every bucket, so the two agree only
+ * if retirement, recycling and reset() leave no trace.
+ */
+struct FencedMeterPair
+{
+    explicit FencedMeterPair(Tick width_)
+        : width(width_), opt(width_), ref(width_)
+    {
+    }
+
+    void
+    reserve(Tick t, Tick service)
+    {
+        ASSERT_GE(t, fence);
+        ASSERT_EQ(opt.reserve(t, service), ref.reserve(t, service))
+            << "op " << ops << " at t " << t;
+        ++ops;
+    }
+
+    /** Close a window at @p t; every 16th also compares counters. */
+    void
+    fenceAt(Tick t)
+    {
+        fence = t;
+        opt.discardBefore(t);
+        if (++fences % 16 == 0)
+            expectSameCounters();
+    }
+
+    void
+    expectSameCounters()
+    {
+        ASSERT_EQ(opt.bucketsInUse(), ref.bucketsInUse())
+            << "fence " << fence;
+        ASSERT_EQ(opt.maxBucketFill(), ref.maxBucketFill())
+            << "fence " << fence;
+    }
+
+    void
+    reset()
+    {
+        opt.reset();
+        ref.reset();
+        fence = 0;
+    }
+
+    const Tick width;
+    BandwidthMeter opt;
+    check::RefBandwidthMeter ref;
+    Tick fence = 0;
+    std::uint64_t ops = 0;
+    std::uint64_t fences = 0;
+};
+
+/** Fence windows of 256 buckets, a quarter of a meter page. */
+constexpr std::uint64_t kWindowBuckets = 256;
+
+/**
+ * Dense backlog: @p windows windows, each offered 9/8 of its capacity
+ * in services of one to eight @p quantum at shuffled times inside the
+ * window. The backlog grows by an eighth of a window per window, so
+ * the congestion cursor retires pages on its own too.
+ */
+void
+denseBacklog(FencedMeterPair &m, Rng &gen, Tick &now, int windows,
+             Tick quantum)
+{
+    const Tick window = kWindowBuckets * m.width;
+    for (int w = 0; w < windows; ++w) {
+        for (Tick offered = 0; offered < window + window / 8;) {
+            const Tick service = quantum * (1 + gen.below(8));
+            ASSERT_NO_FATAL_FAILURE(
+                m.reserve(now + gen.below(window), service));
+            offered += service;
+        }
+        now += window;
+        ASSERT_NO_FATAL_FAILURE(m.fenceAt(now));
+    }
+}
+
+/**
+ * kv-serve's DRAM bank between accesses: a refresh-sized 260 ns
+ * service every ~15 buckets of 256 ns, a short access after a third
+ * of them.
+ */
+void
+sparseRefreshes(FencedMeterPair &m, Rng &gen, Tick &now, int windows)
+{
+    const Tick refresh = 260 * ticksPerNs;
+    Tick next = now;
+    for (int w = 0; w < windows; ++w) {
+        const Tick end = now + kWindowBuckets * m.width;
+        for (; next < end; next += 14 * m.width + gen.below(2 * m.width)) {
+            ASSERT_NO_FATAL_FAILURE(m.reserve(next, refresh));
+            if (gen.below(3) == 0)
+                ASSERT_NO_FATAL_FAILURE(
+                    m.reserve(next + gen.below(8 * m.width),
+                              5 * ticksPerNs + gen.below(40 * ticksPerNs)));
+        }
+        now = end;
+        ASSERT_NO_FATAL_FAILURE(m.fenceAt(now));
+    }
+}
+
+/**
+ * kv-serve's tFAW meter: bursts of one to three quarter-window ACTs,
+ * each burst inside one bucket two to thirteen buckets after the last,
+ * so no bucket of this phase fills up.
+ */
+void
+sparseActs(FencedMeterPair &m, Rng &gen, Tick &now, int windows)
+{
+    const Tick quarter = m.width / 4;
+    Tick next = (now + m.width - 1) / m.width * m.width;
+    for (int w = 0; w < windows; ++w) {
+        const Tick end = now + kWindowBuckets * m.width;
+        for (; next < end; next += (2 + gen.below(12)) * m.width) {
+            const std::uint64_t burst = 1 + gen.below(3);
+            for (std::uint64_t i = 0; i < burst; ++i)
+                ASSERT_NO_FATAL_FAILURE(
+                    m.reserve(next + gen.below(m.width), quarter));
+        }
+        now = end;
+        ASSERT_NO_FATAL_FAILURE(m.fenceAt(now));
+    }
+}
+
+/**
+ * The whole schedule on one meter: a dense backlog, an idle gap that
+ * retires all of it at one fence, a sparse phase of 200 pages, and a
+ * last backlog that leaves recycled live pages full for reset() to
+ * clean before a backlog runs over them again. @p sparsePeak gets the
+ * sparse phase's largest fill, taken while the backlog's full buckets
+ * lie ~200 pages below the fence.
+ */
+template <typename Sparse>
+void
+churnPages(FencedMeterPair &m, Rng &gen, Sparse sparse, Tick &sparsePeak)
+{
+    const Tick quantum = m.width / 4;
+    Tick now = 0;
+    ASSERT_NO_FATAL_FAILURE(denseBacklog(m, gen, now, 8, quantum));
+    now += 20 * 4 * kWindowBuckets * m.width;
+    const std::uint64_t sparseStart = now / m.width;
+    ASSERT_NO_FATAL_FAILURE(sparse(m, gen, now, 800));
+    ASSERT_NO_FATAL_FAILURE(m.expectSameCounters());
+    ASSERT_EQ(m.ref.maxBucketFill(), m.width);
+    sparsePeak = m.ref.maxBucketFill(sparseStart);
+
+    const Tick again = now;
+    ASSERT_NO_FATAL_FAILURE(denseBacklog(m, gen, now, 8, quantum));
+    ASSERT_NO_FATAL_FAILURE(m.expectSameCounters());
+    m.reset();
+    now = again;
+    ASSERT_NO_FATAL_FAILURE(denseBacklog(m, gen, now, 8, quantum));
+    ASSERT_NO_FATAL_FAILURE(m.expectSameCounters());
+}
+
+} // namespace
+
+TEST(BandwidthMeterDifferential, LockStepAcrossRetirementAndReuse)
+{
+    // Hundreds of pages through retirement, the spare stash and
+    // reset(), every window ending at a discardBefore() fence, on the
+    // two meters kv-serve cycles most: a DRAM bank (256 ns buckets)
+    // and a channel's ACT window (40 ns buckets).
+    FencedMeterPair bank(256 * ticksPerNs);
+    FencedMeterPair act(40 * ticksPerNs);
+    Rng gen(0x9a6e5u);
+    Tick sparsePeak = 0;
+    ASSERT_NO_FATAL_FAILURE(
+        churnPages(bank, gen, sparseRefreshes, sparsePeak));
+    ASSERT_NO_FATAL_FAILURE(churnPages(act, gen, sparseActs, sparsePeak));
+    // No ACT bucket of the sparse phase filled up, so the peak the two
+    // meters agreed on after it lived only in retired pages.
+    EXPECT_LT(sparsePeak, act.width);
+    EXPECT_GT(bank.ops + act.ops, 50000u);
+}
+
 // ---- DdrBackend vs RefDdrBackend --------------------------------------
 
 // gtest lists a parameter it cannot print as its raw bytes, and the
@@ -472,6 +658,35 @@ TEST(ZipfSamplerDifferential, KeysMatchLinearScanReference)
         for (double u : {0.0, 0.25, 0.5, 0.999999, 1.0 - 1e-16})
             ASSERT_EQ(opt.keyFor(u), ref.keyFor(u)) << u;
     }
+}
+
+TEST(ZipfSamplerDifferential, GuideTableAtServingSkewAndEveryEdge)
+{
+    // kv-serve's skew over 2^16 + 5 keys (so slices hold uneven key
+    // counts). The guide table narrows each search to one slice of
+    // [0, 1]; the key must match the reference's whole-table linear
+    // scan for random draws, on both sides of every slice edge j/m,
+    // and at both ends of [0, 1).
+    constexpr std::uint64_t keys = (1u << 16) + 5;
+    serve::ZipfianSampler opt(keys, 0.99);
+    check::RefZipfSampler ref(keys, 0.99);
+
+    Rng optRng(0x5e41u), refRng(0x5e41u);
+    for (std::uint64_t i = 0; i < kOps; ++i)
+        ASSERT_EQ(opt(optRng), ref(refRng)) << "draw " << i;
+
+    const std::uint64_t m = opt.guideSlices();
+    ASSERT_EQ(m, 8192u);
+    for (std::uint64_t j = 0; j <= m; ++j) {
+        const double edge =
+            static_cast<double>(j) / static_cast<double>(m);
+        for (double u : {edge, std::nextafter(edge, 0.0)})
+            ASSERT_EQ(opt.keyFor(u), ref.keyFor(u))
+                << "edge " << j << "/" << m << " u " << u;
+    }
+    for (double u : {0.0, 1.0 - 0x1p-53})
+        ASSERT_EQ(opt.keyFor(u), ref.keyFor(u)) << u;
+    EXPECT_EQ(opt.keyFor(1.0 - 0x1p-53), keys - 1);
 }
 
 // ---- DataHotness vs RefDataHotness ------------------------------------
