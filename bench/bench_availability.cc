@@ -18,7 +18,6 @@
  * so CI can archive availability trajectories.
  */
 
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -34,7 +33,6 @@ main(int argc, char **argv)
 
     Options opts = parseOptions(argc, argv, /*sweepBench=*/true);
     const double failAtNs = opts.flags.getDouble("fail-at-ns", 2000.0);
-    const std::string outPath = opts.flags.getString("out", "");
 
     printBanner("Availability — time vs. fraction of units killed "
                 "mid-run (ms, and slowdown vs. each design's own "
@@ -118,12 +116,6 @@ main(int argc, char **argv)
          << ",\"units\":" << numUnits
          << ",\"fail_at_ns\":" << failAtNs
          << ",\"points\":[" << points.str() << "]}";
-    std::cout << json.str() << "\n";
-    if (!outPath.empty()) {
-        std::ofstream out(outPath);
-        if (!out)
-            fatal("cannot write ", outPath);
-        out << json.str() << "\n";
-    }
+    emitRecord(json.str(), opts);
     return 0;
 }

@@ -2,8 +2,11 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
 #include <sstream>
+
+#include "common/logging.hh"
 
 namespace abndp
 {
@@ -80,6 +83,13 @@ geomean(const std::vector<double> &values)
     return std::exp(acc / values.size());
 }
 
+namespace
+{
+
+/**
+ * Extract the number after "\"key\":" from a one-line JSON record.
+ * @return false when the key is absent (malformed baseline).
+ */
 bool
 extractJsonNumber(const std::string &json, const std::string &key,
                   double &out)
@@ -95,6 +105,8 @@ extractJsonNumber(const std::string &json, const std::string &key,
     }
     return true;
 }
+
+} // namespace
 
 std::vector<std::string>
 splitCsv(const std::string &s)
@@ -115,6 +127,61 @@ parseCsvDoubles(const std::string &what, const std::string &s)
     for (const std::string &tok : splitCsv(s))
         out.push_back(parseDouble(what, tok));
     return out;
+}
+
+void
+emitRecord(const std::string &json, const Options &opts)
+{
+    std::cout << json << "\n";
+    const std::string path = opts.flags.getString("out", "");
+    if (path.empty())
+        return;
+    std::ofstream out(path);
+    if (!out)
+        fatal("cannot write ", path);
+    out << json << "\n";
+}
+
+int
+compareRecord(const std::string &json, const Options &opts,
+              const std::vector<RecordKey> &keys)
+{
+    const std::string path = opts.flags.getString("compare", "");
+    if (path.empty())
+        return 0;
+    const double tolerance = opts.flags.getDouble("tolerance", 0.10);
+    std::ifstream file(path);
+    std::string baseline;
+    if (!file || !std::getline(file, baseline)) {
+        warn("baseline ", path, " missing; skipping comparison (first run?)");
+        return 0;
+    }
+    std::vector<double> base(keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        if (!extractJsonNumber(baseline, keys[i].key, base[i])
+            || base[i] <= 0.0) {
+            warn("baseline ", path, " has no usable ", keys[i].key,
+                 "; skipping comparison");
+            return 0;
+        }
+    }
+    bool regressed = false;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        double cur = 0.0;
+        extractJsonNumber(json, keys[i].key, cur);
+        std::cerr << "compare " << keys[i].key << ": " << cur
+                  << " vs baseline " << base[i] << " (x" << cur / base[i]
+                  << ", tolerance " << tolerance * 100 << "%)\n";
+        const bool worse = keys[i].higherIsBetter
+            ? cur < base[i] * (1.0 - tolerance)
+            : cur > base[i] * (1.0 + tolerance);
+        if (worse) {
+            std::cerr << keys[i].key << ": regression beyond "
+                      << tolerance * 100 << "% tolerance\n";
+            regressed = true;
+        }
+    }
+    return regressed ? 1 : 0;
 }
 
 void

@@ -74,11 +74,29 @@ double geomean(const std::vector<double> &values);
 void printBanner(const std::string &artifact, const std::string &paper);
 
 /**
- * Extract the number after "\"key\":" from a one-line JSON record.
- * @return false when the key is absent (malformed baseline).
+ * Print a bench's one-line JSON record to stdout and, with --out=FILE,
+ * write it to FILE too (fatal() when FILE cannot be written).
  */
-bool extractJsonNumber(const std::string &json, const std::string &key,
-                       double &out);
+void emitRecord(const std::string &json, const Options &opts);
+
+/** One figure --compare checks: a record key and its better direction. */
+struct RecordKey
+{
+    std::string key;
+    bool higherIsBetter;
+};
+
+/**
+ * --compare=FILE: check each of @p keys in the record @p json against
+ * the same key in FILE's first line, allowing --tolerance (default
+ * 0.10) of change in the worse direction. Returns the exit status: 0
+ * without --compare, or when FILE is missing or any key is missing or
+ * <= 0 in it (a warning: a fresh CI cache has no baseline yet), or when
+ * nothing regressed; 1 when a key regressed beyond the tolerance, after
+ * every key was checked and reported.
+ */
+int compareRecord(const std::string &json, const Options &opts,
+                  const std::vector<RecordKey> &keys);
 
 /** Split a comma-separated flag value; empty fields are dropped. */
 std::vector<std::string> splitCsv(const std::string &s);

@@ -21,8 +21,7 @@ main(int argc, char **argv)
 
     // Mapping conflicts only matter under cache pressure (the paper's
     // datasets dwarf the cache); shrink per-unit DRAM accordingly.
-    opts.base.memBytesPerUnit =
-        opts.flags.getUint("mem-mb", 2) * (1ull << 20);
+    opts.base.memBytesPerUnit = opts.flags.getMebibytes("mem-mb", 2);
     opts.base.traveller.ratioDenom =
         opts.flags.getUint("ratio", 64);
     std::cout << "(per-unit DRAM "

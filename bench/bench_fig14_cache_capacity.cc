@@ -24,8 +24,7 @@ main(int argc, char **argv)
     // repo's default synthetic inputs, so per-unit DRAM is shrunk here
     // to keep the cache-to-working-set ratio in the paper's regime
     // (capacity ratios 1/R are unchanged from Table 1).
-    opts.base.memBytesPerUnit =
-        opts.flags.getUint("mem-mb", 2) * (1ull << 20);
+    opts.base.memBytesPerUnit = opts.flags.getMebibytes("mem-mb", 2);
     std::cout << "(per-unit DRAM scaled to "
               << (opts.base.memBytesPerUnit >> 20)
               << "MB so the 1/R ratios face real pressure)\n\n";

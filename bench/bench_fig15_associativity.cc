@@ -22,8 +22,7 @@ main(int argc, char **argv)
 
     // See bench_fig14: shrink per-unit DRAM so the fixed-capacity cache
     // faces the paper's level of pressure.
-    opts.base.memBytesPerUnit =
-        opts.flags.getUint("mem-mb", 2) * (1ull << 20);
+    opts.base.memBytesPerUnit = opts.flags.getMebibytes("mem-mb", 2);
     opts.base.traveller.ratioDenom =
         opts.flags.getUint("ratio", 64);
     std::cout << "(per-unit DRAM "

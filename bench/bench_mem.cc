@@ -16,7 +16,6 @@
  */
 
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -30,7 +29,6 @@ main(int argc, char **argv)
     using namespace abndp::bench;
 
     Options opts = parseOptions(argc, argv, /*sweepBench=*/true);
-    const std::string outPath = opts.flags.getString("out", "");
     const std::string wl = opts.flags.getString("workload", "pr");
     WorkloadSpec spec = specFor(wl, opts);
 
@@ -116,41 +114,6 @@ main(int argc, char **argv)
          << ",\"wall_seconds\":" << wall
          << ",\"events_per_sec\":" << (wall > 0 ? events / wall : 0)
          << "}";
-    std::cout << json.str() << "\n";
-    if (!outPath.empty()) {
-        std::ofstream out(outPath);
-        if (!out)
-            fatal("cannot write ", outPath);
-        out << json.str() << "\n";
-    }
-
-    const std::string comparePath = opts.flags.getString("compare", "");
-    if (!comparePath.empty()) {
-        double tolerance = opts.flags.getDouble("tolerance", 0.10);
-        std::ifstream baseFile(comparePath);
-        std::string baseline;
-        if (!baseFile || !std::getline(baseFile, baseline)) {
-            warn("mem baseline ", comparePath,
-                 " missing; skipping comparison (first run?)");
-            return 0;
-        }
-        double baseEps = 0.0;
-        if (!extractJsonNumber(baseline, "events_per_sec", baseEps)
-            || baseEps <= 0.0) {
-            warn("mem baseline ", comparePath,
-                 " has no usable events_per_sec; skipping comparison");
-            return 0;
-        }
-        double curEps = wall > 0 ? events / wall : 0;
-        double ratio = curEps / baseEps;
-        std::cerr << "bench_mem compare: " << curEps << " vs baseline "
-                  << baseEps << " events/sec (x" << ratio
-                  << ", tolerance -" << tolerance * 100 << "%)\n";
-        if (ratio < 1.0 - tolerance) {
-            std::cerr << "bench_mem: throughput regression beyond "
-                      << tolerance * 100 << "% tolerance\n";
-            return 1;
-        }
-    }
-    return 0;
+    emitRecord(json.str(), opts);
+    return compareRecord(json.str(), opts, {{"events_per_sec", true}});
 }

@@ -26,7 +26,6 @@
  */
 
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -42,7 +41,6 @@ main(int argc, char **argv)
     Options opts = parseOptions(argc, argv, /*sweepBench=*/true);
     std::uint32_t scale = opts.flags.getUint32("scale", 12);
     opts.scale = scale;
-    const std::string outPath = opts.flags.getString("out", "");
 
     // Default grid: two contrasting workloads on the baseline and the
     // full design; --workloads/--designs subset it for targeted
@@ -97,41 +95,6 @@ main(int argc, char **argv)
          << ",\"events_per_sec\":" << eps
          << "}";
 
-    std::cout << json.str() << "\n";
-    if (!outPath.empty()) {
-        std::ofstream out(outPath);
-        if (!out)
-            fatal("cannot write ", outPath);
-        out << json.str() << "\n";
-    }
-
-    const std::string comparePath =
-        opts.flags.getString("compare", "");
-    if (!comparePath.empty()) {
-        double tolerance = opts.flags.getDouble("tolerance", 0.10);
-        std::ifstream baseFile(comparePath);
-        std::string baseline;
-        if (!baseFile || !std::getline(baseFile, baseline)) {
-            warn("perf baseline ", comparePath,
-                 " missing; skipping comparison (first run?)");
-            return 0;
-        }
-        double baseEps = 0.0;
-        if (!extractJsonNumber(baseline, "events_per_sec", baseEps)
-            || baseEps <= 0.0) {
-            warn("perf baseline ", comparePath,
-                 " has no usable events_per_sec; skipping comparison");
-            return 0;
-        }
-        double ratio = eps / baseEps;
-        std::cerr << "perf_smoke compare: " << eps << " vs baseline "
-                  << baseEps << " events/sec (x" << ratio
-                  << ", tolerance -" << tolerance * 100 << "%)\n";
-        if (ratio < 1.0 - tolerance) {
-            std::cerr << "perf_smoke: throughput regression beyond "
-                      << tolerance * 100 << "% tolerance\n";
-            return 1;
-        }
-    }
-    return 0;
+    emitRecord(json.str(), opts);
+    return compareRecord(json.str(), opts, {{"events_per_sec", true}});
 }

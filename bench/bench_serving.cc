@@ -21,7 +21,6 @@
  * first CI run on a fresh cache succeeds.
  */
 
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -42,7 +41,6 @@ main(int argc, char **argv)
     const std::uint64_t tenants = opts.flags.getUint("tenants", 1);
     const std::string workload =
         opts.flags.getString("workload", "kv");
-    const std::string outPath = opts.flags.getString("out", "");
 
     const std::vector<double> rates =
         parseCsvDoubles("--rates", opts.flags.getString("rates", "2,8"));
@@ -94,6 +92,7 @@ main(int argc, char **argv)
          << ",\"slo_ns\":" << sloNs
          << ",\"cells\":" << grid.size();
 
+    std::vector<RecordKey> compareKeys;
     std::size_t cellIdx = 0;
     for (Design d : designs) {
         std::vector<double> goodputs, p99s;
@@ -112,70 +111,15 @@ main(int argc, char **argv)
                 p99s.push_back(m.servingP99Ns);
             }
         }
-        json << ",\"goodput_qps_" << designName(d)
-             << "\":" << geomean(goodputs) << ",\"p99_ns_"
-             << designName(d) << "\":" << geomean(p99s);
+        const std::string name = designName(d);
+        json << ",\"goodput_qps_" << name << "\":" << geomean(goodputs)
+             << ",\"p99_ns_" << name << "\":" << geomean(p99s);
+        compareKeys.push_back({"goodput_qps_" + name, true});
+        compareKeys.push_back({"p99_ns_" + name, false});
     }
     json << "}";
     table.print(std::cout);
 
-    std::cout << json.str() << "\n";
-    if (!outPath.empty()) {
-        std::ofstream out(outPath);
-        if (!out)
-            fatal("cannot write ", outPath);
-        out << json.str() << "\n";
-    }
-
-    const std::string comparePath =
-        opts.flags.getString("compare", "");
-    if (!comparePath.empty()) {
-        double tolerance = opts.flags.getDouble("tolerance", 0.10);
-        std::ifstream baseFile(comparePath);
-        std::string baseline;
-        if (!baseFile || !std::getline(baseFile, baseline)) {
-            warn("serving baseline ", comparePath,
-                 " missing; skipping comparison (first run?)");
-            return 0;
-        }
-        bool regressed = false;
-        for (Design d : designs) {
-            const std::string name = designName(d);
-            double curGoodput = 0.0, curP99 = 0.0;
-            extractJsonNumber(json.str(), "goodput_qps_" + name,
-                              curGoodput);
-            extractJsonNumber(json.str(), "p99_ns_" + name, curP99);
-            double baseGoodput = 0.0, baseP99 = 0.0;
-            if (!extractJsonNumber(baseline, "goodput_qps_" + name,
-                                   baseGoodput)
-                || !extractJsonNumber(baseline, "p99_ns_" + name,
-                                      baseP99)
-                || baseGoodput <= 0.0 || baseP99 <= 0.0) {
-                warn("serving baseline ", comparePath,
-                     " has no usable record for design ", name,
-                     "; skipping comparison");
-                return 0;
-            }
-            std::cerr << "serving compare " << name << ": goodput "
-                      << curGoodput << " vs " << baseGoodput
-                      << " q/s, p99 " << curP99 << " vs " << baseP99
-                      << " ns (tolerance " << tolerance * 100
-                      << "%)\n";
-            if (curGoodput < baseGoodput * (1.0 - tolerance)) {
-                std::cerr << "serving: goodput regression under design "
-                          << name << " beyond " << tolerance * 100
-                          << "% tolerance\n";
-                regressed = true;
-            }
-            if (curP99 > baseP99 * (1.0 + tolerance)) {
-                std::cerr << "serving: p99 latency regression under "
-                          << "design " << name << " beyond "
-                          << tolerance * 100 << "% tolerance\n";
-                regressed = true;
-            }
-        }
-        if (regressed)
-            return 1;
-    }
-    return 0;
+    emitRecord(json.str(), opts);
+    return compareRecord(json.str(), opts, compareKeys);
 }

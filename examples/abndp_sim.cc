@@ -3,8 +3,9 @@
  * abndp_sim — the command-line simulator front end.
  *
  * Runs any workload under any Table-2 design on any system geometry and
- * prints a summary, a gem5-style statistics dump (--stats), or machine-
- * readable JSON (--json). This is the binary a user scripts sweeps with.
+ * prints a summary, the stats registry's full dump (--stats), or
+ * machine-readable JSON (--json). This is the binary a user scripts
+ * sweeps with.
  *
  * Examples:
  *   abndp_sim --workload=pr --design=O --scale=14
@@ -48,9 +49,8 @@ printUsage()
         "Inputs:     --graph-file=PATH (SNAP edge list)\n"
         "            --points/--knn-points/--queries/--astar-queries\n"
         "            --explicit-hints (programmer hint.workload)\n"
-        "Output:     --stats (full dump) --json --print-config\n"
-        "            --heatmap\n"
-        "            --stats-registry (hierarchical registry dump)\n"
+        "Output:     --stats (full stats-registry dump) --json\n"
+        "            --print-config --heatmap\n"
         "            --stats-interval=N (dump deltas every N epochs;\n"
         "              N=1 is the per-epoch log)\n"
         "            --stats-out=FILE (interval dump target)\n"
@@ -90,7 +90,7 @@ main(int argc, char **argv)
     cfg.unitsPerStack = flags.getUint32("units-per-stack", cfg.unitsPerStack);
     cfg.coresPerUnit = flags.getUint32("cores-per-unit", cfg.coresPerUnit);
     if (flags.has("mem-mb"))
-        cfg.memBytesPerUnit = flags.getUint("mem-mb", 512) << 20;
+        cfg.memBytesPerUnit = flags.getMebibytes("mem-mb", 512);
     cfg.traveller.campCount = flags.getUint32("camps", 3);
     cfg.traveller.ratioDenom = flags.getUint("ratio", 64);
     cfg.traveller.assoc = flags.getUint32("assoc", 4);
@@ -112,6 +112,9 @@ main(int argc, char **argv)
         fatal("--trace (per-epoch CSV) was removed; use "
               "--stats-interval=1 --stats-out=FILE for per-epoch counter "
               "deltas");
+    if (flags.has("stats-registry"))
+        fatal("--stats-registry was removed; --stats prints the same "
+              "registry dump");
     cfg.traceBufferEvents =
         flags.getUint("trace-buffer-events", cfg.traceBufferEvents);
     applyRunFlags(parseRunFlags(flags, /*threadsDefault=*/1), cfg);
@@ -146,18 +149,13 @@ main(int argc, char **argv)
             std::cout << "\n";
             return 0;
         }
-        if (flags.getBool("stats-registry", false)) {
+        const bool stats = flags.getBool("stats", false);
+        if (stats)
             sys.statsRegistry().dump(std::cout);
-            return 0;
-        }
-        if (flags.getBool("stats", false)) {
-            dumpStats(std::cout, sys, m);
-            if (flags.getBool("heatmap", false))
-                dumpHeatmap(std::cout, cfg, m);
-            return 0;
-        }
         if (flags.getBool("heatmap", false))
             dumpHeatmap(std::cout, cfg, m);
+        if (stats)
+            return 0;
     }
 
     std::cout << spec.name << " under " << designName(design) << ": "
@@ -166,6 +164,7 @@ main(int argc, char **argv)
               << m.interHops << " inter-stack hops, "
               << m.energy.total() / 1e9 << " mJ, utilization "
               << m.utilization() << ", imbalance x" << m.imbalance()
-              << "\n";
+              << "; " << m.simEvents << " events in " << m.hostSeconds
+              << " s host (" << m.eventsPerSec() << " events/s)\n";
     return 0;
 }

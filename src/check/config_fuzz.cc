@@ -546,82 +546,6 @@ fuzzConfigError(const SystemConfig &cfg)
     return {};
 }
 
-std::string
-metricsFingerprint(const RunMetrics &m)
-{
-    std::ostringstream oss;
-    oss << std::hexfloat;
-    auto field = [&oss](const auto &v) { oss << v << ';'; };
-    auto vec = [&oss](const auto &vs) {
-        oss << vs.size() << '[';
-        for (const auto &v : vs)
-            oss << v << ',';
-        oss << "];";
-    };
-    field(m.ticks);
-    field(m.epochs);
-    field(m.tasks);
-    field(m.interHops);
-    field(m.intraTraversals);
-    field(m.energy.coreSramPj);
-    field(m.energy.dramMemPj);
-    field(m.energy.dramCachePj);
-    field(m.energy.netPj);
-    field(m.energy.staticPj);
-    vec(m.coreActiveTicks);
-    vec(m.epochTicks);
-    vec(m.epochBusyTicks);
-    vec(m.epochTasks);
-    field(m.campHits);
-    field(m.campMisses);
-    field(m.cacheInserts);
-    field(m.pbHits);
-    field(m.pbLateHits);
-    field(m.pbMisses);
-    field(m.l1Hits);
-    field(m.l1Misses);
-    field(m.stealAttempts);
-    field(m.stolenTasks);
-    field(m.forwardedTasks);
-    field(m.schedDecisions);
-    field(m.dramReads);
-    field(m.dramWrites);
-    field(m.dramRowMisses);
-    field(m.dramRowHits);
-    field(m.dramActStalls);
-    field(m.netDropped);
-    field(m.netRetries);
-    field(m.dramEccRetries);
-    field(m.unitsFailed);
-    field(m.tasksRecovered);
-    field(m.tasksRedispatched);
-    field(m.recoveryTrafficBytes);
-    field(m.servingInjected);
-    field(m.servingRejected);
-    field(m.servingCompletedDirect);
-    field(m.servingCompletedRecovered);
-    field(m.servingSloMisses);
-    field(m.servingWindows);
-    field(m.servingP50Ns);
-    field(m.servingP95Ns);
-    field(m.servingP99Ns);
-    field(m.servingP999Ns);
-    field(m.servingMeanNs);
-    field(m.servingGoodputQps);
-    field(m.servingSloMissRate);
-    field(m.tasksShedIntra);
-    field(m.tasksShedInter);
-    field(m.blocksMigrated);
-    field(m.migrationInvalidations);
-    field(m.migrationTrafficBytes);
-    field(m.readLatMeanNs);
-    field(m.readLatMaxNs);
-    field(m.simEvents);
-    // hostSeconds deliberately excluded: it is the one sanctioned
-    // wall-clock measurement and never deterministic.
-    return oss.str();
-}
-
 FuzzReport
 runFuzzCase(const FuzzCase &c, std::uint32_t threads)
 {
@@ -633,15 +557,16 @@ runFuzzCase(const FuzzCase &c, std::uint32_t threads)
     // checkers armed (any conservation-law violation panics inside
     // run()), workload results checked against the sequential
     // reference.
-    std::vector<std::string> fp(designs.size());
-    std::vector<std::uint64_t> tasks(designs.size());
-    std::vector<std::uint64_t> epochs(designs.size());
+    std::vector<RunMetrics> first(designs.size());
     for (std::size_t i = 0; i < designs.size(); ++i) {
         SystemConfig cfg = applyDesign(c.cfg, designs[i]);
         cfg.validate();
         NdpSystem sys(cfg);
         auto wl = makeWorkload(spec);
-        RunMetrics m = sys.run(*wl);
+        RunMetrics &m = first[i];
+        m = sys.run(*wl);
+        // Wall clock is the one field two identical runs may differ in.
+        m.hostSeconds = 0.0;
         if (!wl->verify()) {
             r.ok = false;
             r.message = std::string("workload '") + c.workload +
@@ -649,9 +574,6 @@ runFuzzCase(const FuzzCase &c, std::uint32_t threads)
                 designName(designs[i]);
             return r;
         }
-        fp[i] = metricsFingerprint(m);
-        tasks[i] = m.tasks;
-        epochs[i] = m.epochs;
 
         // Serving metamorphic relation: every injected request is
         // accounted for exactly once — rejected at admission, served
@@ -684,9 +606,10 @@ runFuzzCase(const FuzzCase &c, std::uint32_t threads)
     }
 
     // Leg 2 (metamorphic): the same configs rerun through the parallel
-    // grid runner must reproduce every metric bit-exactly — this pins
-    // both run-to-run determinism and thread-count independence at
-    // once (threads <= 1 degrades to a sequential rerun).
+    // grid runner must reproduce the whole result bit-exactly (every
+    // RunMetrics field but the wall clock) — this pins both run-to-run
+    // determinism and thread-count independence at once (threads <= 1
+    // degrades to a sequential rerun).
     std::vector<CellSpec> cells(designs.size());
     for (std::size_t i = 0; i < designs.size(); ++i) {
         cells[i].design = designs[i];
@@ -695,7 +618,8 @@ runFuzzCase(const FuzzCase &c, std::uint32_t threads)
     }
     std::vector<RunMetrics> rerun = runCells(c.cfg, cells, threads);
     for (std::size_t i = 0; i < designs.size(); ++i) {
-        if (metricsFingerprint(rerun[i]) != fp[i]) {
+        rerun[i].hostSeconds = 0.0;
+        if (rerun[i] != first[i]) {
             r.ok = false;
             r.message = std::string("metrics diverge between "
                                     "sequential and ") +
@@ -713,14 +637,15 @@ runFuzzCase(const FuzzCase &c, std::uint32_t threads)
     if (c.cfg.serving.enabled())
         return r;
     for (std::size_t i = 1; i < designs.size(); ++i) {
-        if (tasks[i] != tasks[0] || epochs[i] != epochs[0]) {
+        if (first[i].tasks != first[0].tasks
+            || first[i].epochs != first[0].epochs) {
             r.ok = false;
             r.message = std::string("design ") + designName(designs[i]) +
-                " ran " + std::to_string(tasks[i]) + " tasks / " +
-                std::to_string(epochs[i]) + " epochs but design " +
+                " ran " + std::to_string(first[i].tasks) + " tasks / " +
+                std::to_string(first[i].epochs) + " epochs but design " +
                 designName(designs[0]) + " ran " +
-                std::to_string(tasks[0]) + " / " +
-                std::to_string(epochs[0]) +
+                std::to_string(first[0].tasks) + " / " +
+                std::to_string(first[0].epochs) +
                 " (functional execution must be design-invariant)";
             return r;
         }

@@ -21,7 +21,6 @@
 
 #include "common/config.hh"
 #include "common/rng.hh"
-#include "core/metrics.hh"
 
 namespace abndp
 {
@@ -66,13 +65,6 @@ FuzzCase sampleFuzzCase(Rng &rng);
  * valid. Never exits, so the minimizer can probe invalid candidates.
  */
 std::string fuzzConfigError(const SystemConfig &cfg);
-
-/**
- * Deterministic digest of a run: every RunMetrics field except the
- * host-side self-measurement. Two runs of the same config must match
- * byte-for-byte.
- */
-std::string metricsFingerprint(const RunMetrics &m);
 
 /**
  * Run @p c under every NDP design with checkers armed: workload

@@ -63,6 +63,16 @@ CliFlags::getUint32(const std::string &name, std::uint32_t defval) const
     return static_cast<std::uint32_t>(v);
 }
 
+std::uint64_t
+CliFlags::getMebibytes(const std::string &name, std::uint64_t defMb) const
+{
+    const std::uint64_t mb = getUint(name, defMb);
+    if (mb >> 44 != 0)
+        fatal("--", name, ": '", getString(name, ""),
+              "' MiB does not fit in 64 bits as bytes");
+    return mb << 20;
+}
+
 double
 CliFlags::getDouble(const std::string &name, double defval) const
 {

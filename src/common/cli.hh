@@ -39,6 +39,13 @@ class CliFlags
      */
     std::uint32_t getUint32(const std::string &name,
                             std::uint32_t defval) const;
+    /**
+     * A size flag given in MiB (@p defMb if absent), returned in bytes:
+     * fatal() naming the flag and the value past 2^44 - 1 MiB, where
+     * the shift to bytes would wrap 64 bits.
+     */
+    std::uint64_t getMebibytes(const std::string &name,
+                               std::uint64_t defMb) const;
     /** The flag's value through parseDouble(), or @p defval if absent. */
     double getDouble(const std::string &name, double defval) const;
     bool getBool(const std::string &name, bool defval) const;

@@ -34,13 +34,6 @@ struct RunMetrics
     /** Figure-9 metric: busy ticks of every core. */
     std::vector<Tick> coreActiveTicks;
 
-    /** Duration of each bulk-synchronous epoch. */
-    std::vector<Tick> epochTicks;
-    /** Total core-busy ticks accumulated in each epoch. */
-    std::vector<Tick> epochBusyTicks;
-    /** Tasks executed in each epoch. */
-    std::vector<std::uint64_t> epochTasks;
-
     // Cache behaviour.
     std::uint64_t campHits = 0;
     std::uint64_t campMisses = 0;
@@ -130,10 +123,13 @@ struct RunMetrics
     std::uint64_t simEvents = 0;
     /**
      * Host wall-clock seconds spent inside run(). Reporting only — the
-     * one sanctioned use of wall time; it never feeds simulation state
-     * and is excluded from determinism comparisons.
+     * one sanctioned use of wall time; it never feeds simulation state,
+     * and a determinism comparison zeroes it on both sides first.
      */
     double hostSeconds = 0.0;
+
+    /** Field-by-field equality, every field added later included. */
+    bool operator==(const RunMetrics &) const = default;
 
     /** Simulator throughput: kernel events per host second. */
     double

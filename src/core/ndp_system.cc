@@ -537,7 +537,6 @@ NdpSystem::tryDispatch(UnitId u)
             end = now + 1; // every task takes at least one tick
         core.busy = true;
         core.activeTicks += end - now;
-        epochBusy += end - now;
         ++epochTaskCount;
         if (task.recovered)
             ++epochRecoveredCount;
@@ -618,7 +617,6 @@ NdpSystem::attemptSteal(UnitId u)
     }
 
     unit.stealBackoff = 0;
-    auto &vic = units[victim];
     std::uint32_t batch = std::min<std::uint32_t>(
         cfg.sched.stealBatch,
         static_cast<std::uint32_t>((best_len + 1) / 2));
@@ -635,29 +633,8 @@ NdpSystem::attemptSteal(UnitId u)
         slotIdx = grabBatchSlot();
     std::vector<Task> &stolen = failuresOn ? tr->batch
                                            : batchPool[slotIdx];
-    double load = 0.0;
-    for (std::uint32_t i = 0; i < batch && !vic.ready.empty(); ++i) {
-        Task t = std::move(vic.ready.back());
-        vic.ready.pop_back();
-        t.prefetched = false;
-        load += t.loadEstimate;
-        stolen.push_back(std::move(t));
-    }
-    vic.prefetchedCount = std::min<std::uint32_t>(
-        vic.prefetchedCount, static_cast<std::uint32_t>(vic.ready.size()));
-    sched.onStolen(victim, u, load);
+    const Tick t = shipBatch(victim, u, batch, stolen);
     stolenTasks += stolen.size();
-    if (tracer.enabled())
-        tracer.record(obs::TraceEvent::TaskSteal, u,
-                      obs::Tracer::laneSched, eq.now(), 0,
-                      (static_cast<std::uint64_t>(victim) << 32)
-                          | stolen.size());
-
-    // Round trip: steal request + task descriptors back.
-    Tick t = eq.now();
-    t += mem.network().transfer(u, victim, PacketSizes::request, t).latency;
-    auto desc_bytes = static_cast<std::uint32_t>(16 + 32 * stolen.size());
-    t += mem.network().transfer(victim, u, desc_bytes, t).latency;
 
     unit.stealInFlight = true;
     if (failuresOn) {
@@ -702,6 +679,37 @@ NdpSystem::attemptSteal(UnitId u)
         batchPoolFree.push_back(slotIdx);
         tryDispatch(u);
     });
+}
+
+Tick
+NdpSystem::shipBatch(UnitId victim, UnitId thief, std::uint32_t count,
+                     std::vector<Task> &out)
+{
+    auto &vic = units[victim];
+    double load = 0.0;
+    for (std::uint32_t i = 0; i < count && !vic.ready.empty(); ++i) {
+        Task t = std::move(vic.ready.back());
+        vic.ready.pop_back();
+        t.prefetched = false;
+        load += t.loadEstimate;
+        out.push_back(std::move(t));
+    }
+    vic.prefetchedCount = std::min<std::uint32_t>(
+        vic.prefetchedCount, static_cast<std::uint32_t>(vic.ready.size()));
+    sched.onStolen(victim, thief, load);
+    if (tracer.enabled())
+        tracer.record(obs::TraceEvent::TaskSteal, thief,
+                      obs::Tracer::laneSched, eq.now(), 0,
+                      (static_cast<std::uint64_t>(victim) << 32)
+                          | out.size());
+
+    // Round trip: request packet out, task descriptors back.
+    Tick t = eq.now();
+    t += mem.network().transfer(thief, victim, PacketSizes::request,
+                                t).latency;
+    auto desc_bytes = static_cast<std::uint32_t>(16 + 32 * out.size());
+    t += mem.network().transfer(victim, thief, desc_bytes, t).latency;
+    return t;
 }
 
 void
@@ -1001,45 +1009,21 @@ NdpSystem::runLbExchange()
 void
 NdpSystem::executeShed(const ShedCmd &cmd)
 {
-    // Mirrors the steal transfer (attemptSteal): pop from the back of
-    // the victim's ready queue, one request packet out, descriptors
-    // back, pooled batch slot in flight.
+    // The steal transfer (shipBatch) with a pooled batch slot in
+    // flight.
     if (failuresOn
         && (!faults.isLive(cmd.victim) || !faults.isLive(cmd.thief)))
         return;
-    auto &vic = units[cmd.victim];
-    auto count = std::min<std::uint32_t>(
-        cmd.count, static_cast<std::uint32_t>(vic.ready.size()));
+    const auto queued =
+        static_cast<std::uint32_t>(units[cmd.victim].ready.size());
+    const std::uint32_t count = std::min(cmd.count, queued);
     if (count == 0)
         return;
 
     const std::uint32_t slotIdx = grabBatchSlot();
-    std::vector<Task> &shed = batchPool[slotIdx];
-    double load = 0.0;
-    for (std::uint32_t i = 0; i < count; ++i) {
-        Task t = std::move(vic.ready.back());
-        vic.ready.pop_back();
-        t.prefetched = false;
-        load += t.loadEstimate;
-        shed.push_back(std::move(t));
-    }
-    vic.prefetchedCount = std::min<std::uint32_t>(
-        vic.prefetchedCount,
-        static_cast<std::uint32_t>(vic.ready.size()));
-    sched.onStolen(cmd.victim, cmd.thief, load);
+    const Tick t = shipBatch(cmd.victim, cmd.thief, count,
+                             batchPool[slotIdx]);
     (cmd.inter ? tasksShedInter : tasksShedIntra) += count;
-    if (tracer.enabled())
-        tracer.record(obs::TraceEvent::TaskSteal, cmd.thief,
-                      obs::Tracer::laneSched, eq.now(), 0,
-                      (static_cast<std::uint64_t>(cmd.victim) << 32)
-                          | count);
-
-    Tick t = eq.now();
-    t += mem.network().transfer(cmd.thief, cmd.victim,
-                                PacketSizes::request, t).latency;
-    auto desc_bytes = static_cast<std::uint32_t>(16 + 32 * count);
-    t += mem.network().transfer(cmd.victim, cmd.thief, desc_bytes,
-                                t).latency;
 
     const UnitId dst = cmd.thief;
     eq.schedule(t, [this, dst, slotIdx] {
@@ -1167,9 +1151,6 @@ NdpSystem::batchRun(Workload &wl)
     wl.emitInitialTasks(*this);
 
     std::uint64_t ts = 0;
-    std::vector<Tick> epoch_ticks;
-    std::vector<Tick> epoch_busy;
-    std::vector<std::uint64_t> epoch_tasks;
 
     // Per-interval stats dumping (--stats-interval): every N epochs the
     // registry prints the counter deltas since the previous dump; N = 1
@@ -1201,7 +1182,6 @@ NdpSystem::batchRun(Workload &wl)
         // generation children must not share; the generation freed here
         // held epoch ts-2's hints, whose tasks have all completed.
         wl.taskArena().rotate();
-        Tick epoch_begin = eq.now();
         eq.armWatchdog();
         // Epoch-start invariants run before startEpoch() dispatches
         // anything (dispatch already touches the caches).
@@ -1234,10 +1214,6 @@ NdpSystem::batchRun(Workload &wl)
         exchangeScheduled = false;
         for (auto &unit : units)
             unit.resetTransient();
-        epoch_ticks.push_back(lastCompletionTick - epoch_begin);
-        epoch_busy.push_back(epochBusy);
-        epoch_tasks.push_back(epochTaskCount);
-        epochBusy = 0;
         epochTaskCount = 0;
         epochRecoveredCount = 0;
 
@@ -1266,8 +1242,7 @@ NdpSystem::batchRun(Workload &wl)
         warn("workload ", wl.name(), " emitted no initial tasks; zero "
              "epochs were simulated and every metric is zero");
 
-    return finishRun(hostStart, ts, std::move(epoch_ticks),
-                     std::move(epoch_busy), std::move(epoch_tasks));
+    return finishRun(hostStart, ts);
 }
 
 void
@@ -1423,14 +1398,12 @@ NdpSystem::serveRun(Workload &wl)
     // Only bookkeeping chains remain (windows, steal backoffs).
     eq.clearPending();
 
-    return finishRun(hostStart, servingWindows, {}, {}, {});
+    return finishRun(hostStart, servingWindows);
 }
 
 RunMetrics
 NdpSystem::finishRun(std::chrono::steady_clock::time_point hostStart,
-                     std::uint64_t epochs, std::vector<Tick> epochTicks,
-                     std::vector<Tick> epochBusy,
-                     std::vector<std::uint64_t> epochTasks)
+                     std::uint64_t epochs)
 {
     energy.finalizeStatic(lastCompletionTick);
 
@@ -1438,9 +1411,6 @@ NdpSystem::finishRun(std::chrono::steady_clock::time_point hostStart,
     m.ticks = lastCompletionTick;
     m.epochs = epochs;
     m.tasks = totalTasks;
-    m.epochTicks = std::move(epochTicks);
-    m.epochBusyTicks = std::move(epochBusy);
-    m.epochTasks = std::move(epochTasks);
     m.interHops = mem.network().totalInterHops();
     m.intraTraversals = mem.network().totalIntraTraversals();
     m.energy = energy.breakdown();

@@ -146,13 +146,10 @@ class NdpSystem : public TaskSink
      * The run epilogue both drivers end in: finalize static energy,
      * build the RunMetrics, run the end-of-run invariant checks, export
      * the Perfetto trace, and stamp hostSeconds. @p epochs is the epoch
-     * count (serving windows under serving); the per-epoch vectors are
-     * the batch engine's log and stay empty under serving.
+     * count (serving windows under serving).
      */
     RunMetrics finishRun(std::chrono::steady_clock::time_point hostStart,
-                         std::uint64_t epochs, std::vector<Tick> epochTicks,
-                         std::vector<Tick> epochBusy,
-                         std::vector<std::uint64_t> epochTasks);
+                         std::uint64_t epochs);
 
     // Serving summaries, shared by the serving.* stats and RunMetrics
     // (each is 0 when no request completed, e.g. in batch runs).
@@ -177,6 +174,17 @@ class NdpSystem : public TaskSink
 
     /** Attempt to steal work for idle unit @p u. */
     void attemptSteal(UnitId u);
+
+    /**
+     * The batch transfer steals and lb sheds share: pop up to @p count
+     * tasks from the back of @p victim's ready queue into the empty
+     * @p out (prefetch state cleared), tell the scheduler their load
+     * moved to @p thief, trace a TaskSteal, and book the request packet
+     * out and the descriptors back. Returns the batch's arrival tick
+     * at @p thief; delivery is the caller's.
+     */
+    Tick shipBatch(UnitId victim, UnitId thief, std::uint32_t count,
+                   std::vector<Task> &out);
 
     /** Periodic workload information exchange chain. */
     void scheduleExchange();
@@ -324,7 +332,6 @@ class NdpSystem : public TaskSink
     std::uint64_t initialSpread = 0;
     std::uint64_t totalTasks = 0;
     std::uint64_t epochsDone = 0;
-    Tick epochBusy = 0;
     std::uint64_t epochTaskCount = 0;
     std::uint64_t stealAttempts = 0;
     std::uint64_t stolenTasks = 0;

@@ -1,8 +1,9 @@
 /**
  * @file
- * gem5-style end-of-run statistics report for a simulated NDP system:
- * a hierarchical dump of every component's counters, suitable for diffing
- * between runs and for scripts that post-process results.
+ * Run-result reports built from RunMetrics: a one-object JSON summary
+ * and an ASCII per-stack utilization heatmap. The full statistics dump
+ * of an NDP run is the stats registry's
+ * (NdpSystem::statsRegistry().dump(), printed by `abndp_sim --stats`).
  */
 
 #ifndef ABNDP_CORE_STATS_REPORT_HH
@@ -15,16 +16,6 @@
 
 namespace abndp
 {
-
-class NdpSystem;
-
-/**
- * Write the full statistics tree of a finished run:
- * system.{time,tasks,epochs}, per-category totals, network, scheduler,
- * caches, DRAM, and the energy breakdown.
- */
-void dumpStats(std::ostream &os, NdpSystem &sys,
-               const RunMetrics &metrics);
 
 /** Write the headline metrics of a run as a single JSON object. */
 void dumpJson(std::ostream &os, const SystemConfig &cfg,

@@ -52,6 +52,8 @@ struct EnergyBreakdown
 
     double dram() const { return dramMemPj + dramCachePj; }
 
+    bool operator==(const EnergyBreakdown &) const = default;
+
     EnergyBreakdown &
     operator+=(const EnergyBreakdown &o)
     {

@@ -108,6 +108,29 @@ TEST(CliDeath, RejectsUnsignedValuesPast32Bits)
                 "--mesh: '-4' is not an unsigned integer");
 }
 
+TEST(Cli, MebibytesAccessorReturnsBytes)
+{
+    auto f = parse({"--mem-mb=17592186044415", "--small=3"});
+    EXPECT_EQ(f.getMebibytes("mem-mb", 512), 17592186044415ull << 20);
+    EXPECT_EQ(f.getMebibytes("small", 512), 3ull << 20);
+    EXPECT_EQ(f.getMebibytes("absent", 2), 2ull << 20);
+}
+
+TEST(CliDeath, RejectsMebibytesPast64BitBytes)
+{
+    // 2^44 MiB is 2^64 bytes: a plain shift would run
+    // --mem-mb=17592186044417 (2^44 + 1) as 1 MiB per unit.
+    const auto exit1 = ::testing::ExitedWithCode(1);
+    auto mb = [](const char *arg) {
+        return parse({arg}).getMebibytes("mem-mb", 512);
+    };
+    EXPECT_EXIT(mb("--mem-mb=17592186044416"), exit1,
+                "fatal: --mem-mb: '17592186044416' MiB does not fit in 64 "
+                "bits as bytes");
+    EXPECT_EXIT(mb("--mem-mb=17592186044417"), exit1,
+                "--mem-mb: '17592186044417' MiB does not fit");
+}
+
 TEST(CliDeath, RejectsMalformedDoubleValues)
 {
     const auto exit1 = ::testing::ExitedWithCode(1);

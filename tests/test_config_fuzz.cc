@@ -12,6 +12,7 @@
 
 #include "check/config_fuzz.hh"
 #include "common/rng.hh"
+#include "core/metrics.hh"
 
 namespace abndp
 {
@@ -124,16 +125,31 @@ TEST(ConfigFuzz, ErrorNamesTheDesignAndTheRule)
               "needs at least one counter slot per unit)");
 }
 
-TEST(ConfigFuzz, MetricsFingerprintSeparatesFields)
+TEST(ConfigFuzz, RunMetricsEqualitySeparatesFields)
 {
+    // runFuzzCase's determinism leg compares whole results with the
+    // wall clock zeroed on both sides; the defaulted operator== reaches
+    // every field, vector elements and the nested energy included.
     RunMetrics a;
     a.tasks = 10;
+    a.coreActiveTicks = {3, 4};
+    a.energy.netPj = 1.5;
+    a.hostSeconds = 0.25;
     RunMetrics b = a;
-    EXPECT_EQ(check::metricsFingerprint(a), check::metricsFingerprint(b));
-    b.hostSeconds = 123.0; // excluded: wall clock is never deterministic
-    EXPECT_EQ(check::metricsFingerprint(a), check::metricsFingerprint(b));
-    b.interHops = 1;
-    EXPECT_NE(check::metricsFingerprint(a), check::metricsFingerprint(b));
+    b.hostSeconds = 123.0;
+    EXPECT_NE(a, b);
+    a.hostSeconds = b.hostSeconds = 0.0;
+    EXPECT_EQ(a, b);
+
+    RunMetrics c = b;
+    c.interHops = 1;
+    EXPECT_NE(a, c);
+    c = b;
+    c.coreActiveTicks[1] = 5;
+    EXPECT_NE(a, c);
+    c = b;
+    c.energy.staticPj = 2.0;
+    EXPECT_NE(a, c);
 }
 
 TEST(ConfigFuzz, MinimizerReachesBaselineWhenEverythingFails)

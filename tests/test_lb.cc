@@ -340,6 +340,23 @@ TEST(HlbEndToEnd, HlbRunsShedsAndVerifies)
     EXPECT_EQ(m.migrationTrafficBytes, 0u);
 }
 
+TEST(HlbEndToEnd, ShedBatchesHandTheirLoadToTheThief)
+{
+    // A short exchange interval opens lb windows inside the tiny run.
+    SystemConfig cfg = smallConfig(Design::Hlb);
+    cfg.sched.exchangeIntervalCycles = 1000;
+    NdpSystem sys(cfg);
+    auto wl = makeWorkload(WorkloadSpec::tiny("pr"));
+    RunMetrics m = sys.run(*wl);
+    EXPECT_TRUE(wl->verify());
+    EXPECT_GT(m.tasksShedIntra, 0u);
+    EXPECT_GT(m.tasksShedInter, 0u);
+    // Each shed batch moves its load estimate from victim to thief,
+    // which dequeues it there, so every unit's true load drains to zero.
+    for (UnitId u = 0; u < cfg.numUnits(); ++u)
+        EXPECT_EQ(sys.scheduler().trueW(u), 0.0) << "unit " << u;
+}
+
 TEST(HlbEndToEnd, HlbMigMaintainsMigrationConservation)
 {
     auto [m, dump] = runSmall(Design::HlbM);

@@ -100,8 +100,6 @@ TEST(ScaleDeterminism, Scale16CellRunnerThreadCountInvariant)
         EXPECT_EQ(seq[i].intraTraversals, par[i].intraTraversals);
         EXPECT_EQ(seq[i].simEvents, par[i].simEvents);
         EXPECT_EQ(seq[i].coreActiveTicks, par[i].coreActiveTicks);
-        EXPECT_EQ(seq[i].epochTicks, par[i].epochTicks);
-        EXPECT_EQ(seq[i].epochTasks, par[i].epochTasks);
         EXPECT_EQ(seq[i].campHits, par[i].campHits);
         EXPECT_EQ(seq[i].campMisses, par[i].campMisses);
         EXPECT_EQ(seq[i].stolenTasks, par[i].stolenTasks);

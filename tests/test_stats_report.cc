@@ -1,4 +1,8 @@
-/** @file Tests for the statistics dump and JSON report. */
+/**
+ * @file
+ * Tests for the JSON run report and for the registry dump a finished
+ * run prints under `abndp_sim --stats`.
+ */
 
 #include <gtest/gtest.h>
 
@@ -32,31 +36,6 @@ struct ReportFixture
 
 } // namespace
 
-TEST(StatsReport, DumpContainsAllSections)
-{
-    ReportFixture f;
-    std::ostringstream oss;
-    dumpStats(oss, f.sys, f.metrics);
-    std::string out = oss.str();
-    for (const char *key :
-         {"system.ticks", "system.tasks", "network.interHops",
-          "sched.decisions", "prefetchBuffer.hits", "l1d.hits",
-          "travellerCache.hitRate", "dram.reads", "dram.refreshes",
-          "energy.totalPj"})
-        EXPECT_NE(out.find(key), std::string::npos) << key;
-}
-
-TEST(StatsReport, NoTravellerSectionWithoutCache)
-{
-    SystemConfig cfg = applyDesign(SystemConfig{}, Design::B);
-    NdpSystem sys(cfg);
-    auto wl = makeWorkload(WorkloadSpec::tiny("bfs"));
-    RunMetrics m = sys.run(*wl);
-    std::ostringstream oss;
-    dumpStats(oss, sys, m);
-    EXPECT_EQ(oss.str().find("travellerCache"), std::string::npos);
-}
-
 TEST(StatsReport, JsonIsWellFormedEnough)
 {
     ReportFixture f;
@@ -77,33 +56,17 @@ TEST(StatsReport, DumpIsStableUnderAmbientStreamState)
 {
     ReportFixture f;
     std::ostringstream pristine;
-    dumpStats(pristine, f.sys, f.metrics);
+    f.sys.statsRegistry().dump(pristine);
 
     // A caller-perturbed stream (precision, scientific notation, odd
-    // fill) must not change a single byte: every float goes through
-    // obs::formatStatValue(), which carries its own explicit format.
+    // fill) must not change a single byte: every value goes through
+    // obs::formatStatValue(), which carries its own explicit format,
+    // and names are padded with explicit spaces.
     std::ostringstream perturbed;
     perturbed << std::scientific << std::setprecision(2)
               << std::setfill('*');
-    std::string prefix = perturbed.str();
-    dumpStats(perturbed, f.sys, f.metrics);
-    EXPECT_EQ(pristine.str(), perturbed.str().substr(prefix.size()));
-}
-
-TEST(StatsReport, DumpFloatsUseFixedNotation)
-{
-    ReportFixture f;
-    std::ostringstream oss;
-    dumpStats(oss, f.sys, f.metrics);
-    std::string out = oss.str();
-    // Energy values are large enough that default formatting would
-    // print scientific notation; the dump must never contain it.
-    std::istringstream lines(out);
-    std::string l;
-    while (std::getline(lines, l))
-        EXPECT_EQ(l.find("e+"), std::string::npos) << l;
-    // utilization is a fraction formatted with fixed six digits.
-    EXPECT_NE(out.find("0."), std::string::npos);
+    f.sys.statsRegistry().dump(perturbed);
+    EXPECT_EQ(pristine.str(), perturbed.str());
 }
 
 TEST(StatsReport, JsonValuesMatchMetrics)
