@@ -2,8 +2,8 @@
  * @file
  * Generic set-associative cache model storing block presence only (the
  * simulator never stores data contents; workloads keep real data in host
- * memory). Used for L1-D/L1-I, the host LLC, and as the storage engine of
- * the Traveller Cache variants.
+ * memory). Used for L1-D/L1-I, the TLB, and the host LLC (TravellerCache
+ * keeps its own arrays).
  *
  * The lookup path is one of the hottest in the simulator (every modelled
  * memory reference probes an L1), so it is defined inline here: tags and

@@ -170,6 +170,16 @@ MachineChecker::onRunEnd(const RunMetrics &m)
                                m.migrationInvalidations,
                                mem.cachingEnabled());
 
+    // A run cut by maxEpochs leaves staged tasks whose load is still
+    // booked; otherwise every task ran and all load must be gone.
+    bool staged = false;
+    for (UnitId u = 0; u < sys.numUnits(); ++u)
+        staged |= !sys.unit(u).stagedPending.empty()
+            || !sys.unit(u).stagedReady.empty();
+    if (!staged)
+        for (UnitId u = 0; u < sys.numUnits(); ++u)
+            checkLoadDrained(ctx, u, sys.scheduler().trueW(u));
+
     // The reported breakdown is additive and identical to the live
     // account (RunMetrics copies, it must not recompute).
     checkEnergyAdditivity(ctx, m.energy);

@@ -161,6 +161,21 @@ class MachineChecker
     }
 
     /**
+     * With no task left to run, no unit carries scheduler load: every
+     * task move hands its load credit on with the task and dispatch
+     * takes it off, so a credit left on unit @p u (@p trueW) is
+     * phantom load that skews every exchange snapshot after it.
+     */
+    static void
+    checkLoadDrained(CheckContext &ctx, std::uint32_t u, double trueW)
+    {
+        ctx.require(trueW == 0.0, "load drained: unit ", u,
+                    " still carries scheduler load ", trueW,
+                    " with no task left (a task move left its load "
+                    "credit behind)");
+    }
+
+    /**
      * After a re-homing, no camp cache holds the moved block: @p holders
      * counts the units whose Traveller still contains it.
      */

@@ -34,11 +34,5 @@ warnImpl(const std::string &msg)
     std::cerr << "warn: " << msg << std::endl;
 }
 
-void
-informImpl(const std::string &msg)
-{
-    std::cout << "info: " << msg << std::endl;
-}
-
 } // namespace logging_detail
 } // namespace abndp

@@ -1,6 +1,6 @@
 /**
  * @file
- * gem5-style status and error reporting: panic/fatal/warn/inform.
+ * gem5-style status and error reporting: panic/fatal/warn.
  *
  * panic() is for internal invariant violations (simulator bugs) and
  * aborts; fatal() is for user/configuration errors and exits cleanly.
@@ -33,7 +33,6 @@ concat(Args&&... args)
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
 void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
 
 } // namespace logging_detail
 
@@ -61,15 +60,6 @@ void
 warn(Args&&... args)
 {
     logging_detail::warnImpl(
-        logging_detail::concat(std::forward<Args>(args)...));
-}
-
-/** Informational status message. */
-template <typename... Args>
-void
-inform(Args&&... args)
-{
-    logging_detail::informImpl(
         logging_detail::concat(std::forward<Args>(args)...));
 }
 

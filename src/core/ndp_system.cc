@@ -120,21 +120,11 @@ NdpSystem::buildStats()
     obs::StatNode &root = statsReg.root();
 
     obs::StatNode &sys = root.child("system");
-    sys.addValue("epochs",
-                 [this]() { return static_cast<double>(epochsDone); },
-                 obs::StatKind::Counter, true);
-    sys.addValue("tasks",
-                 [this]() { return static_cast<double>(totalTasks); },
-                 obs::StatKind::Counter, true);
-    sys.addValue("forwardedTasks",
-                 [this]() { return static_cast<double>(forwardedTasks); },
-                 obs::StatKind::Counter, true);
-    sys.addValue("stolenTasks",
-                 [this]() { return static_cast<double>(stolenTasks); },
-                 obs::StatKind::Counter, true);
-    sys.addValue("stealAttempts",
-                 [this]() { return static_cast<double>(stealAttempts); },
-                 obs::StatKind::Counter, true);
+    sys.addCounter("epochs", &epochsDone);
+    sys.addCounter("tasks", &totalTasks);
+    sys.addCounter("forwardedTasks", &forwardedTasks);
+    sys.addCounter("stolenTasks", &stolenTasks);
+    sys.addCounter("stealAttempts", &stealAttempts);
     sys.addValue("finalTick",
                  [this]() {
                      return static_cast<double>(lastCompletionTick);
@@ -190,21 +180,9 @@ NdpSystem::buildStats()
                          return static_cast<double>(faults.downCount());
                      },
                      obs::StatKind::Gauge, true);
-        rec.addValue("tasksRecovered",
-                     [this]() {
-                         return static_cast<double>(tasksRecovered);
-                     },
-                     obs::StatKind::Counter, true);
-        rec.addValue("tasksRedispatched",
-                     [this]() {
-                         return static_cast<double>(tasksRedispatched);
-                     },
-                     obs::StatKind::Counter, true);
-        rec.addValue("recoveryTrafficBytes",
-                     [this]() {
-                         return static_cast<double>(recoveryTrafficBytes);
-                     },
-                     obs::StatKind::Counter, true);
+        rec.addCounter("tasksRecovered", &tasksRecovered);
+        rec.addCounter("tasksRedispatched", &tasksRedispatched);
+        rec.addCounter("recoveryTrafficBytes", &recoveryTrafficBytes);
     }
 
     // Serving stats exist only when a request stream is configured, so
@@ -213,38 +191,17 @@ NdpSystem::buildStats()
     // O(n), observational only.
     if (cfg.serving.enabled()) {
         obs::StatNode &sv = root.child("serving");
-        sv.addValue("injected",
-                    [this]() {
-                        return static_cast<double>(servingInjected);
-                    },
-                    obs::StatKind::Counter, true);
-        sv.addValue("rejected",
-                    [this]() {
-                        return static_cast<double>(servingRejected);
-                    },
-                    obs::StatKind::Counter, true);
-        sv.addValue("completedDirect",
-                    [this]() {
-                        return static_cast<double>(servingCompletedDirect);
-                    },
-                    obs::StatKind::Counter, true);
-        sv.addValue("completedRecovered",
-                    [this]() {
-                        return static_cast<double>(
-                            servingCompletedRecovered);
-                    },
-                    obs::StatKind::Counter, true);
+        sv.addCounter("injected", &servingInjected);
+        sv.addCounter("rejected", &servingRejected);
+        sv.addCounter("completedDirect", &servingCompletedDirect);
+        sv.addCounter("completedRecovered", &servingCompletedRecovered);
         sv.addValue("sloMisses",
                     [this]() {
                         return static_cast<double>(
                             servingLat.sloMisses());
                     },
                     obs::StatKind::Counter, true);
-        sv.addValue("windows",
-                    [this]() {
-                        return static_cast<double>(servingWindows);
-                    },
-                    obs::StatKind::Counter, true);
+        sv.addCounter("windows", &servingWindows);
         sv.addFormula("meanNs", [this]() {
             return servingLat.meanTicks() / ticksPerNs;
         });
@@ -284,16 +241,8 @@ NdpSystem::buildStats()
     // golden family) are unchanged.
     if (cfg.lb.enabled) {
         obs::StatNode &lb = root.child("lb");
-        lb.addValue("tasksShedIntra",
-                    [this]() {
-                        return static_cast<double>(tasksShedIntra);
-                    },
-                    obs::StatKind::Counter, true);
-        lb.addValue("tasksShedInter",
-                    [this]() {
-                        return static_cast<double>(tasksShedInter);
-                    },
-                    obs::StatKind::Counter, true);
+        lb.addCounter("tasksShedIntra", &tasksShedIntra);
+        lb.addCounter("tasksShedInter", &tasksShedInter);
         mem.regLbStats(lb);
     }
 
@@ -352,13 +301,7 @@ NdpSystem::enqueueTask(Task &&task)
                      "child tasks must carry timestamp + 1");
     }
 
-    Addr main_addr = !task.hint.data.empty() ? task.hint.data[0]
-        : (!task.writes.empty() ? task.writes[0] : invalidAddr);
-    // Affinity follows the migration-aware mapping (identical to the
-    // static map for every design without re-homing).
-    task.mainHome = main_addr != invalidAddr
-        ? mem.campMapping().homeOf(main_addr)
-        : (creatorCtx != invalidUnit ? creatorCtx : 0);
+    task.mainHome = mainHomeOf(task);
     task.finalizeBlocks(workload->taskArena());
     task.loadEstimate = sched.estimateLoad(task);
 
@@ -380,6 +323,19 @@ NdpSystem::enqueueTask(Task &&task)
         units[dst].stagedReady.push_back(std::move(task));
     }
     ++stagedCount;
+}
+
+UnitId
+NdpSystem::mainHomeOf(const Task &task) const
+{
+    Addr main_addr = !task.hint.data.empty() ? task.hint.data[0]
+        : (!task.writes.empty() ? task.writes[0] : invalidAddr);
+    // Affinity follows the migration-aware mapping (identical to the
+    // static map for every design without re-homing). A task with no
+    // datum stays with its creator (unit 0 for creator-less tasks).
+    if (main_addr != invalidAddr)
+        return mem.campMapping().homeOf(main_addr);
+    return creatorCtx != invalidUnit ? creatorCtx : 0;
 }
 
 std::uint32_t
@@ -468,8 +424,7 @@ NdpSystem::pumpScheduler(UnitId u)
                         units[dst].pending.push_back(std::move(moved));
                         pumpScheduler(dst);
                     } else {
-                        units[dst].ready.push_back(std::move(moved));
-                        tryDispatch(dst);
+                        landReady(dst, std::move(moved));
                     }
                 };
                 // The event kernel stores captures inline with no heap
@@ -640,7 +595,6 @@ NdpSystem::attemptSteal(UnitId u)
     if (failuresOn) {
         // Tracked delivery: the batch carries an ack with a timeout so
         // a thief that dies with the batch in flight cannot lose it.
-        tr->victim = victim;
         tr->thief = u;
         ++acksOutstanding[u];
         eq.schedule(t, [this, tr] {
@@ -649,15 +603,12 @@ NdpSystem::attemptSteal(UnitId u)
             tr->delivered = true;
             --acksOutstanding[tr->thief];
             units[tr->thief].stealInFlight = false;
-            if (!faults.isLive(tr->thief)) {
+            // A dead thief's batch is re-placed at once, not handed to
+            // its buddy (which never asked for work).
+            if (faults.isLive(tr->thief))
+                landBatch(tr->thief, tr->batch);
+            else
                 reinjectStealBatch(tr, false);
-                return;
-            }
-            auto &thief = units[tr->thief];
-            for (auto &task : tr->batch)
-                thief.ready.push_back(std::move(task));
-            tr->batch.clear();
-            tryDispatch(tr->thief);
         });
         eq.scheduleIn(faults.ackTimeoutTicks(), [this, tr] {
             if (tr->delivered || tr->abandoned)
@@ -670,15 +621,36 @@ NdpSystem::attemptSteal(UnitId u)
         return;
     }
     eq.schedule(t, [this, u, slotIdx] {
-        auto &thief = units[u];
-        thief.stealInFlight = false;
-        auto &delivered = batchPool[slotIdx];
-        for (auto &task : delivered)
-            thief.ready.push_back(std::move(task));
-        delivered.clear();
+        units[u].stealInFlight = false;
+        // Freed first: landBatch empties the slot before it dispatches,
+        // and a steal that dispatch starts may take the slot again.
         batchPoolFree.push_back(slotIdx);
-        tryDispatch(u);
+        landBatch(u, batchPool[slotIdx]);
     });
+}
+
+void
+NdpSystem::landReady(UnitId dst, Task &&task)
+{
+    const UnitId to = faults.rehomeOf(dst);
+    if (to != dst)
+        sched.onStolen(dst, to, task.loadEstimate);
+    units[to].ready.push_back(std::move(task));
+    tryDispatch(to);
+}
+
+void
+NdpSystem::landBatch(UnitId dst, std::vector<Task> &batch)
+{
+    const UnitId to = faults.rehomeOf(dst);
+    auto &ready = units[to].ready;
+    for (auto &task : batch) {
+        if (to != dst)
+            sched.onStolen(dst, to, task.loadEstimate);
+        ready.push_back(std::move(task));
+    }
+    batch.clear();
+    tryDispatch(to);
 }
 
 Tick
@@ -718,22 +690,22 @@ NdpSystem::armFailureTransitions()
     Tick now = eq.now();
     Tick fail = faults.failAtTick();
     Tick recover = faults.recoverAtTick();
-    if (!unitsDown && (recover == 0 || now < recover)) {
+    if (!faults.anyUnitDown() && (recover == 0 || now < recover)) {
         if (now >= fail) {
             applyUnitFailures();
         } else {
             eq.schedule(fail, [this] {
-                if (!unitsDown)
+                if (!faults.anyUnitDown())
                     applyUnitFailures();
             });
         }
     }
     if (recover != 0) {
-        if (unitsDown && now >= recover) {
+        if (faults.anyUnitDown() && now >= recover) {
             applyUnitRecovery();
         } else if (now < recover) {
             eq.schedule(recover, [this] {
-                if (unitsDown)
+                if (faults.anyUnitDown())
                     applyUnitRecovery();
             });
         }
@@ -743,7 +715,6 @@ NdpSystem::armFailureTransitions()
 void
 NdpSystem::applyUnitFailures()
 {
-    unitsDown = true;
     everFailed = true;
     for (UnitId dead : faults.failedUnits())
         faults.markDown(dead);
@@ -767,7 +738,6 @@ NdpSystem::applyUnitFailures()
 void
 NdpSystem::applyUnitRecovery()
 {
-    unitsDown = false;
     for (UnitId dead : faults.failedUnits())
         faults.markUp(dead);
     // The recovered units come back with empty queues; scheduling
@@ -782,61 +752,50 @@ NdpSystem::recoverUnitTasks(UnitId dead)
 {
     auto &unit = units[dead];
     unit.prefetchedCount = 0;
-    while (!unit.pending.empty()) {
-        Task task = std::move(unit.pending.front());
-        unit.pending.pop_front();
-        reinjectLiveTask(dead, std::move(task));
-    }
-    while (!unit.ready.empty()) {
-        Task task = std::move(unit.ready.front());
-        unit.ready.pop_front();
-        reinjectLiveTask(dead, std::move(task));
+    const UnitId buddy = faults.rehomeOf(dead);
+    for (auto *queue : {&unit.pending, &unit.ready}) {
+        for (; !queue->empty(); queue->pop_front()) {
+            ++tasksRecovered;
+            reinject(std::move(queue->front()), dead, buddy, dead);
+        }
     }
     // Staged (next-epoch) tasks re-stage onto live units keeping their
     // queue kind; staging is bookkeeping, so no delivery events — only
     // the descriptor traffic is modelled.
-    UnitId buddy = faults.rehomeOf(dead);
-    while (!unit.stagedPending.empty()) {
-        Task task = std::move(unit.stagedPending.front());
-        unit.stagedPending.pop_front();
-        task.recovered = true;
+    for (; !unit.stagedPending.empty(); unit.stagedPending.pop_front()) {
+        Task &task = unit.stagedPending.front();
         ++tasksRecovered;
-        recoveryTrafficBytes += 32;
-        mem.network().transfer(dead, buddy, 32, eq.now());
-        sched.onStolen(dead, buddy, task.loadEstimate);
+        moveLostTask(task, dead, buddy, dead);
         units[buddy].stagedPending.push_back(std::move(task));
     }
-    while (!unit.stagedReady.empty()) {
-        Task task = std::move(unit.stagedReady.front());
-        unit.stagedReady.pop_front();
-        task.recovered = true;
-        task.prefetched = false;
+    for (; !unit.stagedReady.empty(); unit.stagedReady.pop_front()) {
+        Task &task = unit.stagedReady.front();
         ++tasksRecovered;
-        UnitId dst = sched.choose(task, buddy);
-        recoveryTrafficBytes += 32;
-        mem.network().transfer(dead, dst, 32, eq.now());
-        sched.onStolen(dead, dst, task.loadEstimate);
+        const UnitId dst = sched.choose(task, buddy);
+        moveLostTask(task, dead, dst, dead);
         units[dst].stagedReady.push_back(std::move(task));
     }
 }
 
-void
-NdpSystem::reinjectLiveTask(UnitId dead, Task task)
+Tick
+NdpSystem::moveLostTask(Task &task, UnitId owner, UnitId dst, UnitId sender)
 {
     task.recovered = true;
     task.prefetched = false;
-    ++tasksRecovered;
-    UnitId buddy = faults.rehomeOf(dead);
-    UnitId dst = sched.choose(task, buddy);
-    sched.onStolen(dead, dst, task.loadEstimate);
+    sched.onStolen(owner, dst, task.loadEstimate);
     recoveryTrafficBytes += 32;
-    Tick t = eq.now();
-    t += mem.network().transfer(dead, dst, 32, t).latency;
+    const Tick now = eq.now();
+    return now + mem.network().transfer(sender, dst, 32, now).latency;
+}
+
+void
+NdpSystem::reinject(Task &&task, UnitId owner, UnitId creator, UnitId sender)
+{
+    const UnitId dst = sched.choose(task, creator);
+    const Tick t = moveLostTask(task, owner, dst, sender);
     auto moved = std::make_shared<Task>(std::move(task));
     eq.schedule(t, [this, dst, moved] {
-        UnitId target = faults.isLive(dst) ? dst : faults.rehomeOf(dst);
-        units[target].ready.push_back(std::move(*moved));
-        tryDispatch(target);
+        landReady(dst, std::move(*moved));
     });
 }
 
@@ -850,13 +809,11 @@ NdpSystem::trackDelivery(std::shared_ptr<TaskTransit> tr, Tick deliverAt)
             return;
         tr->delivered = true;
         --acksOutstanding[tr->dst];
-        auto &unit = units[tr->dst];
         if (tr->reexamine) {
-            unit.pending.push_back(std::move(tr->task));
+            units[tr->dst].pending.push_back(std::move(tr->task));
             pumpScheduler(tr->dst);
         } else {
-            unit.ready.push_back(std::move(tr->task));
-            tryDispatch(tr->dst);
+            landReady(tr->dst, std::move(tr->task));
         }
     };
     static_assert(EventQueue::callbackFits<decltype(deliver)>,
@@ -875,49 +832,27 @@ NdpSystem::trackDelivery(std::shared_ptr<TaskTransit> tr, Tick deliverAt)
 void
 NdpSystem::redispatchTask(std::shared_ptr<TaskTransit> tr)
 {
-    Task &task = tr->task;
-    task.recovered = true;
-    if (task.redispatchCount < faults.maxRedispatch())
-        ++task.redispatchCount;
+    std::uint8_t &attempts = tr->task.redispatchCount;
+    if (attempts < faults.maxRedispatch())
+        ++attempts;
     ++tasksRedispatched;
     // Exponential backoff (capped shift) before the resend; the
     // creator's live buddy acts for it if the creator itself is down.
-    Tick wait = faults.redispatchBackoffTicks(task.redispatchCount - 1);
-    UnitId from = faults.isLive(tr->from) ? tr->from
-        : faults.rehomeOf(tr->from);
-    eq.scheduleIn(wait, [this, tr, from] {
-        auto nt = std::make_shared<TaskTransit>();
-        nt->task = std::move(tr->task);
-        nt->from = from;
-        nt->reexamine = false;
-        UnitId dst = sched.choose(nt->task, from);
-        sched.onStolen(tr->dst, dst, nt->task.loadEstimate);
-        nt->dst = dst;
-        recoveryTrafficBytes += 32;
-        Tick t = eq.now();
-        t += mem.network().transfer(from, dst, 32, t).latency;
-        if (nt->task.redispatchCount >= faults.maxRedispatch())
-            deliverDirect(nt, t);
-        else
-            trackDelivery(nt, t);
-    });
-}
-
-void
-NdpSystem::deliverDirect(std::shared_ptr<TaskTransit> tr, Tick deliverAt)
-{
-    // Unconditional delivery with a live fallback applied at arrival,
-    // so a task whose redispatch budget is burnt cannot strand on a
-    // unit that died while it was in flight.
-    eq.schedule(deliverAt, [this, tr] {
-        UnitId dst = tr->dst;
-        if (!faults.isLive(dst)) {
-            UnitId live = faults.rehomeOf(dst);
-            sched.onStolen(dst, live, tr->task.loadEstimate);
-            dst = live;
+    Tick wait = faults.redispatchBackoffTicks(attempts - 1);
+    eq.scheduleIn(wait, [this, tr, from = faults.rehomeOf(tr->from)] {
+        Task &task = tr->task;
+        // A spent budget resends untracked; the arrival rule still
+        // keeps the task off a unit that died in flight.
+        if (task.redispatchCount >= faults.maxRedispatch()) {
+            reinject(std::move(task), tr->dst, from, from);
+            return;
         }
-        units[dst].ready.push_back(std::move(tr->task));
-        tryDispatch(dst);
+        auto nt = std::make_shared<TaskTransit>();
+        nt->from = from;
+        nt->dst = sched.choose(task, from);
+        const Tick t = moveLostTask(task, tr->dst, nt->dst, from);
+        nt->task = std::move(task);
+        trackDelivery(nt, t);
     });
 }
 
@@ -925,58 +860,24 @@ void
 NdpSystem::reinjectStealBatch(std::shared_ptr<StealTransit> tr,
                               bool timedOut)
 {
-    UnitId from = faults.isLive(tr->thief) ? tr->thief
-        : faults.rehomeOf(tr->thief);
+    const UnitId from = faults.rehomeOf(tr->thief);
     for (auto &task : tr->batch) {
-        task.recovered = true;
-        task.prefetched = false;
-        if (timedOut)
-            ++tasksRedispatched;
-        else
-            ++tasksRecovered;
-        UnitId dst = sched.choose(task, from);
-        sched.onStolen(tr->thief, dst, task.loadEstimate);
-        recoveryTrafficBytes += 32;
-        Tick t = eq.now();
-        t += mem.network().transfer(from, dst, 32, t).latency;
-        auto moved = std::make_shared<Task>(std::move(task));
-        eq.schedule(t, [this, dst, moved] {
-            UnitId target = faults.isLive(dst) ? dst
-                : faults.rehomeOf(dst);
-            units[target].ready.push_back(std::move(*moved));
-            tryDispatch(target);
-        });
+        ++(timedOut ? tasksRedispatched : tasksRecovered);
+        reinject(std::move(task), tr->thief, from, from);
     }
     tr->batch.clear();
 }
 
 void
-NdpSystem::scheduleExchange()
+NdpSystem::armExchange(Tick interval)
 {
-    if (exchangeScheduled)
-        return;
-    exchangeScheduled = true;
-    Tick interval = cfg.sched.exchangeIntervalCycles * cfg.ticksPerCycle();
-    // Self-rescheduling chain: refresh the snapshot every interval while
-    // the current epoch still has live tasks.
-    struct Chain
-    {
-        static void
-        arm(NdpSystem &sys, Tick interval)
-        {
-            sys.eq.scheduleIn(interval, [&sys, interval] {
-                sys.sched.exchangeSnapshot(sys.eq.now());
-                if (sys.lbOn)
-                    sys.runLbExchange();
-                if (sys.activeRemaining > 0) {
-                    arm(sys, interval);
-                } else {
-                    sys.exchangeScheduled = false;
-                }
-            });
-        }
-    };
-    Chain::arm(*this, interval);
+    eq.scheduleIn(interval, [this, interval] {
+        sched.exchangeSnapshot(eq.now());
+        if (lbOn)
+            runLbExchange();
+        if (activeRemaining > 0)
+            armExchange(interval);
+    });
 }
 
 void
@@ -995,7 +896,7 @@ NdpSystem::runLbExchange()
     // Re-homing rides the same window. Skipped while units are down:
     // a dead home's range is buddy-served, and migrating out of it
     // would race the recovery re-homing (documented simplification).
-    if (cfg.lb.migration.enabled && !(failuresOn && unitsDown)) {
+    if (cfg.lb.migration.enabled && !faults.anyUnitDown()) {
         for (const MigrationCmd &m :
                  lbEngine->planMigrations(mem.campMapping())) {
             mem.migrateBlock(m.block, m.to, eq.now());
@@ -1025,18 +926,11 @@ NdpSystem::executeShed(const ShedCmd &cmd)
                              batchPool[slotIdx]);
     (cmd.inter ? tasksShedInter : tasksShedIntra) += count;
 
-    const UnitId dst = cmd.thief;
-    eq.schedule(t, [this, dst, slotIdx] {
-        // The thief may have died with the batch in flight; its live
-        // buddy takes the work (same fallback deliverDirect applies).
-        UnitId target = failuresOn && !faults.isLive(dst)
-            ? faults.rehomeOf(dst) : dst;
-        auto &delivered = batchPool[slotIdx];
-        for (auto &task : delivered)
-            units[target].ready.push_back(std::move(task));
-        delivered.clear();
+    // Untracked even under failure: a thief that dies with the batch
+    // in flight hands it, and its load, to its live buddy (landBatch).
+    eq.schedule(t, [this, dst = cmd.thief, slotIdx] {
         batchPoolFree.push_back(slotIdx);
-        tryDispatch(target);
+        landBatch(dst, batchPool[slotIdx]);
     });
 }
 
@@ -1065,7 +959,7 @@ NdpSystem::startEpoch(std::uint64_t ts)
         sched.exchangeSnapshot(eq.now());
         if (lbOn)
             runLbExchange();
-        scheduleExchange();
+        armExchange(cfg.sched.exchangeIntervalCycles * cfg.ticksPerCycle());
     }
 
     for (UnitId u = 0; u < units.size(); ++u) {
@@ -1090,8 +984,8 @@ NdpSystem::dumpStallDiagnostics(const std::string &reason,
             unacked += a;
         oss << "  liveness: " << units.size() - faults.downCount()
             << "/" << units.size() << " units live, " << unacked
-            << " un-acked deliveries, " << tasksRecovered
-            << " tasks recovered, " << tasksRedispatched
+            << " un-acked deliveries, " << tasksRecovered.value()
+            << " tasks recovered, " << tasksRedispatched.value()
             << " redispatched\n";
     }
     oss << "  per-unit queue depths (units with work or busy cores):\n";
@@ -1128,6 +1022,19 @@ NdpSystem::dumpStallDiagnostics(const std::string &reason,
     if (simulatorBug)
         panic(oss.str());
     fatal(oss.str());
+}
+
+void
+NdpSystem::watchdogTrip(const std::string &window, const char *hint)
+{
+    dumpStallDiagnostics(
+        logging_detail::concat(
+            "watchdog: ", window, " exceeded its budget (",
+            eq.watchdogEvents(), " events, ", eq.watchdogTicks() / 1000,
+            " ns simulated; limits: maxEpochEvents=",
+            cfg.fault.watchdog.maxEpochEvents, ", maxEpochTicks=",
+            cfg.fault.watchdog.maxEpochTicks, ")", hint),
+        false);
 }
 
 RunMetrics
@@ -1196,22 +1103,12 @@ NdpSystem::batchRun(Workload &wl)
                 dumpStallDiagnostics(
                     "deadlock: live tasks but no events", true);
             if (eq.watchdogTripped())
-                dumpStallDiagnostics(
-                    logging_detail::concat(
-                        "watchdog: epoch ", ts, " exceeded its budget (",
-                        eq.watchdogEvents(), " events, ",
-                        eq.watchdogTicks() / 1000, " ns simulated; "
-                        "limits: maxEpochEvents=",
-                        cfg.fault.watchdog.maxEpochEvents,
-                        ", maxEpochTicks=",
-                        cfg.fault.watchdog.maxEpochTicks, ")"),
-                    false);
+                watchdogTrip(logging_detail::concat("epoch ", ts), "");
         }
         if (checker)
             checker->onEpochEnd(ts, epochTaskCount - epochRecoveredCount,
                                 epochRecoveredCount, stagedCount);
         eq.clearPending();
-        exchangeScheduled = false;
         for (auto &unit : units)
             unit.resetTransient();
         epochTaskCount = 0;
@@ -1229,7 +1126,7 @@ NdpSystem::batchRun(Workload &wl)
         mem.discardBefore(eq.now());
         wl.endEpoch(ts);
         ++ts;
-        epochsDone = ts;
+        ++epochsDone;
         if (cfg.statsInterval > 0 && ts % cfg.statsInterval == 0)
             dumpIntervalNow(ts);
     }
@@ -1248,10 +1145,7 @@ NdpSystem::batchRun(Workload &wl)
 void
 NdpSystem::injectServingTask(Task &&task)
 {
-    Addr main_addr = !task.hint.data.empty() ? task.hint.data[0]
-        : (!task.writes.empty() ? task.writes[0] : invalidAddr);
-    task.mainHome = main_addr != invalidAddr
-        ? mem.campMapping().homeOf(main_addr) : 0;
+    task.mainHome = mainHomeOf(task);
     // No finalizeBlocks(): serving tasks outlive every epoch-arena
     // generation, so blocks stays empty (the access path derives the
     // block list from the hint) and only hintLines is memoized.
@@ -1262,21 +1156,17 @@ NdpSystem::injectServingTask(Task &&task)
     if (windowPolicy) {
         // Figure-4 path, without the staging detour: arrivals have no
         // creating unit, so they spread round-robin into live pending
-        // queues and the scheduling window places them from there.
-        auto creator =
-            static_cast<UnitId>(initialSpread++ % units.size());
-        if (failuresOn && !faults.isLive(creator))
-            creator = faults.rehomeOf(creator);
+        // queues (a down unit's buddy takes its turn) and the
+        // scheduling window places them from there.
+        const UnitId creator = faults.rehomeOf(
+            static_cast<UnitId>(initialSpread++ % units.size()));
         sched.onEnqueued(creator, task.loadEstimate);
         units[creator].pending.push_back(std::move(task));
         pumpScheduler(creator);
     } else {
-        UnitId dst = sched.choose(task, task.mainHome);
-        if (failuresOn && !faults.isLive(dst))
-            dst = faults.rehomeOf(dst);
+        const UnitId dst = sched.choose(task, task.mainHome);
         sched.onEnqueued(dst, task.loadEstimate);
-        units[dst].ready.push_back(std::move(task));
-        tryDispatch(dst);
+        landReady(dst, std::move(task));
     }
 }
 
@@ -1301,7 +1191,7 @@ NdpSystem::serveArrival()
         ++servingRejected;
     }
 
-    if (servingInjected < sc.requests)
+    if (servingInjected.value() < sc.requests)
         eq.schedule(srv->arrivals.nextArrival(eq.now()),
                     [this] { serveArrival(); });
 }
@@ -1377,28 +1267,19 @@ NdpSystem::serveRun(Workload &wl)
     // Drive the open loop: run until the stream is exhausted and every
     // admitted request completed. There is no drain barrier in between
     // — new arrivals keep injecting while earlier requests execute.
-    while (activeRemaining > 0 || servingInjected < sc.requests) {
+    while (activeRemaining > 0 || servingInjected.value() < sc.requests) {
         if (!eq.runOne())
             dumpStallDiagnostics(
                 "deadlock: serving stream live but no events", true);
         if (eq.watchdogTripped())
-            dumpStallDiagnostics(
-                logging_detail::concat(
-                    "watchdog: serving window exceeded its budget (",
-                    eq.watchdogEvents(), " events, ",
-                    eq.watchdogTicks() / 1000, " ns simulated; limits: "
-                    "maxEpochEvents=",
-                    cfg.fault.watchdog.maxEpochEvents,
-                    ", maxEpochTicks=",
-                    cfg.fault.watchdog.maxEpochTicks,
-                    "); the open-loop arrival rate may exceed what "
-                    "this design can sustain"),
-                false);
+            watchdogTrip("serving window",
+                         "; the open-loop arrival rate may exceed what "
+                         "this design can sustain");
     }
     // Only bookkeeping chains remain (windows, steal backoffs).
     eq.clearPending();
 
-    return finishRun(hostStart, servingWindows);
+    return finishRun(hostStart, servingWindows.value());
 }
 
 RunMetrics
@@ -1410,7 +1291,7 @@ NdpSystem::finishRun(std::chrono::steady_clock::time_point hostStart,
     RunMetrics m;
     m.ticks = lastCompletionTick;
     m.epochs = epochs;
-    m.tasks = totalTasks;
+    m.tasks = totalTasks.value();
     m.interHops = mem.network().totalInterHops();
     m.intraTraversals = mem.network().totalIntraTraversals();
     m.energy = energy.breakdown();
@@ -1419,9 +1300,9 @@ NdpSystem::finishRun(std::chrono::steady_clock::time_point hostStart,
     m.cacheInserts = mem.cacheInsertions();
     m.readLatMeanNs = mem.readLatencyNs().mean();
     m.readLatMaxNs = mem.readLatencyNs().max();
-    m.stealAttempts = stealAttempts;
-    m.stolenTasks = stolenTasks;
-    m.forwardedTasks = forwardedTasks;
+    m.stealAttempts = stealAttempts.value();
+    m.stolenTasks = stolenTasks.value();
+    m.forwardedTasks = forwardedTasks.value();
     m.schedDecisions = sched.decisions();
     for (UnitId u = 0; u < units.size(); ++u) {
         const auto &unit = units[u];
@@ -1445,23 +1326,23 @@ NdpSystem::finishRun(std::chrono::steady_clock::time_point hostStart,
     m.unitsFailed = everFailed
         ? static_cast<std::uint64_t>(faults.failedUnits().size())
         : 0;
-    m.tasksRecovered = tasksRecovered;
-    m.tasksRedispatched = tasksRedispatched;
-    m.recoveryTrafficBytes = recoveryTrafficBytes;
-    m.tasksShedIntra = tasksShedIntra;
-    m.tasksShedInter = tasksShedInter;
+    m.tasksRecovered = tasksRecovered.value();
+    m.tasksRedispatched = tasksRedispatched.value();
+    m.recoveryTrafficBytes = recoveryTrafficBytes.value();
+    m.tasksShedIntra = tasksShedIntra.value();
+    m.tasksShedInter = tasksShedInter.value();
     m.blocksMigrated = mem.blocksMigrated();
     m.migrationInvalidations = mem.migrationInvalidations();
     m.migrationTrafficBytes = mem.migrationTrafficBytes();
     m.simEvents = eq.executed();
 
     // Serving fields: all zero in batch runs (no samples recorded).
-    m.servingInjected = servingInjected;
-    m.servingRejected = servingRejected;
-    m.servingCompletedDirect = servingCompletedDirect;
-    m.servingCompletedRecovered = servingCompletedRecovered;
+    m.servingInjected = servingInjected.value();
+    m.servingRejected = servingRejected.value();
+    m.servingCompletedDirect = servingCompletedDirect.value();
+    m.servingCompletedRecovered = servingCompletedRecovered.value();
     m.servingSloMisses = servingLat.sloMisses();
-    m.servingWindows = servingWindows;
+    m.servingWindows = servingWindows.value();
     m.servingP50Ns = servingPercentileNs(0.50);
     m.servingP95Ns = servingPercentileNs(0.95);
     m.servingP99Ns = servingPercentileNs(0.99);
@@ -1507,10 +1388,11 @@ NdpSystem::servingSloMissRate() const
 {
     // Rejections count as misses: open-loop load shed is load the
     // tenant offered and the machine did not serve in time.
-    if (servingInjected == 0)
+    if (servingInjected.value() == 0)
         return 0.0;
-    return static_cast<double>(servingRejected + servingLat.sloMisses())
-        / static_cast<double>(servingInjected);
+    return static_cast<double>(servingRejected.value()
+                               + servingLat.sloMisses())
+        / static_cast<double>(servingInjected.value());
 }
 
 } // namespace abndp

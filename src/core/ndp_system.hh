@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "common/config.hh"
+#include "common/stats.hh"
 #include "core/access_path.hh"
 #include "core/mem_system.hh"
 #include "core/metrics.hh"
@@ -136,6 +137,9 @@ class NdpSystem : public TaskSink
     /** Place one admitted query task into the live queues. */
     void injectServingTask(Task &&task);
 
+    /** The unit holding @p task's main datum (its affinity home). */
+    UnitId mainHomeOf(const Task &task) const;
+
     /** Self-rescheduling serving window (exchange/watchdog/reclaim). */
     void armServingWindow(Tick interval);
 
@@ -176,6 +180,21 @@ class NdpSystem : public TaskSink
     void attemptSteal(UnitId u);
 
     /**
+     * The arrival rule every moved task obeys: push @p task onto the
+     * ready queue of @p dst, or of its live buddy if @p dst died with
+     * the task in flight (then the task's scheduler load moves with
+     * it), and let that unit dispatch.
+     */
+    void landReady(UnitId dst, Task &&task);
+
+    /**
+     * landReady for a whole batch: empties @p batch into one ready
+     * queue, then dispatches. @p batch may be a pool slot the caller
+     * already freed, since the dispatch only runs once it is empty.
+     */
+    void landBatch(UnitId dst, std::vector<Task> &batch);
+
+    /**
      * The batch transfer steals and lb sheds share: pop up to @p count
      * tasks from the back of @p victim's ready queue into the empty
      * @p out (prefetch state cleared), tell the scheduler their load
@@ -186,8 +205,11 @@ class NdpSystem : public TaskSink
     Tick shipBatch(UnitId victim, UnitId thief, std::uint32_t count,
                    std::vector<Task> &out);
 
-    /** Periodic workload information exchange chain. */
-    void scheduleExchange();
+    /**
+     * Periodic workload information exchange chain: refresh the
+     * snapshot every @p interval while the epoch has live tasks.
+     */
+    void armExchange(Tick interval);
 
     // ---- Hierarchical load balancing (src/sched/lb) ----
 
@@ -213,6 +235,13 @@ class NdpSystem : public TaskSink
     [[noreturn]] void dumpStallDiagnostics(const std::string &reason,
                                            bool simulatorBug);
 
+    /**
+     * The watchdog's fatal(): @p window names the budget that ran out
+     * ("epoch 3", "serving window"), @p hint is appended verbatim.
+     */
+    [[noreturn]] void watchdogTrip(const std::string &window,
+                                   const char *hint);
+
     // ---- Unit-failure tolerance (docs/ARCHITECTURE.md) ----
 
     /** A tracked task delivery awaiting its ack. */
@@ -232,7 +261,6 @@ class NdpSystem : public TaskSink
     struct StealTransit
     {
         std::vector<Task> batch;
-        UnitId victim = invalidUnit;
         UnitId thief = invalidUnit;
         bool delivered = false;
         bool abandoned = false;
@@ -242,7 +270,7 @@ class NdpSystem : public TaskSink
      * Re-arm this epoch's failure/recovery transitions. The barrier
      * clears the event queue, so transitions still in the future must
      * be rescheduled every epoch; past ones apply immediately (guarded
-     * by unitsDown so the application is idempotent).
+     * by FaultModel::anyUnitDown so the application is idempotent).
      */
     void armFailureTransitions();
 
@@ -255,17 +283,29 @@ class NdpSystem : public TaskSink
     /** Drain a dead unit's live and staged queues, re-injecting all. */
     void recoverUnitTasks(UnitId dead);
 
-    /** Re-inject one live-queue task drained from a dead unit. */
-    void reinjectLiveTask(UnitId dead, Task task);
+    /**
+     * Re-place a task the recovery protocol took over: mark it
+     * recovered, move its scheduler load from @p owner to @p dst, and
+     * book the 32-byte descriptor @p sender ships to @p dst. Returns
+     * the descriptor's arrival tick.
+     */
+    Tick moveLostTask(Task &task, UnitId owner, UnitId dst, UnitId sender);
+
+    /**
+     * Re-inject a lost task into the live queues: choose a live unit
+     * (on behalf of @p creator), move the task there from @p owner
+     * via @p sender, and land it when the descriptor arrives.
+     */
+    void reinject(Task &&task, UnitId owner, UnitId creator, UnitId sender);
 
     /** Ship a forwarded task with delivery-ack tracking. */
     void trackDelivery(std::shared_ptr<TaskTransit> tr, Tick deliverAt);
 
-    /** Ack timeout expired: redispatch to a live unit after backoff. */
+    /**
+     * Ack timeout expired: after backoff, redispatch to a live unit
+     * (tracked again while the budget lasts, else a plain reinject).
+     */
     void redispatchTask(std::shared_ptr<TaskTransit> tr);
-
-    /** Redispatch budget burnt: deliver with a live-unit fallback. */
-    void deliverDirect(std::shared_ptr<TaskTransit> tr, Tick deliverAt);
 
     /** Re-inject a steal batch whose thief died or whose ack expired. */
     void reinjectStealBatch(std::shared_ptr<StealTransit> tr,
@@ -317,7 +357,6 @@ class NdpSystem : public TaskSink
     std::uint64_t stagedCount = 0;
     /** Unit whose task is currently being functionally executed. */
     UnitId creatorCtx = invalidUnit;
-    bool exchangeScheduled = false;
     /** Tick of the most recent task completion (end-to-end time). */
     Tick lastCompletionTick = 0;
     /** The active policy routes tasks through the scheduling window. */
@@ -330,29 +369,27 @@ class NdpSystem : public TaskSink
 
     // Run-wide counters.
     std::uint64_t initialSpread = 0;
-    std::uint64_t totalTasks = 0;
-    std::uint64_t epochsDone = 0;
     std::uint64_t epochTaskCount = 0;
-    std::uint64_t stealAttempts = 0;
-    std::uint64_t stolenTasks = 0;
-    std::uint64_t forwardedTasks = 0;
+    stats::Counter totalTasks;
+    stats::Counter epochsDone;
+    stats::Counter stealAttempts;
+    stats::Counter stolenTasks;
+    stats::Counter forwardedTasks;
 
     // Unit-failure recovery state. All of it stays untouched (and all
     // recovery code paths unreachable) unless failuresOn, so runs
     // without a configured unit failure remain bit-identical.
     /** Unit failures configured; gates every recovery path. */
     bool failuresOn = false;
-    /** The configured failure set is currently applied. */
-    bool unitsDown = false;
     /** The failure transition fired at least once this run. */
     bool everFailed = false;
     /** Per-destination deliveries sent but not yet acked. */
     std::vector<std::uint32_t> acksOutstanding;
     /** Tasks executed this epoch that the recovery protocol touched. */
     std::uint64_t epochRecoveredCount = 0;
-    std::uint64_t tasksRecovered = 0;
-    std::uint64_t tasksRedispatched = 0;
-    std::uint64_t recoveryTrafficBytes = 0;
+    stats::Counter tasksRecovered;
+    stats::Counter tasksRedispatched;
+    stats::Counter recoveryTrafficBytes;
 
     // Online serving state. All of it stays untouched (and the
     // serving branches in the shared dispatch path unreachable)
@@ -366,11 +403,11 @@ class NdpSystem : public TaskSink
     serve::LatencyRecorder servingLat;
     /** Per-tenant latency logs (tenant id indexes the vector). */
     std::vector<serve::LatencyRecorder> servingTenantLat;
-    std::uint64_t servingInjected = 0;
-    std::uint64_t servingRejected = 0;
-    std::uint64_t servingCompletedDirect = 0;
-    std::uint64_t servingCompletedRecovered = 0;
-    std::uint64_t servingWindows = 0;
+    stats::Counter servingInjected;
+    stats::Counter servingRejected;
+    stats::Counter servingCompletedDirect;
+    stats::Counter servingCompletedRecovered;
+    stats::Counter servingWindows;
 
     // Hierarchical load-balancing state. All of it stays untouched
     // (and runLbExchange unreachable) unless lbOn, so runs without a
@@ -382,9 +419,9 @@ class NdpSystem : public TaskSink
     /** Scratch queue-depth snapshot, reused every lb exchange. */
     std::vector<std::uint32_t> lbQlen;
     /** Tasks shed by the intra-stack (crossbar) tier. */
-    std::uint64_t tasksShedIntra = 0;
+    stats::Counter tasksShedIntra;
     /** Tasks shed by the inter-stack (mesh) tier. */
-    std::uint64_t tasksShedInter = 0;
+    stats::Counter tasksShedInter;
 };
 
 } // namespace abndp

@@ -127,9 +127,10 @@ struct UnitFailureConfig
     /** Time the units come back up; 0 means a permanent kill. */
     double recoverAtNs = 0.0;
     /**
-     * Base delivery-ack timeout for forwarded/stolen tasks: a send not
-     * acknowledged within this window (doubled per redispatch attempt,
-     * see common/backoff.hh) is redispatched to a live unit.
+     * Delivery-ack timeout for forwarded/stolen tasks: a send not
+     * acknowledged within this window is redispatched to a live unit.
+     * Every attempt waits this same window; only the redispatch
+     * backoff below doubles per attempt (common/backoff.hh).
      */
     double ackTimeoutNs = 2000.0;
     /** Base backoff added before each redispatch attempt. */

@@ -160,7 +160,7 @@ class FaultModel
     /** Tick of recovery; 0 means the kill is permanent. */
     Tick recoverAtTick() const { return recoverTick; }
 
-    /** Base delivery-ack timeout for forwarded/stolen tasks. */
+    /** Delivery-ack timeout for forwarded/stolen tasks (every try). */
     Tick ackTimeoutTicks() const { return ackTicks; }
 
     /** Backoff before redispatch @p attempt (capped exponential). */

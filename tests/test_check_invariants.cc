@@ -229,6 +229,21 @@ TEST(CheckerPerturbation, MigrationConservationFires)
     ASSERT_FALSE(ctx.clean());
 }
 
+TEST(CheckerPerturbation, LoadDrainedFires)
+{
+    // Run-end law: with every task run, each unit's scheduler load is
+    // exactly zero. A move that left its credit behind (a shed landing
+    // on a dead unit's buddy without its load) surfaces here.
+    check::CheckContext ctx;
+    check::MachineChecker::checkLoadDrained(ctx, 0, 0.0);
+    EXPECT_TRUE(ctx.clean());
+    check::MachineChecker::checkLoadDrained(ctx, 0, 8879.0);
+    ASSERT_FALSE(ctx.clean());
+    EXPECT_NE(ctx.violations()[0].find(
+                  "unit 0 still carries scheduler load 8879"),
+              std::string::npos);
+}
+
 TEST(CheckerPerturbation, StaleCampCopyFires)
 {
     check::CheckContext ctx;

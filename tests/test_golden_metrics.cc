@@ -81,13 +81,15 @@ servingGoldenConfig(Design d)
     return cfg;
 }
 
-/** Run pr-tiny under @p d and return the full registry dump. */
+/**
+ * Run the tiny @p workload on @p cfg (design @p d) and return the full
+ * registry dump.
+ */
 std::string
-runAndDump(Design d)
+runAndDumpConfig(const SystemConfig &cfg, Design d, const char *workload)
 {
-    auto cfg = goldenConfig(d);
     NdpSystem sys(cfg);
-    auto wl = makeWorkload(WorkloadSpec::tiny("pr"));
+    auto wl = makeWorkload(WorkloadSpec::tiny(workload));
     sys.run(*wl);
     EXPECT_TRUE(wl->verify()) << designName(d);
     std::ostringstream oss;
@@ -95,18 +97,18 @@ runAndDump(Design d)
     return oss.str();
 }
 
+/** Run pr-tiny under @p d and return the full registry dump. */
+std::string
+runAndDump(Design d)
+{
+    return runAndDumpConfig(goldenConfig(d), d, "pr");
+}
+
 /** Serve kv-tiny under @p d and return the full registry dump. */
 std::string
 runAndDumpServing(Design d)
 {
-    auto cfg = servingGoldenConfig(d);
-    NdpSystem sys(cfg);
-    auto wl = makeWorkload(WorkloadSpec::tiny("kv"));
-    sys.run(*wl);
-    EXPECT_TRUE(wl->verify()) << designName(d);
-    std::ostringstream oss;
-    sys.statsRegistry().dump(oss);
-    return oss.str();
+    return runAndDumpConfig(servingGoldenConfig(d), d, "kv");
 }
 
 std::string
@@ -137,14 +139,75 @@ ddrGoldenConfig(Design d)
 std::string
 runAndDumpDdr(Design d)
 {
-    auto cfg = ddrGoldenConfig(d);
-    NdpSystem sys(cfg);
-    auto wl = makeWorkload(WorkloadSpec::tiny("pr"));
-    sys.run(*wl);
-    EXPECT_TRUE(wl->verify()) << designName(d);
-    std::ostringstream oss;
-    sys.statsRegistry().dump(oss);
-    return oss.str();
+    return runAndDumpConfig(ddrGoldenConfig(d), d, "pr");
+}
+
+/**
+ * Unit failure on the golden geometry, under flaky mesh links (three
+ * links drop half their traversals and add 400 ns each), so forwards
+ * and steals outlive short ack timeouts: @p count units go down at
+ * @p failAtNs and the recovery protocol re-places their work.
+ */
+SystemConfig
+failureGoldenConfig(SystemConfig cfg, std::uint32_t count, double failAtNs,
+                    double ackTimeoutNs, double backoffNs,
+                    std::uint32_t maxRedispatch)
+{
+    cfg.fault.link.count = 3;
+    cfg.fault.link.dropProb = 0.5;
+    cfg.fault.link.extraLatencyNs = 400.0;
+    cfg.fault.unitFailure.count = count;
+    cfg.fault.unitFailure.failAtNs = failAtNs;
+    cfg.fault.unitFailure.ackTimeoutNs = ackTimeoutNs;
+    cfg.fault.unitFailure.redispatchBackoffNs = backoffNs;
+    cfg.fault.unitFailure.maxRedispatch = maxRedispatch;
+    return cfg;
+}
+
+std::string
+failureGoldenPath(const std::string &name)
+{
+    return std::string(ABNDP_GOLDEN_DIR) + "/failure_" + name + ".stats";
+}
+
+/**
+ * Sl with three units killed late: tracked steal batches, a batch that
+ * lands on a dead thief, steal ack timeouts, and staged-ready
+ * re-stages.
+ */
+std::string
+runAndDumpFailureSl()
+{
+    return runAndDumpConfig(
+        failureGoldenConfig(goldenConfig(Design::Sl), 3, 3500.0, 1000.0,
+                            100.0, 1),
+        Design::Sl, "pr");
+}
+
+/**
+ * HLB-mig with a transient window and fast exchanges: forward ack
+ * timeouts, tracked redispatch and its untracked resend once the
+ * budget is spent, lb sheds refused because one end is down, and
+ * staged-pending re-stages.
+ */
+std::string
+runAndDumpFailureHlbM()
+{
+    SystemConfig cfg = failureGoldenConfig(goldenConfig(Design::HlbM), 2,
+                                           650.0, 500.0, 0.0, 2);
+    cfg.sched.exchangeIntervalCycles = 500;
+    cfg.fault.unitFailure.recoverAtNs = 1500.0;
+    return runAndDumpConfig(cfg, Design::HlbM, "pr");
+}
+
+/** The serving golden stream on O, injecting while units are down. */
+std::string
+runAndDumpFailureServingO()
+{
+    SystemConfig cfg = failureGoldenConfig(servingGoldenConfig(Design::O),
+                                           3, 400.0, 600.0, 0.0, 1);
+    cfg.sched.exchangeIntervalCycles = 500;
+    return runAndDumpConfig(cfg, Design::O, "kv");
 }
 
 std::string
@@ -302,6 +365,31 @@ TEST(GoldenMetrics, DesignHlbM) { checkDesign(Design::HlbM); }
 TEST(GoldenMetrics, ServingHlbM) { checkServingDesign(Design::HlbM); }
 TEST(GoldenMetrics, DdrHlbM) { checkDdrDesign(Design::HlbM); }
 
+/**
+ * Unit-failure golden locks: the recovery protocol (queue drain,
+ * delivery acks, redispatch, re-staging) on three machines.
+ * Failure-free runs never enter it, so no other golden covers it.
+ */
+TEST(GoldenMetrics, FailureSl)
+{
+    checkAgainstGolden(runAndDumpFailureSl(), failureGoldenPath("Sl"),
+                       "failure design Sl");
+}
+
+TEST(GoldenMetrics, FailureHlbM)
+{
+    checkAgainstGolden(runAndDumpFailureHlbM(),
+                       failureGoldenPath("HLB-mig"),
+                       "failure design HLB-mig");
+}
+
+TEST(GoldenMetrics, FailureServingO)
+{
+    checkAgainstGolden(runAndDumpFailureServingO(),
+                       failureGoldenPath("serving_O"),
+                       "failure serving design O");
+}
+
 /** Negative control for the HLB goldens: one flipped digit in a
  *  balancer-only counter must fail the bit-exact comparison. */
 TEST(GoldenMetrics, HlbCatchesOneCounterPerturbation)
@@ -375,6 +463,31 @@ TEST(GoldenMetrics, ServingCatchesOneCounterPerturbation)
 
     EXPECT_NE(perturbed, golden);
     EXPECT_NE(perturbed, runAndDumpServing(Design::O));
+}
+
+/** Negative control for the failure goldens: one flipped digit in a
+ *  recovery-only counter must fail the bit-exact comparison. */
+TEST(GoldenMetrics, FailureCatchesOneCounterPerturbation)
+{
+    if (std::getenv("ABNDP_UPDATE_GOLDEN"))
+        GTEST_SKIP() << "regenerating goldens";
+
+    const std::string golden = readFile(failureGoldenPath("serving_O"));
+    ASSERT_FALSE(golden.empty());
+
+    // Perturb the last digit of the recovery.tasksRedispatched line —
+    // the count a lost or doubly-redispatched transit would shift.
+    auto pos = golden.find("recovery.tasksRedispatched");
+    ASSERT_NE(pos, std::string::npos);
+    auto nl = golden.find('\n', pos);
+    ASSERT_NE(nl, std::string::npos);
+    std::string perturbed = golden;
+    char &digit = perturbed[nl - 1];
+    ASSERT_TRUE(digit >= '0' && digit <= '9') << "unexpected format";
+    digit = digit == '9' ? '0' : static_cast<char>(digit + 1);
+
+    EXPECT_NE(perturbed, golden);
+    EXPECT_NE(perturbed, runAndDumpFailureServingO());
 }
 
 } // namespace abndp

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 #include "common/stats.hh"
 
@@ -68,33 +67,6 @@ TEST(Histogram, BucketsAndOverflow)
     EXPECT_EQ(h.buckets()[0], 1u);
     EXPECT_EQ(h.buckets()[1], 1u);
     EXPECT_EQ(h.buckets()[4], 1u);
-}
-
-TEST(StatGroup, DumpsTree)
-{
-    StatGroup root("sys");
-    StatGroup child("core");
-    Counter c;
-    c += 3;
-    Scalar s;
-    s += 1.25;
-    root.addCounter("events", &c);
-    child.addScalar("energy", &s);
-    root.addChild(&child);
-
-    std::ostringstream oss;
-    root.dump(oss);
-    std::string out = oss.str();
-    EXPECT_NE(out.find("sys.events 3"), std::string::npos);
-    EXPECT_NE(out.find("sys.core.energy 1.25"), std::string::npos);
-}
-
-TEST(StatGroupDeath, DuplicateNamePanics)
-{
-    StatGroup g("g");
-    Counter c;
-    g.addCounter("x", &c);
-    EXPECT_DEATH(g.addCounter("x", &c), "duplicate");
 }
 
 } // namespace stats

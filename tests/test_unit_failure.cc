@@ -201,6 +201,25 @@ TEST(UnitFailure, FailureAfterRunEndNeverFires)
     EXPECT_EQ(m.recoveryTrafficBytes, 0u);
 }
 
+TEST(UnitFailure, ShedToADeadUnitMovesItsLoad)
+{
+    // Lb sheds ship untracked batches. Here two of them reach unit 0
+    // after it died, so its buddy takes the tasks, and it must take
+    // their scheduler load too: load left on the dead unit would skew
+    // every later exchange snapshot (checkLoadDrained panics on it).
+    auto cfg = smallConfig(Design::Hlb);
+    cfg.sched.exchangeIntervalCycles = 1000;
+    cfg.fault.unitFailure.count = 1;
+    cfg.fault.unitFailure.failAtNs = 505.0;
+    NdpSystem sys(cfg);
+    auto wl = makeWorkload(WorkloadSpec::tiny("pr"));
+    RunMetrics m = sys.run(*wl);
+    EXPECT_TRUE(wl->verify());
+    EXPECT_EQ(m.unitsFailed, 1u);
+    for (UnitId u = 0; u < sys.numUnits(); ++u)
+        EXPECT_EQ(sys.scheduler().trueW(u), 0.0) << "unit " << u;
+}
+
 // ---- Observability ----------------------------------------------------
 
 TEST(UnitFailure, RecoveryStatsRegisteredOnlyWhenConfigured)
