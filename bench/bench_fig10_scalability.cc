@@ -29,8 +29,11 @@ main(int argc, char **argv)
     WorkloadSpec spec = specFor("pr", opts);
     const auto &designs = ndpDesigns();
 
-    TextTable speed({"mesh", "B", "Sm", "Sl", "Sh", "C", "O"});
-    TextTable energy({"mesh", "B", "Sm", "Sl", "Sh", "C", "O"});
+    std::vector<std::string> header{"mesh"};
+    for (Design d : designs)
+        header.push_back(designName(d));
+    TextTable speed(header);
+    TextTable energy(header);
     std::map<std::string, double> oTicks;
 
     for (std::uint32_t dim : {2u, 4u, 8u}) {

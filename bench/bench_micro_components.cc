@@ -217,6 +217,36 @@ BM_NetworkTransfer(benchmark::State &state)
 }
 BENCHMARK(BM_NetworkTransfer);
 
+/**
+ * Mesh traffic as pr-B sends it: (src, dst) drawn over all 128 units,
+ * so packets spread over every link and port meter, one every 3 ns at
+ * out-of-order starts inside a sliding 2 us window, which a fence
+ * closes every 4,096 packets as the epoch barrier does.
+ */
+void
+BM_NetworkTransferMesh(benchmark::State &state)
+{
+    SystemConfig cfg;
+    Topology topo(cfg);
+    EnergyAccount energy(cfg);
+    Network net(cfg, topo, energy);
+    const std::uint32_t units = topo.numUnits();
+    const Tick window = 2000 * ticksPerNs;
+    Rng rng(11);
+    Tick now = window;
+    std::uint64_t sent = 0;
+    for (auto _ : state) {
+        const auto src = static_cast<UnitId>(rng.below(units));
+        const auto dst = static_cast<UnitId>(rng.below(units));
+        benchmark::DoNotOptimize(net.transfer(src, dst, PacketSizes::data,
+                                              now - rng.below(window)));
+        now += 3 * ticksPerNs;
+        if (++sent % 4096 == 0)
+            net.discardBefore(now - window);
+    }
+}
+BENCHMARK(BM_NetworkTransferMesh);
+
 void
 BM_BandwidthMeterReserve(benchmark::State &state)
 {

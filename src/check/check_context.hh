@@ -112,18 +112,20 @@ checkBucketFill(CheckContext &ctx, const char *what, std::size_t idx,
 /**
  * Clean-page predicate shared by the same meter audits, over
  * BandwidthMeter::staleEntries(): every nonzero fill or skip entry
- * lies in a group the meter marked as touched, and stashed spare pages
- * hold nothing. Page cleaning walks only marked groups, so a write
- * path that skipped the mark would leave stale fills in a recycled
- * page and silently move later reservations.
+ * lies in a group the meter marked as touched, stashed spare pages
+ * hold nothing, and the fast path's cached row is the last-touched
+ * page's. Page cleaning walks only marked groups, so a write path that
+ * skipped the mark would leave stale fills in a recycled page and
+ * silently move later reservations; a stale cached row would book
+ * into a retired or wrong page.
  */
 inline void
 checkMeterClean(CheckContext &ctx, const char *what, std::size_t idx,
                 std::size_t stale)
 {
     ctx.require(stale == 0, what, " meter ", idx, " has ", stale,
-                " entries outside its touched marks (a recycled page",
-                " would keep stale fills)");
+                " entries outside its touched marks or a stale cached",
+                " row (a recycled page would keep stale fills)");
 }
 
 /** Both meter laws over one BandwidthMeter @p m. */

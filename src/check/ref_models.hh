@@ -387,6 +387,163 @@ class RefBandwidthMeter
 };
 
 /**
+ * Reference interconnect: re-implements Network::transfer's timing with
+ * the XY route walked by coordinate arithmetic on every packet instead
+ * of read from a route table, one RefBandwidthMeter per mesh link,
+ * crossbar port and ring link, and the fault model queried on every
+ * hop (no hoisting). The fault calls come in the same order, so a twin
+ * FaultModel built from the same config draws the same drops. Energy is
+ * out of scope; latencies, hop counts, counters and the wait sums must
+ * match packet-for-packet.
+ */
+class RefNetwork
+{
+  public:
+    RefNetwork(const SystemConfig &cfg, const Topology &topo,
+               FaultModel *faults)
+        : topo(topo), faults(faults), meshX(cfg.meshX),
+          unitsPerStack(cfg.unitsPerStack),
+          ring(cfg.net.intraTopology == IntraTopology::Ring),
+          intraLatency(static_cast<Tick>(cfg.net.intraHopNs * ticksPerNs)),
+          interLatency(static_cast<Tick>(cfg.net.interHopNs * ticksPerNs)),
+          intraTicksPerByte(8.0 * 1000.0
+                            / (cfg.net.intraLinkBits * cfg.net.intraGHz)),
+          interTicksPerByte(1000.0 / cfg.net.interGBs),
+          linkMeter(topo.numStacks() * 4),
+          portMeter(topo.numUnits()),
+          ringMeter(topo.numUnits() * 2)
+    {
+    }
+
+    /** @return the packet's latency and its inter-stack hops. */
+    std::pair<Tick, std::uint32_t>
+    transfer(UnitId src, UnitId dst, std::uint32_t bytes, Tick start)
+    {
+        if (src == dst)
+            return {0, 0};
+        ++nPackets;
+        Tick t = start;
+        const auto ser = static_cast<Tick>(intraTicksPerByte * bytes);
+        if (topo.sameStack(src, dst)) {
+            inStack(src, topo.localIndex(dst), dst, ser, t);
+            return {t - start, 0};
+        }
+        inStack(src, 0, src, ser, t);
+
+        const auto interSer = static_cast<Tick>(interTicksPerByte * bytes);
+        auto [x, y] = topo.stackCoord(topo.stackOf(src));
+        const auto [dx, dy] = topo.stackCoord(topo.stackOf(dst));
+        std::uint32_t hops = 0;
+        while (x != dx || y != dy) {
+            // Stack (x, y) is x + y * meshX; x first, then y. Directions:
+            // 0 east (+x), 1 west, 2 south (+y), 3 north.
+            const std::size_t here = x + static_cast<std::size_t>(y) * meshX;
+            std::uint32_t dir;
+            if (x != dx) {
+                dir = x < dx ? 0 : 1;
+                x = x < dx ? x + 1 : x - 1;
+            } else {
+                dir = y < dy ? 2 : 3;
+                y = y < dy ? y + 1 : y - 1;
+            }
+            crossLink(here * 4 + dir, interSer, t);
+            ++hops;
+        }
+        nInterHops += hops;
+
+        const UnitId router = dst - topo.localIndex(dst);
+        inStack(router, topo.localIndex(dst), dst, ser, t);
+        return {t - start, hops};
+    }
+
+    std::uint64_t packets() const { return nPackets; }
+    std::uint64_t interHops() const { return nInterHops; }
+    std::uint64_t intraTraversals() const { return nIntraHops; }
+    std::uint64_t dropped() const { return nDropped; }
+    std::uint64_t retries() const { return nRetries; }
+    /** Sums of the sampled queueing waits (ns), in sampling order. */
+    double portWaitSum() const { return portWaitNs; }
+    double linkWaitSum() const { return linkWaitNs; }
+
+  private:
+    /**
+     * From @p from to local index @p toLocal of the same stack (0 is
+     * the stack router): one crossbar traversal booked on @p port (the
+     * source's on the way out, the destination's on the way in), or
+     * ring links the short way round, clockwise on a tie.
+     */
+    void
+    inStack(UnitId from, std::uint32_t toLocal, UnitId port, Tick ser,
+            Tick &t)
+    {
+        if (!ring) {
+            portHop(portMeter[port], ser, t);
+            return;
+        }
+        const UnitId first = from - topo.localIndex(from);
+        std::uint32_t cur = topo.localIndex(from);
+        while (cur != toLocal) {
+            const std::uint32_t fwd =
+                (toLocal + unitsPerStack - cur) % unitsPerStack;
+            const bool clockwise = fwd <= unitsPerStack - fwd;
+            portHop(ringMeter[(first + cur) * 2 + (clockwise ? 0 : 1)],
+                    ser, t);
+            cur = (cur + (clockwise ? 1 : unitsPerStack - 1))
+                % unitsPerStack;
+        }
+    }
+
+    void
+    portHop(RefBandwidthMeter &m, Tick ser, Tick &t)
+    {
+        const Tick begin = m.reserve(t, ser);
+        portWaitNs += static_cast<double>(begin - t) / ticksPerNs;
+        t = begin + intraLatency + ser;
+        ++nIntraHops;
+    }
+
+    /** One store-and-forward hop over mesh link @p li, retries too. */
+    void
+    crossLink(std::size_t li, Tick ser, Tick &t)
+    {
+        const Tick begin = linkMeter[li].reserve(t, ser);
+        linkWaitNs += static_cast<double>(begin - t) / ticksPerNs;
+        t = begin + interLatency + ser;
+        if (!faults || !faults->linkFaulty(li))
+            return;
+        t += faults->linkExtraTicks();
+        const std::uint32_t drops = faults->drawLinkDrops();
+        for (std::uint32_t a = 0; a < drops; ++a) {
+            ++nDropped;
+            ++nRetries;
+            t += faults->retryBackoffTicks(a);
+            t = linkMeter[li].reserve(t, ser) + interLatency + ser
+                + faults->linkExtraTicks();
+        }
+    }
+
+    const Topology &topo;
+    FaultModel *faults;
+    std::uint32_t meshX;
+    std::uint32_t unitsPerStack;
+    bool ring;
+    Tick intraLatency;
+    Tick interLatency;
+    double intraTicksPerByte;
+    double interTicksPerByte;
+    std::vector<RefBandwidthMeter> linkMeter;
+    std::vector<RefBandwidthMeter> portMeter;
+    std::vector<RefBandwidthMeter> ringMeter;
+    std::uint64_t nPackets = 0;
+    std::uint64_t nInterHops = 0;
+    std::uint64_t nIntraHops = 0;
+    std::uint64_t nDropped = 0;
+    std::uint64_t nRetries = 0;
+    double portWaitNs = 0.0;
+    double linkWaitNs = 0.0;
+};
+
+/**
  * Reference DDR backend: re-implements DdrBackend's bank-state timing
  * (src/mem/ddr_backend.hh) with the most transparent machinery
  * available — plain %/ / address decode instead of Pow2Split,

@@ -270,6 +270,13 @@ SystemConfig::validationError() const
                           "must stay open through its own column access");
         if (dram.tWrNs < 0.0 || dram.tFawNs < 0.0)
             return "dram tWR and tFAW must be non-negative";
+        // The ACT meter's bucket is 4 * ceil(tFAW / 4) ticks and holds a
+        // 32-bit fill, so whole tFAW ticks may reach UINT32_MAX - 3.
+        if (!(dram.tFawNs * ticksPerNs
+              < std::numeric_limits<std::uint32_t>::max() - 2.0))
+            return concat("dram tFAW (", dram.tFawNs, "ns) must be below "
+                          "~4.29 ms: its ACT window must fit a 32-bit "
+                          "bandwidth-meter bucket");
         if (dram.addrMap == DramAddrMapKind::BankRowColumn
             && memBytesPerUnit % dram.banks != 0)
             return concat("the brc address map slices each unit's region "

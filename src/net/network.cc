@@ -1,6 +1,6 @@
 #include "net/network.hh"
 
-#include <algorithm>
+#include <span>
 
 #include "check/check_context.hh"
 
@@ -14,7 +14,6 @@ Network::Network(const SystemConfig &cfg, const Topology &topo,
       energy(energy),
       faults(faults),
       tracer(tracer),
-      meshX(cfg.meshX),
       intraLatency(static_cast<Tick>(cfg.net.intraHopNs * ticksPerNs)),
       interLatency(static_cast<Tick>(cfg.net.interHopNs * ticksPerNs)),
       // intra link: intraLinkBits wide at intraGHz (one transfer/cycle).
@@ -32,6 +31,34 @@ Network::Network(const SystemConfig &cfg, const Topology &topo,
     intraTopo = cfg.net.intraTopology;
     unitsPerStack = cfg.unitsPerStack;
     linkFaultsOn = faults && faults->anyLinkFault();
+
+    // The XY route of every (source, destination) stack pair: the
+    // directed links it crosses, x first, then y. Stack (x, y) is
+    // y * meshX + x; direction 0 is +x, 1 is -x, 2 is +y and 3 is -y.
+    const std::uint32_t stacks = topo.numStacks();
+    routeStart.reserve(static_cast<std::size_t>(stacks) * stacks + 1);
+    routeStart.push_back(0);
+    for (StackId s = 0; s < stacks; ++s) {
+        for (StackId d = 0; d < stacks; ++d) {
+            auto [x, y] = topo.stackCoord(s);
+            const auto [dx, dy] = topo.stackCoord(d);
+            StackId cur = s;
+            while (x != dx) {
+                const bool east = x < dx;
+                routeLinks.push_back(linkIndex(cur, east ? 0 : 1));
+                cur = east ? cur + 1 : cur - 1;
+                x = east ? x + 1 : x - 1;
+            }
+            while (y != dy) {
+                const bool south = y < dy;
+                routeLinks.push_back(linkIndex(cur, south ? 2 : 3));
+                cur = south ? cur + cfg.meshX : cur - cfg.meshX;
+                y = south ? y + 1 : y - 1;
+            }
+            routeStart.push_back(
+                static_cast<std::uint32_t>(routeLinks.size()));
+        }
+    }
 }
 
 TransferResult
@@ -47,9 +74,10 @@ Network::transfer(UnitId src, UnitId dst, std::uint32_t bytes, Tick start)
                        obs::Tracer::laneNet, start, 0,
                        (static_cast<std::uint64_t>(dst) << 32) | bytes);
     Tick t = start;
+    // Serialization on one in-stack port or ring link.
+    const auto ser = static_cast<Tick>(intraTicksPerByte * bytes);
 
     auto crossbar = [&](UnitId port) {
-        auto ser = static_cast<Tick>(intraTicksPerByte * bytes);
         Tick begin = portMeter[port].reserve(t, ser);
         // 0/1000 is exactly 0.0: uncontended hops skip the divide.
         const Tick wait = begin - t;
@@ -65,7 +93,6 @@ Network::transfer(UnitId src, UnitId dst, std::uint32_t bytes, Tick start)
     auto ring = [&](UnitId from, std::uint32_t toLocal) {
         std::uint32_t cur = topo.localIndex(from);
         UnitId base = from - cur; // first unit of this stack
-        auto ser = static_cast<Tick>(intraTicksPerByte * bytes);
         while (cur != toLocal) {
             std::uint32_t fwd = (toLocal + unitsPerStack - cur)
                 % unitsPerStack;
@@ -108,22 +135,19 @@ Network::transfer(UnitId src, UnitId dst, std::uint32_t bytes, Tick start)
 
     // XY route across the mesh; each directed link is a bandwidth
     // resource (store-and-forward per hop).
-    StackId s = topo.stackOf(src);
-    StackId d = topo.stackOf(dst);
-    auto [sx, sy] = topo.stackCoord(s);
-    auto [dx, dy] = topo.stackCoord(d);
-
-    std::uint32_t x = sx, y = sy;
-    StackId cur = s;
+    const std::size_t pair =
+        static_cast<std::size_t>(topo.stackOf(src)) * topo.numStacks()
+        + topo.stackOf(dst);
+    const std::span<const std::uint32_t> route(
+        routeLinks.data() + routeStart[pair],
+        routeLinks.data() + routeStart[pair + 1]);
     const auto interSer = static_cast<Tick>(interTicksPerByte * bytes);
-    auto hop = [&](std::uint32_t dir, StackId next) {
-        const Tick ser = interSer;
-        std::size_t li = linkIndex(cur, dir);
-        Tick begin = linkMeter[li].reserve(t, ser);
+    for (const std::uint32_t li : route) {
+        Tick begin = linkMeter[li].reserve(t, interSer);
         const Tick wait = begin - t;
         linkWait.sample(wait ? static_cast<double>(wait) / ticksPerNs
                              : 0.0);
-        t = begin + interLatency + ser;
+        t = begin + interLatency + interSer;
         if (linkFaultsOn && faults->linkFaulty(li)) {
             // Injected link fault: a fixed latency adder plus transient
             // drops. Each drop is repaired sender-side — an exponential
@@ -137,33 +161,14 @@ Network::transfer(UnitId src, UnitId dst, std::uint32_t bytes, Tick start)
                 ++dropped;
                 ++retries;
                 t += faults->retryBackoffTicks(a);
-                Tick rb = linkMeter[li].reserve(t, ser);
-                t = rb + interLatency + ser + faults->linkExtraTicks();
+                Tick rb = linkMeter[li].reserve(t, interSer);
+                t = rb + interLatency + interSer
+                    + faults->linkExtraTicks();
                 energy.addInterTransfer(bytes, 1);
             }
         }
-        cur = next;
-        ++res.interHops;
-    };
-
-    while (x != dx) {
-        if (x < dx) {
-            hop(0, cur + 1);
-            ++x;
-        } else {
-            hop(1, cur - 1);
-            --x;
-        }
     }
-    while (y != dy) {
-        if (y < dy) {
-            hop(2, cur + meshX);
-            ++y;
-        } else {
-            hop(3, cur - meshX);
-            --y;
-        }
-    }
+    res.interHops = static_cast<std::uint32_t>(route.size());
 
     interHops += res.interHops;
     energy.addInterTransfer(bytes, res.interHops);

@@ -4,6 +4,13 @@
  * mesh with per-link bandwidth reservation plus per-stack crossbars with
  * per-port serialization. Packet hops and transferred bits feed the
  * Figure-8 hop metric and the interconnect energy component.
+ *
+ * XY routes are fixed, so the constructor records the route of every
+ * (source stack, destination stack) pair once, as the directed link ids
+ * it crosses: one flat array of link ids plus numStacks^2 + 1 offsets
+ * (21,504 ids and 4,097 offsets on an 8x8 mesh; the ids grow as
+ * numStacks^2 times the mean route length). A packet walks its route's
+ * link ids instead of recomputing coordinates per hop.
  */
 
 #ifndef ABNDP_NET_NETWORK_HH
@@ -126,10 +133,10 @@ class Network
 
   private:
     /** Index of the directed mesh link leaving stack s toward dir. */
-    std::size_t
-    linkIndex(StackId s, std::uint32_t dir) const
+    static std::uint32_t
+    linkIndex(StackId s, std::uint32_t dir)
     {
-        return static_cast<std::size_t>(s) * 4 + dir;
+        return s * 4 + dir;
     }
 
     const Topology &topo;
@@ -139,7 +146,6 @@ class Network
     check::CheckContext *checkCtx = nullptr;
     /** Topology-predicted hops of every packet checked so far. */
     std::uint64_t checkedHops = 0;
-    std::uint32_t meshX;
     IntraTopology intraTopo;
     std::uint32_t unitsPerStack;
     /** Any faulty link configured (hoists the per-hop fault query). */
@@ -149,6 +155,14 @@ class Network
     Tick interLatency;
     double intraTicksPerByte;
     double interTicksPerByte;
+
+    /**
+     * The XY route from stack s to stack d is routeLinks[routeStart[p]]
+     * up to routeLinks[routeStart[p + 1]], p = s * numStacks + d: the
+     * directed link ids it crosses, x first, then y.
+     */
+    std::vector<std::uint32_t> routeStart;
+    std::vector<std::uint32_t> routeLinks;
 
     /** Bandwidth meter of each directed mesh link (stack x 4 dirs). */
     std::vector<BandwidthMeter> linkMeter;

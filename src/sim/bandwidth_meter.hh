@@ -15,7 +15,17 @@
  * access and every mesh hop reserves a bucket), so buckets live in flat
  * fixed-size pages found through a last-page cache — no hashing and no
  * per-reservation allocation — while time-sparse use (a bank idle for a
- * simulated hour) still costs one page, not a dense array.
+ * simulated hour) still costs one page, not a dense array. The meter
+ * also keeps that last page's first bucket and fill row itself, so the
+ * fast path reads a bucket's fill with one dependent load instead of
+ * three (the page count, the page's first bucket, its fill pointer).
+ *
+ * A bucket's fill never exceeds the bucket width, so fills are stored
+ * as 32 bits and the width is bounded by UINT32_MAX ticks (~4.29 ms at
+ * 1 ps per tick): a page's fill row is 4 KB, and a page 6 KB with its
+ * skip row. Every meter in the simulator is far below the bound: links,
+ * ports and banks use 256 ns buckets, and the DDR ACT meter one tFAW
+ * window, which SystemConfig::validationError() bounds.
  */
 
 #ifndef ABNDP_SIM_BANDWIDTH_METER_HH
@@ -24,6 +34,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/logging.hh"
@@ -41,12 +52,50 @@ class BandwidthMeter
      *        one bucket (the DRAM backends reserve 260 ns refreshes on
      *        the default 256 ns buckets): reserve() pours it into the
      *        free room of consecutive buckets until all of it is
-     *        booked.
+     *        booked. At most UINT32_MAX ticks: fills are 32 bits.
      */
     explicit BandwidthMeter(Tick bucketTicks = 256 * ticksPerNs)
         : width(bucketTicks)
     {
         abndp_assert(width > 0);
+        abndp_assert(width <= std::numeric_limits<Fill>::max(),
+                     "bucket width ", width,
+                     " ticks does not fit a 32-bit fill");
+    }
+
+    /**
+     * A copy caches its own pages' row, not the source's. There is no
+     * move: it would leave the source's row in the destination's pages,
+     * so a move copies.
+     */
+    BandwidthMeter(const BandwidthMeter &other)
+        : width(other.width),
+          pages(other.pages),
+          lastIdx(other.lastIdx),
+          lastBucket(other.lastBucket),
+          lastBucketStart(other.lastBucketStart),
+          minFreeBucket(other.minFreeBucket),
+          nTouched(other.nTouched),
+          retiredMaxFill(other.retiredMaxFill),
+          spares(other.spares)
+    {
+        syncRow();
+    }
+
+    BandwidthMeter &
+    operator=(const BandwidthMeter &other)
+    {
+        width = other.width;
+        pages = other.pages;
+        lastIdx = other.lastIdx;
+        lastBucket = other.lastBucket;
+        lastBucketStart = other.lastBucketStart;
+        minFreeBucket = other.minFreeBucket;
+        nTouched = other.nTouched;
+        retiredMaxFill = other.retiredMaxFill;
+        spares = other.spares;
+        syncRow();
+        return *this;
     }
 
     /**
@@ -85,16 +134,15 @@ class BandwidthMeter
         // service, so the skip loop would stop right here and the pour
         // loop would drain in one take.
         const std::uint64_t first = b & ~(pageBuckets - 1);
-        if (lastIdx < pages.size() && pages[lastIdx].first == first) {
-            Page &pg = pages[lastIdx];
-            Tick &used = pg.fill[b - first];
+        if (first == curFirst) {
+            Fill &used = curRow[b - first];
             if (used + service <= width) {
                 if (used == 0) {
                     ++nTouched;
-                    markTouched(pg, b - first);
+                    markTouched(pages[lastIdx], b - first);
                 }
                 Tick begin = b * width + used;
-                used += service;
+                used = static_cast<Fill>(used + service);
                 return begin < t ? t : begin;
             }
         }
@@ -135,7 +183,7 @@ class BandwidthMeter
         std::uint32_t nProven = 0;
         while (true) {
             const std::uint64_t first = b & ~(pageBuckets - 1);
-            Page *p = findPageCachedMut(first);
+            Page *p = findPage(first);
             if (!p)
                 break;
             if (p->fullUpTo > b) {
@@ -146,7 +194,7 @@ class BandwidthMeter
                 b = p->fullUpTo;
                 continue;
             }
-            const Tick *fill = p->fill.data();
+            const Fill *fill = p->fill.data();
             std::uint16_t *skip = p->skip.data();
             std::uint64_t idx = b - first;
             const std::uint64_t entry = idx;
@@ -220,23 +268,27 @@ class BandwidthMeter
         while (true) {
             const std::uint64_t first = b & ~(pageBuckets - 1);
             Page &pg = ensurePage(first);
-            Tick *fill = pg.fill.data();
+            Fill *fill = pg.fill.data();
             std::uint16_t *skip = pg.skip.data();
             for (std::uint64_t idx = b - first; idx < pageBuckets;
                  ++idx) {
-                Tick &used = fill[idx];
+                Fill &used = fill[idx];
                 Tick free = width - used;
                 Tick take = remaining < free ? remaining : free;
                 if (take > 0 && used == 0) {
                     ++nTouched;
                     markTouched(pg, idx);
                 }
-                used += take;
+                used = static_cast<Fill>(used + take);
                 remaining -= take;
                 if (used >= width)
                     skip[idx] = static_cast<std::uint16_t>(idx + 1);
-                if (remaining == 0)
+                if (remaining == 0) {
+                    // The scan and the pour moved lastIdx, and page
+                    // inserts or retirement may have moved pages.
+                    syncRow();
                     return begin;
+                }
             }
             b = first + pageBuckets;
         }
@@ -256,6 +308,7 @@ class BandwidthMeter
         nTouched = 0;
         minFreeBucket = 0;
         retiredMaxFill = 0;
+        syncRow();
     }
 
     /**
@@ -303,8 +356,8 @@ class BandwidthMeter
     {
         Tick mx = retiredMaxFill;
         for (const Page &p : pages)
-            for (Tick f : p.fill)
-                mx = std::max(mx, f);
+            for (Fill f : p.fill)
+                mx = std::max<Tick>(mx, f);
         return mx;
     }
 
@@ -314,12 +367,16 @@ class BandwidthMeter
      * entry, mark or frontier fact left in a stashed spare. Cleaning
      * walks only marked groups, so anything counted here would survive
      * into a recycled page and move later reservations; 0 by
-     * construction. Walks every page — audit-time only.
+     * construction. A cached fast-path row that is not pages[lastIdx]'s
+     * counts one more: reserve() would book into the wrong page. Walks
+     * every page — audit-time only.
      */
     std::size_t
     staleEntries() const
     {
-        std::size_t n = 0;
+        const Page *cur = lastIdx < pages.size() ? &pages[lastIdx] : nullptr;
+        std::size_t n = curFirst != (cur ? cur->first : noPage)
+            || curRow != (cur ? cur->fill.data() : nullptr);
         for (const Page &p : pages)
             for (std::uint64_t i = 0; i < pageBuckets; ++i)
                 if (!isTouched(p, i) && (p.fill[i] != 0 || p.skip[i] != 0))
@@ -335,9 +392,11 @@ class BandwidthMeter
     }
 
   private:
+    /** A bucket's fill in ticks; never above the width. */
+    using Fill = std::uint32_t;
     /** Buckets per page; a power of two. */
     static constexpr std::uint64_t pageBuckets = 1024;
-    /** Buckets per touched mark: one 64-byte line of fill. */
+    /** Buckets per touched mark: 32 bytes of fill and 16 of skip. */
     static constexpr std::uint64_t groupBuckets = 8;
     /** 64-bit words of touched marks per page (128 bits). */
     static constexpr std::uint64_t markWords = pageBuckets / groupBuckets / 64;
@@ -348,7 +407,7 @@ class BandwidthMeter
     struct Page
     {
         std::uint64_t first;     // bucket number of fill[0]
-        std::vector<Tick> fill;  // pageBuckets entries
+        std::vector<Fill> fill;  // pageBuckets entries
         /**
          * Next-maybe-free pointers over full buckets: skip[i] > i
          * means buckets [i, skip[i]) are all full (0 = no knowledge).
@@ -405,7 +464,7 @@ class BandwidthMeter
                                   std::countr_zero(bits)))
                     * groupBuckets;
                 for (std::uint64_t i = lo; i < lo + groupBuckets; ++i) {
-                    peak = std::max(peak, p.fill[i]);
+                    peak = std::max<Tick>(peak, p.fill[i]);
                     p.fill[i] = 0;
                     p.skip[i] = 0;
                 }
@@ -416,9 +475,12 @@ class BandwidthMeter
         return peak;
     }
 
-    /** The page starting at bucket @p first, or nullptr if absent. */
-    const Page *
-    findPageCached(std::uint64_t first) const
+    /**
+     * The page starting at bucket @p first, or nullptr if absent
+     * (reserveSlow's scan; it re-derives the cached row at its exit).
+     */
+    Page *
+    findPage(std::uint64_t first)
     {
         if (lastIdx < pages.size() && pages[lastIdx].first == first)
             return &pages[lastIdx];
@@ -429,13 +491,6 @@ class BandwidthMeter
             return nullptr;
         lastIdx = static_cast<std::size_t>(it - pages.begin());
         return &*it;
-    }
-
-    /** Mutable lookup (skip-pointer maintenance in reserveSlow). */
-    Page *
-    findPageCachedMut(std::uint64_t first)
-    {
-        return const_cast<Page *>(findPageCached(first));
     }
 
     /**
@@ -463,6 +518,7 @@ class BandwidthMeter
         pages.erase(pages.begin(),
                     pages.begin() + static_cast<std::ptrdiff_t>(n));
         lastIdx = 0;
+        syncRow();
     }
 
     /**
@@ -481,7 +537,7 @@ class BandwidthMeter
         if (it == pages.end() || it->first != first) {
             // Prefer storage retired by discardBefore(): a stashed page
             // was cleaned at retirement, so reusing it takes no zeroing
-            // pass and no fresh 10 KB allocation (and its kernel
+            // pass and no fresh 6 KB allocation (and its kernel
             // zero-page faults) per created page.
             if (!spares.empty()) {
                 Page pg = std::move(spares.back());
@@ -490,7 +546,7 @@ class BandwidthMeter
                 it = pages.insert(it, std::move(pg));
             } else {
                 it = pages.insert(
-                    it, Page{first, std::vector<Tick>(pageBuckets, 0),
+                    it, Page{first, std::vector<Fill>(pageBuckets, 0),
                              std::vector<std::uint16_t>(pageBuckets, 0)});
             }
         }
@@ -498,11 +554,36 @@ class BandwidthMeter
         return *it;
     }
 
+    /**
+     * Point the fast path's cache at pages[lastIdx]: after anything
+     * that moves lastIdx or changes pages. A page's fill row is its own
+     * heap block, so inserting or erasing other pages does not move it.
+     */
+    void
+    syncRow()
+    {
+        if (lastIdx < pages.size()) {
+            curFirst = pages[lastIdx].first;
+            curRow = pages[lastIdx].fill.data();
+        } else {
+            curFirst = noPage;
+            curRow = nullptr;
+        }
+    }
+
+    /** Matches no page: a page's first bucket is a multiple of
+     *  pageBuckets. */
+    static constexpr std::uint64_t noPage = ~std::uint64_t{0};
+
     Tick width;
     /** Pages sorted by first bucket; benchmarks touch a handful. */
     std::vector<Page> pages;
     /** Index of the most recently touched page (almost always hits). */
-    mutable std::size_t lastIdx = 0;
+    std::size_t lastIdx = 0;
+    /** First bucket and fill row of pages[lastIdx] (noPage and null
+     *  without pages), kept in step by syncRow(). */
+    std::uint64_t curFirst = noPage;
+    Fill *curRow = nullptr;
     /**
      * Bucket of the previous reservation's t and its start tick; the
      * t -> bucket mapping is time-invariant, so the cache survives

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "common/rng.hh"
 #include "sim/bandwidth_meter.hh"
 
@@ -86,6 +89,17 @@ TEST(BandwidthMeter, BurstDelayGrowsWithBurstSize)
     for (int i = 0; i < 40; ++i)
         heavyDelay += heavy.reserve(0, 200);
     EXPECT_LT(lightDelay / 8, heavyDelay / 40);
+}
+
+TEST(BandwidthMeterDeath, RejectsBucketsPast32Bits)
+{
+    // A bucket's fill is 32 bits and reaches the width.
+    EXPECT_DEATH(BandwidthMeter(Tick{1} << 32),
+                 "does not fit a 32-bit fill");
+    BandwidthMeter widest(std::numeric_limits<std::uint32_t>::max());
+    EXPECT_EQ(widest.reserve(0, widest.bucketWidth()), 0u);
+    EXPECT_EQ(widest.reserve(0, 1), widest.bucketWidth());
+    EXPECT_EQ(widest.maxBucketFill(), widest.bucketWidth());
 }
 
 TEST(BandwidthMeter, ChurnedMeterLeavesNoStaleEntries)

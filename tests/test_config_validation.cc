@@ -334,6 +334,14 @@ const Row rows[] = {
     {"ConfigValidateDeath.RejectsNegativeWrOrFaw", ddrConfig,
      [](C &c) { c.dram.tFawNs = -1.0; },
      "dram tWR and tFAW must be non-negative"},
+    // The ACT meter's bucket, 4 * ceil(tFAW / 4) ticks, fits 32 bits up
+    // to a tFAW of 2^32 - 4 ticks.
+    {"ConfigValidateDeath.RejectsActWindowPast32Bits", ddrConfig,
+     [](C &c) { c.dram.tFawNs = 5e6; }, "must be below ~4.29 ms"},
+    {"ConfigValidateDeath.RejectsActWindowPast32Bits", ddrConfig,
+     [](C &c) { c.dram.tFawNs = 4294967.294; }, "must be below ~4.29 ms"},
+    {"ConfigValidateDeath.RejectsActWindowPast32Bits", ddrConfig,
+     [](C &c) { c.dram.tFawNs = 4294967.292; }, ""},
     // memBytesPerUnit is a power of two: 24 banks cannot divide it.
     {"ConfigValidateDeath.RejectsUnevenBrcSlices", ddrConfig,
      [](C &c) {
@@ -526,6 +534,9 @@ const Row rows[] = {
          c.dram.tWrNs = -1.0;
      },
      ""},
+    // The meter backend keeps no ACT window.
+    {"ConfigValidate.AcceptsDormantKnobs", plainConfig,
+     [](C &c) { c.dram.tFawNs = 5e6; }, ""},
     {"ConfigValidate.AcceptsDormantKnobs", plainConfig,
      [](C &c) { c.traceBufferEvents = 0; }, ""},
     {"ConfigValidate.AcceptsDormantKnobs", plainConfig,

@@ -11,8 +11,11 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <ostream>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/camp_mapping.hh"
@@ -26,6 +29,7 @@
 #include "fault/fault_model.hh"
 #include "mem/address_map.hh"
 #include "mem/ddr_backend.hh"
+#include "net/network.hh"
 #include "net/topology.hh"
 #include "sched/lb/data_hotness.hh"
 #include "sched/lb/home_indirection.hh"
@@ -409,6 +413,169 @@ TEST(BandwidthMeterDifferential, LockStepAcrossRetirementAndReuse)
     EXPECT_LT(sparsePeak, act.width);
     EXPECT_GT(bank.ops + act.ops, 50000u);
 }
+
+namespace
+{
+
+/**
+ * @p windows fence windows of 300 buckets offered ~1.1 times their
+ * capacity in services of up to three widths at shuffled times, so
+ * services pour across page boundaries (1,024 buckets) and fences
+ * retire pages for reuse. Every fence audits the cached row.
+ */
+void
+wideWindows(FencedMeterPair &m, Rng &gen, Tick &now, int windows)
+{
+    const Tick window = 300 * m.width;
+    for (int w = 0; w < windows; ++w) {
+        for (Tick offered = 0; offered < window + window / 10;) {
+            const Tick service = 1 + gen.below(3 * m.width);
+            ASSERT_NO_FATAL_FAILURE(
+                m.reserve(now + gen.below(window), service));
+            offered += service;
+        }
+        now += window;
+        ASSERT_NO_FATAL_FAILURE(m.fenceAt(now));
+        ASSERT_EQ(m.opt.staleEntries(), 0u) << "fence " << m.fence;
+    }
+}
+
+} // namespace
+
+TEST(BandwidthMeterDifferential, FillsAtTheWidthLimit)
+{
+    // The widest bucket a 32-bit fill holds: every fill and take is
+    // near 2^32, so a narrower fill or a wrapping sum diverges here.
+    constexpr Tick width = std::numeric_limits<std::uint32_t>::max();
+    FencedMeterPair m(width);
+    Rng gen(0x32b175u);
+    Tick now = 0;
+    ASSERT_NO_FATAL_FAILURE(wideWindows(m, gen, now, 24));
+    ASSERT_NO_FATAL_FAILURE(m.expectSameCounters());
+    ASSERT_EQ(m.ref.maxBucketFill(), width);
+
+    // A copy taken with live pages books into its own rows: source and
+    // copy run on, interleaved, each in lock-step with its own copy of
+    // the reference.
+    FencedMeterPair copy(m);
+    ASSERT_EQ(copy.opt.staleEntries(), 0u);
+    Rng copyGen(0xc0b1u);
+    Tick copyNow = now;
+    for (int w = 0; w < 12; ++w) {
+        ASSERT_NO_FATAL_FAILURE(wideWindows(m, gen, now, 1));
+        ASSERT_NO_FATAL_FAILURE(wideWindows(copy, copyGen, copyNow, 1));
+    }
+    ASSERT_NO_FATAL_FAILURE(m.expectSameCounters());
+    ASSERT_NO_FATAL_FAILURE(copy.expectSameCounters());
+    m.reset();
+    ASSERT_EQ(m.opt.staleEntries(), 0u);
+    now = 0;
+    ASSERT_NO_FATAL_FAILURE(wideWindows(m, gen, now, 8));
+    ASSERT_NO_FATAL_FAILURE(m.expectSameCounters());
+}
+
+// ---- Network vs RefNetwork --------------------------------------------
+
+struct NetDiffCase
+{
+    std::uint32_t meshX;
+    std::uint32_t meshY;
+    IntraTopology intra;
+    bool linkFaults;
+};
+
+void
+PrintTo(const NetDiffCase &c, std::ostream *os)
+{
+    *os << "mesh" << c.meshX << "x" << c.meshY
+        << (c.intra == IntraTopology::Ring ? "_ring" : "_crossbar")
+        << (c.linkFaults ? "_faults" : "");
+}
+
+class NetworkDifferential : public ::testing::TestWithParam<NetDiffCase>
+{
+};
+
+TEST_P(NetworkDifferential, LockStepAgainstReference)
+{
+    const NetDiffCase &g = GetParam();
+    SystemConfig cfg;
+    cfg.meshX = g.meshX;
+    cfg.meshY = g.meshY;
+    cfg.net.intraTopology = g.intra;
+    if (g.linkFaults) {
+        // A quarter of the links: each adds latency, drops a third of
+        // its traversals and retries them.
+        cfg.fault.link.count = cfg.numStacks();
+        cfg.fault.link.dropProb = 0.3;
+        cfg.fault.link.extraLatencyNs = 3.0;
+    }
+    cfg.validate();
+    const Topology topo(cfg);
+    EnergyAccount energy(cfg);
+    FaultModel optFaults(cfg);
+    FaultModel refFaults(cfg);
+    Network opt(cfg, topo, energy, &optFaults);
+    check::RefNetwork ref(cfg, topo, &refFaults);
+
+    // Random pairs at drifting, backwards-jittering starts, dense enough
+    // that links and ports queue.
+    const std::uint32_t units = topo.numUnits();
+    const Tick window = 2000 * ticksPerNs;
+    Rng gen(0x4e7u + units);
+    Tick base = 0;
+    for (std::uint64_t i = 0; i < kOps; ++i) {
+        base += gen.below(2000 * ticksPerNs / units + 1);
+        const Tick t = base >= window ? base - gen.below(window) : base;
+        const auto src = static_cast<UnitId>(gen.below(units));
+        const auto dst = static_cast<UnitId>(gen.below(units));
+        const auto bytes = static_cast<std::uint32_t>(16 + gen.below(256));
+        const TransferResult r = opt.transfer(src, dst, bytes, t);
+        const auto [latency, hops] = ref.transfer(src, dst, bytes, t);
+        ASSERT_EQ(r.latency, latency)
+            << "packet " << i << " " << src << "->" << dst;
+        ASSERT_EQ(r.interHops, hops)
+            << "packet " << i << " " << src << "->" << dst;
+        ASSERT_EQ(hops, topo.interHops(src, dst));
+    }
+    EXPECT_EQ(opt.totalPackets(), ref.packets());
+    EXPECT_EQ(opt.totalInterHops(), ref.interHops());
+    EXPECT_EQ(opt.totalIntraTraversals(), ref.intraTraversals());
+    EXPECT_EQ(opt.totalDropped(), ref.dropped());
+    EXPECT_EQ(opt.totalRetries(), ref.retries());
+    EXPECT_EQ(opt.portWaitNs().total(), ref.portWaitSum());
+    EXPECT_EQ(opt.linkWaitNs().total(), ref.linkWaitSum());
+    EXPECT_GT(opt.linkWaitNs().total(), 0.0);
+    EXPECT_GT(opt.portWaitNs().total(), 0.0);
+    EXPECT_EQ(opt.totalDropped() > 0, g.linkFaults);
+}
+
+namespace
+{
+
+std::vector<NetDiffCase>
+netDiffCases()
+{
+    std::vector<NetDiffCase> cases;
+    const std::pair<std::uint32_t, std::uint32_t> meshes[] = {
+        {2, 2}, {4, 4}, {8, 8}, {4, 2}};
+    for (const auto &[x, y] : meshes)
+        for (IntraTopology intra :
+             {IntraTopology::Crossbar, IntraTopology::Ring})
+            for (bool faults : {false, true})
+                cases.push_back({x, y, intra, faults});
+    return cases;
+}
+
+} // namespace
+
+INSTANTIATE_TEST_SUITE_P(Meshes, NetworkDifferential,
+                         ::testing::ValuesIn(netDiffCases()),
+                         [](const auto &info) {
+                             std::ostringstream os;
+                             PrintTo(info.param, &os);
+                             return os.str();
+                         });
 
 // ---- DdrBackend vs RefDdrBackend --------------------------------------
 
