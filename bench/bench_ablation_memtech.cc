@@ -17,6 +17,7 @@ main(int argc, char **argv)
     using namespace abndp::bench;
 
     Options opts = parseOptions(argc, argv, /*sweepBench=*/true);
+    opts.flags.rejectUnread();
     printBanner("Ablation — HBM-like vs HMC-like DRAM organization",
                 "(extension) O-over-B speedup should persist across "
                 "memory technologies");

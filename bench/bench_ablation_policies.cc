@@ -25,6 +25,7 @@ main(int argc, char **argv)
     using namespace abndp::bench;
 
     Options opts = parseOptions(argc, argv, /*sweepBench=*/true);
+    opts.flags.rejectUnread();
     printBanner("Ablations — replacement, load hints, data placement",
                 "Section 4.4: LRU ~= random replacement; Section 3.1: "
                 "estimated loads suffice; blocked placement destroys "

@@ -18,6 +18,7 @@ main(int argc, char **argv)
     using namespace abndp::bench;
 
     Options opts = parseOptions(argc, argv, /*sweepBench=*/true);
+    opts.flags.rejectUnread();
     printBanner("Ablation — exhaustive vs pruned scheduler scoring",
                 "(extension, not in the paper) pruned scoring should be "
                 "nearly equivalent: camp candidates + idle units cover "

@@ -20,6 +20,7 @@ main(int argc, char **argv)
     using namespace abndp::bench;
 
     Options opts = parseOptions(argc, argv, /*sweepBench=*/true);
+    opts.flags.rejectUnread();
     printBanner("Ablation — input skew (the premise of Section 2.3)",
                 "(extension) power-law inputs create the hotspots ABNDP "
                 "fixes; uniform inputs should show little gain");

@@ -17,6 +17,7 @@ main(int argc, char **argv)
     using namespace abndp::bench;
 
     Options opts = parseOptions(argc, argv, /*sweepBench=*/true);
+    opts.flags.rejectUnread();
     printBanner("Ablation — intra-stack crossbar vs ring NoC",
                 "(extension) the O-over-B advantage should persist; the "
                 "ring adds intra-stack hops, so absolute times rise");
@@ -33,9 +34,7 @@ main(int argc, char **argv)
             cfg.net.intraTopology = noc;
             RunMetrics b = runCell(cfg, Design::B, spec, opts.verify);
             RunMetrics o = runCell(cfg, Design::O, spec, opts.verify);
-            table.addRow({wl,
-                          noc == IntraTopology::Crossbar ? "crossbar"
-                                                         : "ring",
+            table.addRow({wl, nameOf(noc),
                           fmt(b.seconds() * 1e3), fmt(o.seconds() * 1e3),
                           fmt(static_cast<double>(b.ticks) / o.ticks),
                           fmt(o.interHops / 1000.0, 1)});

@@ -33,6 +33,9 @@ main(int argc, char **argv)
 
     Options opts = parseOptions(argc, argv, /*sweepBench=*/true);
     const double failAtNs = opts.flags.getDouble("fail-at-ns", 2000.0);
+    readRecordFlags(opts, /*compare=*/false);
+    readThreads(opts);
+    opts.flags.rejectUnread();
 
     printBanner("Availability — time vs. fraction of units killed "
                 "mid-run (ms, and slowdown vs. each design's own "

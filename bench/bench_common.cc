@@ -21,10 +21,24 @@ parseOptions(int argc, char **argv, bool sweepBench)
     opts.scale = opts.flags.getUint32("scale", sweepBench ? 13 : 14);
     opts.verify = opts.flags.getBool("verify", false);
     opts.seed = opts.flags.getUint("seed", 42);
-    opts.base.seed = opts.flags.getUint("sim-seed", 1);
-    opts.run = parseRunFlags(opts.flags);
-    opts.threads = opts.run.threads;
+    opts.base.seed = opts.flags.getUint("sim-seed", opts.base.seed);
     return opts;
+}
+
+void
+readThreads(Options &opts)
+{
+    opts.threads = opts.flags.getUint32("threads", defaultThreads());
+}
+
+void
+readRecordFlags(Options &opts, bool compare)
+{
+    opts.out = opts.flags.getString("out", "");
+    if (!compare)
+        return;
+    opts.compare = opts.flags.getString("compare", "");
+    opts.tolerance = opts.flags.getDouble("tolerance", opts.tolerance);
 }
 
 WorkloadSpec
@@ -133,12 +147,11 @@ void
 emitRecord(const std::string &json, const Options &opts)
 {
     std::cout << json << "\n";
-    const std::string path = opts.flags.getString("out", "");
-    if (path.empty())
+    if (opts.out.empty())
         return;
-    std::ofstream out(path);
+    std::ofstream out(opts.out);
     if (!out)
-        fatal("cannot write ", path);
+        fatal("cannot write ", opts.out);
     out << json << "\n";
 }
 
@@ -146,10 +159,10 @@ int
 compareRecord(const std::string &json, const Options &opts,
               const std::vector<RecordKey> &keys)
 {
-    const std::string path = opts.flags.getString("compare", "");
+    const std::string &path = opts.compare;
     if (path.empty())
         return 0;
-    const double tolerance = opts.flags.getDouble("tolerance", 0.10);
+    const double tolerance = opts.tolerance;
     std::ifstream file(path);
     std::string baseline;
     if (!file || !std::getline(file, baseline)) {

@@ -3,7 +3,9 @@
  * Shared infrastructure for the per-table/per-figure benchmark binaries.
  * Every binary runs standalone with small defaults (so that looping over
  * `build/bench/bench_*` regenerates all results) and accepts --scale /
- * --seed / --verify flags to change fidelity.
+ * --seed / --sim-seed / --verify flags to change fidelity. A bench reads
+ * its own flags after parseOptions() and then calls
+ * opts.flags.rejectUnread() before its first run.
  */
 
 #ifndef ABNDP_BENCH_BENCH_COMMON_HH
@@ -18,7 +20,6 @@
 #include "core/metrics.hh"
 #include "driver/cell_runner.hh"
 #include "driver/experiment.hh"
-#include "driver/run_flags.hh"
 #include "workloads/factory.hh"
 
 namespace abndp
@@ -29,16 +30,21 @@ namespace bench
 /** Parsed common options of a benchmark binary. */
 struct Options
 {
+    /** Base config: --sim-seed applied. */
     SystemConfig base;
     CliFlags flags;
-    /** Shared run-output flags (driver/run_flags.hh). */
-    RunFlags run;
     /** Graph scale for graph workloads (sweeps default smaller). */
     std::uint32_t scale = 14;
     bool verify = false;
     std::uint64_t seed = 42;
-    /** Host threads for the cell grid (--threads; 0 = all cores). */
+    /** Host threads for the cell grid (readThreads(); 0 = all cores). */
     std::uint32_t threads = 0;
+    /** File emitRecord() also writes the record to ("" = none). */
+    std::string out;
+    /** Baseline record compareRecord() checks against ("" = none). */
+    std::string compare;
+    /** Change compareRecord() allows in the worse direction. */
+    double tolerance = 0.10;
 };
 
 /**
@@ -46,6 +52,20 @@ struct Options
  * used by the parameter sweeps (Figures 11-18).
  */
 Options parseOptions(int argc, char **argv, bool sweepBench = false);
+
+/**
+ * Read --threads, the host threads runGrid() spreads the cells over. A
+ * bench that runs its cells one by one does not call it, so it refuses
+ * the flag.
+ */
+void readThreads(Options &opts);
+
+/**
+ * Read the flags of a bench that writes a JSON record: --out, and
+ * with @p compare also --compare and --tolerance. A bench without a
+ * record does not call it, so it refuses them.
+ */
+void readRecordFlags(Options &opts, bool compare = true);
 
 /** Workload spec sized according to the options. */
 WorkloadSpec specFor(const std::string &name, const Options &opts);
@@ -74,8 +94,9 @@ double geomean(const std::vector<double> &values);
 void printBanner(const std::string &artifact, const std::string &paper);
 
 /**
- * Print a bench's one-line JSON record to stdout and, with --out=FILE,
- * write it to FILE too (fatal() when FILE cannot be written).
+ * Print a bench's one-line JSON record to stdout and, with --out=FILE
+ * (readRecordFlags), write it to FILE too (fatal() when FILE cannot be
+ * written).
  */
 void emitRecord(const std::string &json, const Options &opts);
 

@@ -18,6 +18,7 @@ main(int argc, char **argv)
     using namespace abndp::bench;
 
     Options opts = parseOptions(argc, argv);
+    opts.flags.rejectUnread();
     printBanner("Figure 2 — the remote-access / load-balance tradeoff",
                 "LDM cuts hops but the busiest unit slows ~1.43x; WS "
                 "balances load but raises hop counts");

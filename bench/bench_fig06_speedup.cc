@@ -17,6 +17,8 @@ main(int argc, char **argv)
     using namespace abndp::bench;
 
     Options opts = parseOptions(argc, argv);
+    readThreads(opts);
+    opts.flags.rejectUnread();
     printBanner("Figure 6 — overall speedup (normalized to B)",
                 "O: 1.68x avg / 2.19x max; Sh ~1.23x; Sl ~1.14x; Sm "
                 "~0.86x; B = 3.70x over host H, O = 6.29x over H");

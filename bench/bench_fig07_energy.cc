@@ -17,6 +17,8 @@ main(int argc, char **argv)
     using namespace abndp::bench;
 
     Options opts = parseOptions(argc, argv);
+    readThreads(opts);
+    opts.flags.rejectUnread();
     printBanner("Figure 7 — energy breakdown (normalized to B)",
                 "O consumes the least energy: 24.6% avg / 40.1% max "
                 "reduction; interconnect energy tracks hop counts; DRAM "

@@ -15,6 +15,8 @@ main(int argc, char **argv)
     using namespace abndp::bench;
 
     Options opts = parseOptions(argc, argv);
+    readThreads(opts);
+    opts.flags.rejectUnread();
     printBanner("Figure 8 — remote accesses (inter-stack hops, norm. to B)",
                 "Sm ~0.93x; Sl up to 2x; Sh ~1.45x; C ~0.79x (lowest); "
                 "O slightly above C and well below Sl/Sh");

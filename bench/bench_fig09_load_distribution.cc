@@ -17,6 +17,7 @@ main(int argc, char **argv)
     using namespace abndp::bench;
 
     Options opts = parseOptions(argc, argv);
+    opts.flags.rejectUnread();
     printBanner("Figure 9 — per-core active-cycle distribution",
                 "B/Sm curves are steep (hotspots); Sl/Sh/O flatten the "
                 "curve; Sm overlaps B on gcn; knn most imbalanced");

@@ -21,6 +21,7 @@ main(int argc, char **argv)
     Options opts = parseOptions(argc, argv);
     // Bigger default input: 512 NDP units need enough parallel work.
     opts.scale = opts.flags.getUint32("scale", 15);
+    opts.flags.rejectUnread();
     printBanner("Figure 10 — scalability (Page Rank; 2x2 / 4x4 / 8x8)",
                 "O's speedup and energy reduction over B grow with "
                 "scale; Sm/C scale worse than B; 8x8 gains <15% over "

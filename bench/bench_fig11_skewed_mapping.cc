@@ -24,6 +24,8 @@ main(int argc, char **argv)
     opts.base.memBytesPerUnit = opts.flags.getMebibytes("mem-mb", 2);
     opts.base.traveller.ratioDenom =
         opts.flags.getUint("ratio", 64);
+    readThreads(opts);
+    opts.flags.rejectUnread();
     std::cout << "(per-unit DRAM "
               << (opts.base.memBytesPerUnit >> 20) << "MB, cache 1/"
               << opts.base.traveller.ratioDenom << ")\n\n";

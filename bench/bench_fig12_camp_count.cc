@@ -16,6 +16,8 @@ main(int argc, char **argv)
     using namespace abndp::bench;
 
     Options opts = parseOptions(argc, argv, /*sweepBench=*/true);
+    readThreads(opts);
+    opts.flags.rejectUnread();
     printBanner("Figure 12 — camp count C sweep (DRAM + net energy)",
                 "impact is minor: more camps cut interconnect energy "
                 "but add DRAM-cache insertions; C = 3 is a good choice");

@@ -18,6 +18,7 @@ main(int argc, char **argv)
     using namespace abndp::bench;
 
     Options opts = parseOptions(argc, argv, /*sweepBench=*/true);
+    opts.flags.rejectUnread();
     printBanner("Figure 13 — Traveller vs SRAM-data vs in-DRAM-tag cache",
                 "SRAM cache ~15% faster / 23% less energy but needs an "
                 "unrealistic 16.12mm2 per unit; in-DRAM tags cost ~21% "

@@ -16,6 +16,7 @@ main(int argc, char **argv)
     using namespace abndp::bench;
 
     Options opts = parseOptions(argc, argv, /*sweepBench=*/true);
+    opts.flags.rejectUnread();
     printBanner("Figure 16 — insertion bypass probability sweep",
                 "more bypassing cuts DRAM-cache insertion energy but "
                 "slightly raises hops; insensitive overall, 40% is a "

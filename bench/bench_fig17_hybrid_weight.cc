@@ -16,6 +16,7 @@ main(int argc, char **argv)
     using namespace abndp::bench;
 
     Options opts = parseOptions(argc, argv, /*sweepBench=*/true);
+    opts.flags.rejectUnread();
     printBanner("Figure 17 — hybrid weight sweep (alpha = B / Dinter)",
                 "hops grow with alpha while performance saturates "
                 "around alpha = 3 (= d/2)");

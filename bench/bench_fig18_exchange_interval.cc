@@ -16,6 +16,7 @@ main(int argc, char **argv)
     using namespace abndp::bench;
 
     Options opts = parseOptions(argc, argv, /*sweepBench=*/true);
+    opts.flags.rejectUnread();
     printBanner("Figure 18 — workload exchange interval sweep",
                 "the interval can be made quite large without hurting "
                 "performance, so the exchange cost is negligible");

@@ -43,6 +43,9 @@ main(int argc, char **argv)
         opts.flags.getUint("requests", 200000);
     const double rate = opts.flags.getDouble("rate", 8.0);
     const double skew = opts.flags.getDouble("skew", 0.99);
+    readRecordFlags(opts);
+    readThreads(opts);
+    opts.flags.rejectUnread();
     if (workloads.empty())
         fatal("--workloads must name at least one workload");
 

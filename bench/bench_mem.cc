@@ -30,20 +30,14 @@ main(int argc, char **argv)
 
     Options opts = parseOptions(argc, argv, /*sweepBench=*/true);
     const std::string wl = opts.flags.getString("workload", "pr");
+    readRecordFlags(opts);
+    opts.flags.rejectUnread();
     WorkloadSpec spec = specFor(wl, opts);
 
     printBanner("Memory-backend sweep — analytic meter vs bank-state "
                 "DDR",
                 "(extension) the design ordering must survive the "
                 "backend swap; DDR adds row-buffer and tFAW detail");
-
-    struct Backend
-    {
-        const char *label;
-        MemBackendKind kind;
-    };
-    const Backend backends[] = {{"meter", MemBackendKind::Meter},
-                                {"ddr", MemBackendKind::Ddr}};
 
     TextTable table({"design", "backend", "time (ms)", "row hit%",
                      "actStalls", "vs meter"});
@@ -52,10 +46,11 @@ main(int argc, char **argv)
     std::uint64_t events = 0;
     for (Design d : {Design::B, Design::Sl, Design::O}) {
         double meterTicks = 0.0;
-        for (const Backend &be : backends) {
+        for (MemBackendKind kind :
+             {MemBackendKind::Meter, MemBackendKind::Ddr}) {
             SystemConfig cfg = opts.base;
-            cfg.dram.backend = be.kind;
-            if (be.kind == MemBackendKind::Ddr)
+            cfg.dram.backend = kind;
+            if (kind == MemBackendKind::Ddr)
                 cfg.dram.pagePolicy = PagePolicy::Adaptive;
             RunMetrics m = runCell(cfg, d, spec, opts.verify);
             events += m.simEvents;
@@ -63,12 +58,12 @@ main(int argc, char **argv)
             double hitPct = rowRefs
                 ? 100.0 * static_cast<double>(m.dramRowHits) / rowRefs
                 : 0.0;
-            if (be.kind == MemBackendKind::Meter)
+            if (kind == MemBackendKind::Meter)
                 meterTicks = static_cast<double>(m.ticks);
-            table.addRow({designName(d), be.label,
+            table.addRow({designName(d), nameOf(kind),
                           fmt(m.seconds() * 1e3),
-                          be.kind == MemBackendKind::Ddr ? fmt(hitPct, 1)
-                                                         : "-",
+                          kind == MemBackendKind::Ddr ? fmt(hitPct, 1)
+                                                      : "-",
                           std::to_string(m.dramActStalls),
                           fmt(static_cast<double>(m.ticks) / meterTicks)});
         }

@@ -49,6 +49,9 @@ main(int argc, char **argv)
         splitCsv(opts.flags.getString("workloads", "pr,bfs"));
     const std::vector<std::string> designNames =
         splitCsv(opts.flags.getString("designs", "B,O"));
+    readRecordFlags(opts);
+    readThreads(opts);
+    opts.flags.rejectUnread();
     if (wls.empty() || designNames.empty())
         fatal("--workloads/--designs must name at least one cell");
 

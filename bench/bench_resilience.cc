@@ -39,6 +39,8 @@ main(int argc, char **argv)
     const auto linkFaults = opts.flags.getUint32("link-faults", 0);
     const double dropProb = opts.flags.getDouble("drop-prob", 0.05);
     const double eccProb = opts.flags.getDouble("ecc-prob", 0.0);
+    readThreads(opts);
+    opts.flags.rejectUnread();
 
     printBanner("Resilience — time vs. injected stragglers (ms, and "
                 "slowdown vs. each design's own no-fault run)",

@@ -48,6 +48,9 @@ main(int argc, char **argv)
         parseCsvDoubles("--skews", opts.flags.getString("skews", "0,0.99"));
     const std::vector<std::string> designLetters =
         splitCsv(opts.flags.getString("designs", "B,Sl,O"));
+    readRecordFlags(opts);
+    readThreads(opts);
+    opts.flags.rejectUnread();
     if (rates.empty() || skews.empty() || designLetters.empty())
         fatal("--rates/--skews/--designs must name at least one cell");
     std::vector<Design> designs;

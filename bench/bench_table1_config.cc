@@ -19,6 +19,7 @@ main(int argc, char **argv)
     using namespace abndp::bench;
 
     Options opts = parseOptions(argc, argv);
+    opts.flags.rejectUnread();
     printBanner("Table 1 — system configurations",
                 "4x4 stacks, 128 NDP units, 64GB; Traveller Cache 1/64 "
                 "capacity, C=3, 40% bypass; B = 3*Dinter");

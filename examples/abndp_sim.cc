@@ -37,10 +37,12 @@ printUsage()
         "\n"
         "Workload:   --workload=pr|bfs|sssp|astar|gcn|kmeans|knn|spmv\n"
         "            --scale=N (graph: 2^N vertices) --edge-factor=N\n"
-        "            --seed=N --max-epochs=N --verify\n"
-        "Design:     --design=H|B|Sm|Sl|Sh|C|O (Table 2)\n"
+        "            --seed=N (input seed) --max-epochs=N --verify\n"
+        "Design:     --design=H|B|Sm|Sl|Sh|C|O|HLB|HLB-mig (Table 2 and\n"
+        "              the two load-balancing rows)\n"
         "System:     --mesh=N (NxN stacks) --units-per-stack=N\n"
         "            --cores-per-unit=N --mem-mb=N\n"
+        "            --sim-seed=N (simulator seed)\n"
         "Traveller:  --camps=C --ratio=R (cache = 1/R of local DRAM)\n"
         "            --assoc=N --bypass=P --skewed=0|1\n"
         "Scheduler:  --alpha=A (B = A*Dinter) --exchange-interval=CYCLES\n"
@@ -85,29 +87,30 @@ main(int argc, char **argv)
     spec.astarQueries = flags.getUint32("astar-queries", spec.astarQueries);
 
     SystemConfig cfg;
-    auto mesh = flags.getUint32("mesh", 4);
-    cfg.meshX = cfg.meshY = mesh;
+    cfg.meshX = cfg.meshY = flags.getUint32("mesh", cfg.meshX);
     cfg.unitsPerStack = flags.getUint32("units-per-stack", cfg.unitsPerStack);
     cfg.coresPerUnit = flags.getUint32("cores-per-unit", cfg.coresPerUnit);
-    if (flags.has("mem-mb"))
-        cfg.memBytesPerUnit = flags.getMebibytes("mem-mb", 512);
-    cfg.traveller.campCount = flags.getUint32("camps", 3);
-    cfg.traveller.ratioDenom = flags.getUint("ratio", 64);
-    cfg.traveller.assoc = flags.getUint32("assoc", 4);
-    cfg.traveller.bypassProb = flags.getDouble("bypass", 0.4);
-    cfg.traveller.skewedMapping = flags.getBool("skewed", true);
+    cfg.memBytesPerUnit =
+        flags.getMebibytes("mem-mb", cfg.memBytesPerUnit >> 20);
+    auto &trav = cfg.traveller;
+    trav.campCount = flags.getUint32("camps", trav.campCount);
+    trav.ratioDenom = flags.getUint("ratio", trav.ratioDenom);
+    trav.assoc = flags.getUint32("assoc", trav.assoc);
+    trav.bypassProb = flags.getDouble("bypass", trav.bypassProb);
+    trav.skewedMapping = flags.getBool("skewed", trav.skewedMapping);
     if (flags.has("alpha")) {
         cfg.sched.autoAlpha = false;
-        cfg.sched.hybridAlpha = flags.getDouble("alpha", 3.0);
+        cfg.sched.hybridAlpha =
+            flags.getDouble("alpha", cfg.sched.hybridAlpha);
     }
-    cfg.sched.exchangeIntervalCycles =
-        flags.getUint("exchange-interval", 100000);
-    if (flags.getString("intra-noc", "crossbar") == "ring")
-        cfg.net.intraTopology = IntraTopology::Ring;
+    cfg.sched.exchangeIntervalCycles = flags.getUint(
+        "exchange-interval", cfg.sched.exchangeIntervalCycles);
+    cfg.net.intraTopology = fromName<IntraTopology>(flags.getString(
+        "intra-noc", nameOf(cfg.net.intraTopology)));
     if (flags.getBool("pruned-scoring", false))
         cfg.sched.exhaustiveScoring = false;
-    cfg.maxEpochs = flags.getUint("max-epochs", 0);
-    cfg.seed = flags.getUint("sim-seed", 1);
+    cfg.maxEpochs = flags.getUint("max-epochs", cfg.maxEpochs);
+    cfg.seed = flags.getUint("sim-seed", cfg.seed);
     if (flags.has("trace"))
         fatal("--trace (per-epoch CSV) was removed; use "
               "--stats-interval=1 --stats-out=FILE for per-epoch counter "
@@ -117,12 +120,19 @@ main(int argc, char **argv)
               "registry dump");
     cfg.traceBufferEvents =
         flags.getUint("trace-buffer-events", cfg.traceBufferEvents);
-    applyRunFlags(parseRunFlags(flags, /*threadsDefault=*/1), cfg);
+    applyRunFlags(flags, cfg);
 
     Design design = designFromName(flags.getString("design", "O"));
     cfg = applyDesign(cfg, design);
 
-    if (flags.getBool("print-config", false)) {
+    const bool verify = flags.getBool("verify", false);
+    const bool json = flags.getBool("json", false);
+    const bool stats = flags.getBool("stats", false);
+    const bool heatmap = flags.getBool("heatmap", false);
+    const bool printConfig = flags.getBool("print-config", false);
+    flags.rejectUnread();
+
+    if (printConfig) {
         cfg.print(std::cout);
         std::cout << "\n";
     }
@@ -132,9 +142,9 @@ main(int argc, char **argv)
     if (design == Design::H) {
         HostSystem host(cfg);
         m = host.run(*wl);
-        if (flags.getBool("verify", false) && !wl->verify())
+        if (verify && !wl->verify())
             fatal("verification failed");
-        if (flags.getBool("json", false)) {
+        if (json) {
             dumpJson(std::cout, cfg, m);
             std::cout << "\n";
             return 0;
@@ -142,17 +152,16 @@ main(int argc, char **argv)
     } else {
         NdpSystem sys(cfg);
         m = sys.run(*wl);
-        if (flags.getBool("verify", false) && !wl->verify())
+        if (verify && !wl->verify())
             fatal("verification failed");
-        if (flags.getBool("json", false)) {
+        if (json) {
             dumpJson(std::cout, cfg, m);
             std::cout << "\n";
             return 0;
         }
-        const bool stats = flags.getBool("stats", false);
         if (stats)
             sys.statsRegistry().dump(std::cout);
-        if (flags.getBool("heatmap", false))
+        if (heatmap)
             dumpHeatmap(std::cout, cfg, m);
         if (stats)
             return 0;

@@ -26,14 +26,13 @@ main(int argc, char **argv)
     cfg.traveller.style = CacheStyle::TravellerSramTags;
     cfg.traveller.campCount = flags.getUint32("camps", 3);
     cfg.traveller.skewedMapping = !flags.getBool("identical", false);
+    const Addr addr = blockAlign(flags.getUint("addr", 0x96012ec0ull));
+    flags.rejectUnread();
     cfg.validate();
 
     Topology topo(cfg);
     AddressMap amap(cfg);
     CampMapping camps(cfg, topo, amap);
-
-    Addr addr = flags.getUint("addr", 0x96012ec0ull);
-    addr = blockAlign(addr);
 
     CandidateList cl;
     camps.candidates(addr, cl);

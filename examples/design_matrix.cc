@@ -5,14 +5,17 @@
  * remote-access/load-balance tradeoff the paper studies.
  *
  * Usage: design_matrix [--workload=pr] [--scale=13] [--verify=true]
- *                      [--design=H|B|Sm|Sl|Sh|C|O]
+ *                      [--sim-seed=N]
+ *                      [--design=H|B|Sm|Sl|Sh|C|O|HLB|HLB-mig]
  *                      [--trace-out=trace.json] [--stats-interval=N]
  *                      [--stats-out=stats.txt] [--mem-backend=meter|ddr]
  *                      [--assert-shape]
  *
  * --design restricts the matrix to one Table-2 row (quick iteration on
  * a single design); the speedup column needs the B baseline and prints
- * "-" when B is filtered out.
+ * "-" when B is filtered out. --sim-seed seeds the simulator, as in
+ * abndp_sim, and the input keeps abndp_sim's default seed, so one row
+ * reproduces abndp_sim's run of that design.
  *
  * --assert-shape exits nonzero unless the paper's Table-2 ordering
  * holds: O fastest of the classic NDP designs, the load-balanced
@@ -45,9 +48,7 @@ main(int argc, char **argv)
     spec.edgeFactor = flags.getUint32("edge-factor", 16);
 
     SystemConfig base;
-    base.seed = flags.getUint("seed", 1);
-
-    RunFlags run = parseRunFlags(flags, /*threadsDefault=*/1);
+    base.seed = flags.getUint("sim-seed", base.seed);
 
     ExperimentOptions opts;
     opts.verify = flags.getBool("verify", true);
@@ -62,6 +63,12 @@ main(int argc, char **argv)
                   "--design=", only);
         designs = {designFromName(only)};
     }
+    std::vector<SystemConfig> cellBases;
+    for (Design d : designs) {
+        cellBases.push_back(base);
+        applyRunFlags(flags, cellBases.back(), designName(d));
+    }
+    flags.rejectUnread();
 
     std::cout << "Workload: " << spec.name << " (scale " << spec.scale
               << ", edge factor " << spec.edgeFactor << ")\n\n";
@@ -73,10 +80,9 @@ main(int argc, char **argv)
 
     double baseTicks = 0.0;
     std::map<Design, std::uint64_t> ticksOf;
-    for (Design d : designs) {
-        SystemConfig cellBase = base;
-        applyRunFlags(run, cellBase, designName(d));
-        RunMetrics m = runExperiment(cellBase, d, spec, opts);
+    for (std::size_t i = 0; i < designs.size(); ++i) {
+        const Design d = designs[i];
+        RunMetrics m = runExperiment(cellBases[i], d, spec, opts);
         ticksOf[d] = m.ticks;
         if (d == Design::B)
             baseTicks = static_cast<double>(m.ticks);

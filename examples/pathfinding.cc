@@ -31,6 +31,7 @@ main(int argc, char **argv)
     params.edgeFactor = 16;
     params.undirected = true;
     auto queries = flags.getUint32("queries", 16);
+    flags.rejectUnread();
 
     std::cout << "Batch pathfinding: " << queries
               << " concurrent ALT-A* queries over a 2^" << params.scale

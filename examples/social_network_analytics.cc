@@ -34,6 +34,7 @@ main(int argc, char **argv)
     params.edgeFactor = flags.getUint32("edge-factor", 16);
     params.seed = flags.getUint("seed", 2026);
     params.undirected = false;
+    flags.rejectUnread();
 
     std::cout << "Generating a power-law social graph (2^" << params.scale
               << " users)...\n";

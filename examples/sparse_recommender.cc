@@ -49,6 +49,7 @@ main(int argc, char **argv)
     CliFlags flags(argc, argv);
     std::uint32_t scale = flags.getUint32("scale", 13);
     std::uint32_t layers = flags.getUint32("layers", 2);
+    flags.rejectUnread();
 
     RmatParams interactions;
     interactions.scale = scale;

@@ -12,7 +12,8 @@
  *         [--trace-out=trace.json] [--stats-interval=N] \
  *         [--stats-out=stats.txt] [--mem-backend=meter|ddr]
  *
- * With --trace-out / --stats-out every cell writes its own file, the
+ * The run flags (driver/run_flags.hh) apply to every cell. With
+ * --trace-out / --stats-out every cell writes its own file, the
  * workload and design tags inserted before the extension
  * (trace.json -> trace.pr.O.json).
  */
@@ -58,7 +59,8 @@ main(int argc, char **argv)
     auto workloads =
         splitList(flags.getString("workloads", "pr,bfs,gcn,spmv"));
     auto designNames = splitList(flags.getString("designs", "B,Sl,O"));
-    RunFlags run = parseRunFlags(flags);
+    const std::uint32_t threads =
+        flags.getUint32("threads", defaultThreads());
     bool verify = flags.getBool("verify", false);
     std::string outPath = flags.getString("out", "");
 
@@ -76,16 +78,13 @@ main(int argc, char **argv)
             cell.workload.name = wl;
             cell.opts.verify = verify;
             cell.opts.fatalOnVerifyFailure = true;
-            if (run.anyOutput()) {
-                // Per-cell output files via the config-override path.
-                SystemConfig cfg;
-                applyRunFlags(run, cfg, wl + "." + dn,
-                              /*multiCell=*/true);
-                cell.config = cfg;
-            }
+            cell.config.emplace();
+            applyRunFlags(flags, *cell.config, wl + "." + dn,
+                          /*multiCell=*/true);
             cells.push_back(cell);
         }
     }
+    flags.rejectUnread();
 
     auto progress = [&](std::size_t done, std::size_t total,
                         std::size_t idx) {
@@ -94,7 +93,7 @@ main(int argc, char **argv)
                   << designName(cells[idx].design) << "\n";
     };
     std::vector<RunMetrics> results =
-        runCells(SystemConfig{}, cells, run.threads, progress);
+        runCells(SystemConfig{}, cells, threads, progress);
 
     std::ofstream file;
     std::ostream *os = &std::cout;
@@ -105,7 +104,7 @@ main(int argc, char **argv)
         os = &file;
     }
     for (std::size_t i = 0; i < cells.size(); ++i) {
-        SystemConfig cfg = applyDesign(SystemConfig{}, cells[i].design);
+        SystemConfig cfg = applyDesign(*cells[i].config, cells[i].design);
         *os << "{\"workload\":\"" << cells[i].workload.name
             << "\",\"design\":\"" << designName(cells[i].design)
             << "\",\"metrics\":";

@@ -26,12 +26,6 @@ namespace check
 namespace
 {
 
-std::string
-fmtU64(std::uint64_t v)
-{
-    return std::to_string(v);
-}
-
 /** How a repro value's parse errors name its key. */
 std::string
 reproKey(const char *key)
@@ -78,71 +72,6 @@ parseBool(const std::string &v)
     return false;
 }
 
-const char *
-replName(ReplPolicy p)
-{
-    switch (p) {
-      case ReplPolicy::Lru: return "lru";
-      case ReplPolicy::Random: return "random";
-      case ReplPolicy::Fifo: return "fifo";
-    }
-    return "lru";
-}
-
-ReplPolicy
-replFromName(const std::string &v)
-{
-    if (v == "lru")
-        return ReplPolicy::Lru;
-    if (v == "random")
-        return ReplPolicy::Random;
-    if (v == "fifo")
-        return ReplPolicy::Fifo;
-    fatal("fuzz repro: bad replacement policy '", v, "'");
-    return ReplPolicy::Lru;
-}
-
-const char *
-topoName(IntraTopology t)
-{
-    return t == IntraTopology::Ring ? "ring" : "crossbar";
-}
-
-IntraTopology
-topoFromName(const std::string &v)
-{
-    if (v == "crossbar")
-        return IntraTopology::Crossbar;
-    if (v == "ring")
-        return IntraTopology::Ring;
-    fatal("fuzz repro: bad intra topology '", v, "'");
-    return IntraTopology::Crossbar;
-}
-
-const char *
-profileName(RateProfile p)
-{
-    switch (p) {
-      case RateProfile::Constant: return "constant";
-      case RateProfile::Bursty: return "bursty";
-      case RateProfile::Diurnal: return "diurnal";
-    }
-    return "constant";
-}
-
-RateProfile
-profileFromName(const std::string &v)
-{
-    if (v == "constant")
-        return RateProfile::Constant;
-    if (v == "bursty")
-        return RateProfile::Bursty;
-    if (v == "diurnal")
-        return RateProfile::Diurnal;
-    fatal("fuzz repro: bad rate profile '", v, "'");
-    return RateProfile::Constant;
-}
-
 /**
  * One mutable configuration knob: a dotted JSON key plus string
  * accessors. The table drives serialization and minimization, so a
@@ -159,7 +88,7 @@ struct Knob
 #define ABNDP_UINT_KNOB(key, field)                                     \
     { key,                                                              \
       [](const SystemConfig &c) {                                       \
-          return fmtU64(static_cast<std::uint64_t>(c.field));           \
+          return std::to_string(static_cast<std::uint64_t>(c.field));   \
       },                                                                \
       [](SystemConfig &c, const std::string &v) {                       \
           c.field = parseUintKnob<decltype(c.field)>(key, v);           \
@@ -179,13 +108,14 @@ struct Knob
           c.field = parseBool(v);                                       \
       } }
 
-#define ABNDP_REPL_KNOB(key, field)                                     \
+/** A named-choice knob, spelled through its enum's name table. */
+#define ABNDP_ENUM_KNOB(key, field)                                     \
     { key,                                                              \
       [](const SystemConfig &c) {                                       \
-          return std::string(replName(c.field));                        \
+          return std::string(nameOf(c.field));                          \
       },                                                                \
       [](SystemConfig &c, const std::string &v) {                       \
-          c.field = replFromName(v);                                    \
+          c.field = fromName<decltype(c.field)>(v);                     \
       } }
 
 const std::vector<Knob> &
@@ -200,7 +130,7 @@ knobTable()
         ABNDP_UINT_KNOB("memBytesPerUnit", memBytesPerUnit),
         ABNDP_UINT_KNOB("l1d.sizeBytes", l1d.sizeBytes),
         ABNDP_UINT_KNOB("l1d.assoc", l1d.assoc),
-        ABNDP_REPL_KNOB("l1d.repl", l1d.repl),
+        ABNDP_ENUM_KNOB("l1d.repl", l1d.repl),
         ABNDP_UINT_KNOB("prefetchBufBytes", prefetchBufBytes),
         ABNDP_UINT_KNOB("tlb.entries", tlb.entries),
         ABNDP_BOOL_KNOB("tlb.enabled", tlb.enabled),
@@ -212,44 +142,20 @@ knobTable()
         ABNDP_DOUBLE_KNOB("dram.tRcdNs", dram.tRcdNs),
         ABNDP_DOUBLE_KNOB("dram.tRpNs", dram.tRpNs),
         ABNDP_BOOL_KNOB("dram.refreshEnabled", dram.refreshEnabled),
-        { "dram.backend",
-          [](const SystemConfig &c) {
-              return std::string(memBackendName(c.dram.backend));
-          },
-          [](SystemConfig &c, const std::string &v) {
-              c.dram.backend = memBackendFromName(v);
-          } },
-        { "dram.pagePolicy",
-          [](const SystemConfig &c) {
-              return std::string(pagePolicyName(c.dram.pagePolicy));
-          },
-          [](SystemConfig &c, const std::string &v) {
-              c.dram.pagePolicy = pagePolicyFromName(v);
-          } },
-        { "dram.addrMap",
-          [](const SystemConfig &c) {
-              return std::string(dramAddrMapName(c.dram.addrMap));
-          },
-          [](SystemConfig &c, const std::string &v) {
-              c.dram.addrMap = dramAddrMapFromName(v);
-          } },
+        ABNDP_ENUM_KNOB("dram.backend", dram.backend),
+        ABNDP_ENUM_KNOB("dram.pagePolicy", dram.pagePolicy),
+        ABNDP_ENUM_KNOB("dram.addrMap", dram.addrMap),
         ABNDP_UINT_KNOB("dram.bankGroups", dram.bankGroups),
         ABNDP_UINT_KNOB("dram.burstBytes", dram.burstBytes),
         ABNDP_DOUBLE_KNOB("dram.tRasNs", dram.tRasNs),
         ABNDP_DOUBLE_KNOB("dram.tWrNs", dram.tWrNs),
         ABNDP_DOUBLE_KNOB("dram.tFawNs", dram.tFawNs),
-        { "net.intraTopology",
-          [](const SystemConfig &c) {
-              return std::string(topoName(c.net.intraTopology));
-          },
-          [](SystemConfig &c, const std::string &v) {
-              c.net.intraTopology = topoFromName(v);
-          } },
+        ABNDP_ENUM_KNOB("net.intraTopology", net.intraTopology),
         ABNDP_UINT_KNOB("traveller.ratioDenom", traveller.ratioDenom),
         ABNDP_UINT_KNOB("traveller.assoc", traveller.assoc),
         ABNDP_UINT_KNOB("traveller.campCount", traveller.campCount),
         ABNDP_DOUBLE_KNOB("traveller.bypassProb", traveller.bypassProb),
-        ABNDP_REPL_KNOB("traveller.repl", traveller.repl),
+        ABNDP_ENUM_KNOB("traveller.repl", traveller.repl),
         ABNDP_BOOL_KNOB("traveller.skewedMapping",
                         traveller.skewedMapping),
         ABNDP_UINT_KNOB("sched.prefetchWindow", sched.prefetchWindow),
@@ -262,20 +168,8 @@ knobTable()
                         sched.exchangeIntervalCycles),
         ABNDP_BOOL_KNOB("sched.exhaustiveScoring",
                         sched.exhaustiveScoring),
-        { "lb.intraTier",
-          [](const SystemConfig &c) {
-              return std::string(lbTierName(c.lb.intraTier));
-          },
-          [](SystemConfig &c, const std::string &v) {
-              c.lb.intraTier = lbTierFromName(v);
-          } },
-        { "lb.interTier",
-          [](const SystemConfig &c) {
-              return std::string(lbTierName(c.lb.interTier));
-          },
-          [](SystemConfig &c, const std::string &v) {
-              c.lb.interTier = lbTierFromName(v);
-          } },
+        ABNDP_ENUM_KNOB("lb.intraTier", lb.intraTier),
+        ABNDP_ENUM_KNOB("lb.interTier", lb.interTier),
         ABNDP_UINT_KNOB("lb.hotK", lb.hotK),
         ABNDP_UINT_KNOB("lb.decayShift", lb.decayShift),
         ABNDP_UINT_KNOB("lb.idleThreshold", lb.idleThreshold),
@@ -301,13 +195,7 @@ knobTable()
                         fault.unitFailure.maxRedispatch),
         ABNDP_UINT_KNOB("serving.requests", serving.requests),
         ABNDP_DOUBLE_KNOB("serving.ratePerUs", serving.ratePerUs),
-        { "serving.profile",
-          [](const SystemConfig &c) {
-              return std::string(profileName(c.serving.profile));
-          },
-          [](SystemConfig &c, const std::string &v) {
-              c.serving.profile = profileFromName(v);
-          } },
+        ABNDP_ENUM_KNOB("serving.profile", serving.profile),
         ABNDP_DOUBLE_KNOB("serving.burstFactor", serving.burstFactor),
         ABNDP_DOUBLE_KNOB("serving.burstFraction",
                           serving.burstFraction),
@@ -330,16 +218,15 @@ knobTable()
 #undef ABNDP_UINT_KNOB
 #undef ABNDP_DOUBLE_KNOB
 #undef ABNDP_BOOL_KNOB
-#undef ABNDP_REPL_KNOB
+#undef ABNDP_ENUM_KNOB
 
-ReplPolicy
-drawRepl(Rng &rng)
+/** A uniform draw over the rows of E's name table, in table order. */
+template <typename E>
+E
+drawNamed(Rng &rng)
 {
-    switch (rng.below(3)) {
-      case 0: return ReplPolicy::Lru;
-      case 1: return ReplPolicy::Random;
-      default: return ReplPolicy::Fifo;
-    }
+    const auto rows = nameTable(E{}).rows;
+    return rows[rng.below(rows.size())].value;
 }
 
 void
@@ -382,7 +269,7 @@ sampleFuzzCase(Rng &rng)
 
     cfg.l1d.sizeBytes = 1ull << (14 + rng.below(3)); // 16..64 KB
     cfg.l1d.assoc = 2u << rng.below(2);
-    cfg.l1d.repl = drawRepl(rng);
+    cfg.l1d.repl = drawNamed<ReplPolicy>(rng);
     cfg.prefetchBufBytes = 1ull << (10 + rng.below(3)); // 1..4 KB
     cfg.tlb.entries = 32u << rng.below(2);
     cfg.tlb.enabled = rng.below(4) != 0;
@@ -400,16 +287,8 @@ sampleFuzzCase(Rng &rng)
     if (rng.below(3) == 0) {
         auto &d = cfg.dram;
         d.backend = MemBackendKind::Ddr;
-        switch (rng.below(3)) {
-          case 0: d.pagePolicy = PagePolicy::Open; break;
-          case 1: d.pagePolicy = PagePolicy::Close; break;
-          default: d.pagePolicy = PagePolicy::Adaptive; break;
-        }
-        switch (rng.below(3)) {
-          case 0: d.addrMap = DramAddrMapKind::RowBankColumn; break;
-          case 1: d.addrMap = DramAddrMapKind::RowColumnBank; break;
-          default: d.addrMap = DramAddrMapKind::BankRowColumn; break;
-        }
+        d.pagePolicy = drawNamed<PagePolicy>(rng);
+        d.addrMap = drawNamed<DramAddrMapKind>(rng);
         std::vector<std::uint32_t> groupDivisors;
         for (std::uint32_t g = 1; g <= d.banks; ++g)
             if (d.banks % g == 0)
@@ -421,8 +300,7 @@ sampleFuzzCase(Rng &rng)
         d.tFawNs = 10.0 * static_cast<double>(rng.below(5)); // 0 = off
     }
 
-    cfg.net.intraTopology = rng.below(2) ? IntraTopology::Ring
-                                         : IntraTopology::Crossbar;
+    cfg.net.intraTopology = drawNamed<IntraTopology>(rng);
 
     cfg.traveller.ratioDenom = 1ull << (5 + rng.below(2)); // 32 or 64
     cfg.traveller.assoc = 2u << rng.below(2);
@@ -436,7 +314,7 @@ sampleFuzzCase(Rng &rng)
     cfg.traveller.campCount =
         groupChoices[rng.below(groupChoices.size())] - 1;
     cfg.traveller.bypassProb = 0.2 * static_cast<double>(rng.below(4));
-    cfg.traveller.repl = drawRepl(rng);
+    cfg.traveller.repl = drawNamed<ReplPolicy>(rng);
     cfg.traveller.skewedMapping = rng.below(2) != 0;
 
     cfg.sched.prefetchWindow = 1 + static_cast<std::uint32_t>(rng.below(4));
@@ -514,11 +392,7 @@ sampleFuzzCase(Rng &rng)
         auto &sv = cfg.serving;
         sv.requests = 100ull << rng.below(3); // 100..400
         sv.ratePerUs = 1.0 + static_cast<double>(rng.below(4)); // 1..4
-        switch (rng.below(3)) {
-          case 0: sv.profile = RateProfile::Constant; break;
-          case 1: sv.profile = RateProfile::Bursty; break;
-          default: sv.profile = RateProfile::Diurnal; break;
-        }
+        sv.profile = drawNamed<RateProfile>(rng);
         sv.burstFactor = 2.0 * (1.0 + static_cast<double>(rng.below(2)));
         sv.burstFraction = 0.1 * (1.0 + static_cast<double>(rng.below(2)));
         sv.burstPeriodUs = 10.0 * (1.0 + static_cast<double>(rng.below(8)));

@@ -1,10 +1,12 @@
 #include "common/cli.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -33,24 +35,32 @@ CliFlags::parse(int argc, char **argv)
     }
 }
 
+const std::string *
+CliFlags::find(const std::string &name) const
+{
+    asked.insert(name);
+    auto it = flags.find(name);
+    return it == flags.end() ? nullptr : &it->second;
+}
+
 bool
 CliFlags::has(const std::string &name) const
 {
-    return flags.count(name) > 0;
+    return find(name) != nullptr;
 }
 
 std::string
 CliFlags::getString(const std::string &name, const std::string &defval) const
 {
-    auto it = flags.find(name);
-    return it == flags.end() ? defval : it->second;
+    const std::string *v = find(name);
+    return v ? *v : defval;
 }
 
 std::uint64_t
 CliFlags::getUint(const std::string &name, std::uint64_t defval) const
 {
-    auto it = flags.find(name);
-    return it == flags.end() ? defval : parseUint("--" + name, it->second);
+    const std::string *v = find(name);
+    return v ? parseUint("--" + name, *v) : defval;
 }
 
 std::uint32_t
@@ -76,23 +86,76 @@ CliFlags::getMebibytes(const std::string &name, std::uint64_t defMb) const
 double
 CliFlags::getDouble(const std::string &name, double defval) const
 {
-    auto it = flags.find(name);
-    return it == flags.end() ? defval
-                             : parseDouble("--" + name, it->second);
+    const std::string *v = find(name);
+    return v ? parseDouble("--" + name, *v) : defval;
 }
 
 bool
 CliFlags::getBool(const std::string &name, bool defval) const
 {
-    auto it = flags.find(name);
-    if (it == flags.end())
+    const std::string *p = find(name);
+    if (!p)
         return defval;
-    const std::string &v = it->second;
+    const std::string &v = *p;
     if (v == "true" || v == "1" || v == "yes" || v == "on")
         return true;
     if (v == "false" || v == "0" || v == "no" || v == "off")
         return false;
     fatal("bad boolean flag --", name, "=", v);
+}
+
+namespace
+{
+
+/** Levenshtein distance: the typo distance between two flag names. */
+std::size_t
+editDistance(const std::string &a, const std::string &b)
+{
+    std::vector<std::size_t> row(b.size() + 1);
+    for (std::size_t j = 0; j <= b.size(); ++j)
+        row[j] = j;
+    for (std::size_t i = 1; i <= a.size(); ++i) {
+        std::size_t diag = row[0];
+        row[0] = i;
+        for (std::size_t j = 1; j <= b.size(); ++j) {
+            const std::size_t up = row[j];
+            row[j] = std::min({row[j] + 1, row[j - 1] + 1,
+                               diag + (a[i - 1] != b[j - 1])});
+            diag = up;
+        }
+    }
+    return row[b.size()];
+}
+
+} // namespace
+
+void
+CliFlags::rejectUnread() const
+{
+    if (!args.empty())
+        fatal("unexpected argument '", args.front(),
+              "' (flags are spelled --name=value)");
+    std::string unread;
+    for (const auto &[name, value] : flags) {
+        if (asked.contains(name))
+            continue;
+        unread += (unread.empty() ? "" : "; ") + ("unknown flag --" + name);
+        // Fewest edits wins; on a tie, a name that contains the unread
+        // one (--seed points to --sim-seed, not to --scale).
+        auto rank = [&name](const std::string &a) {
+            return std::pair(editDistance(name, a),
+                             a.find(name) == std::string::npos);
+        };
+        auto nearest = std::min_element(
+            asked.begin(), asked.end(),
+            [&rank](const std::string &a, const std::string &b) {
+                return rank(a) < rank(b);
+            });
+        if (nearest != asked.end())
+            unread += " (nearest flag: --" + *nearest + ")";
+    }
+    if (!unread.empty())
+        fatal(unread);
 }
 
 std::uint64_t

@@ -1,7 +1,9 @@
 /**
  * @file
  * Minimal command-line flag parser used by the benchmark and example
- * binaries. Supports "--name=value" and "--name value" forms.
+ * binaries. Supports "--name=value" and "--name value" forms. Every
+ * accessor records the name it asks for, so a binary can refuse the
+ * flags it never read (rejectUnread) instead of running without them.
  */
 
 #ifndef ABNDP_COMMON_CLI_HH
@@ -9,6 +11,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -22,9 +25,10 @@ class CliFlags
     CliFlags() = default;
     CliFlags(int argc, char **argv) { parse(argc, argv); }
 
-    /** Parse argv; unknown flags are collected, positionals kept aside. */
+    /** Parse argv; every flag is kept, positionals aside. */
     void parse(int argc, char **argv);
 
+    /** Whether the flag was given; counts as reading it. */
     bool has(const std::string &name) const;
 
     std::string getString(const std::string &name,
@@ -52,9 +56,23 @@ class CliFlags
 
     const std::vector<std::string> &positional() const { return args; }
 
+    /**
+     * fatal() on the first positional argument, or on every flag that
+     * no accessor (has() included) asked for, naming each with the
+     * nearest name that was asked for. A binary calls it after its
+     * last read and before its first run, so a misspelled or unknown
+     * flag exits 1 instead of running the default experiment.
+     */
+    void rejectUnread() const;
+
   private:
     std::map<std::string, std::string> flags;
     std::vector<std::string> args;
+    /** Every name an accessor asked for, given or not. */
+    mutable std::set<std::string> asked;
+
+    /** The flag's value, or nullptr if absent; records the read. */
+    const std::string *find(const std::string &name) const;
 };
 
 /**

@@ -41,71 +41,68 @@ cacheGeometryError(const CacheGeometry &geom, const char *name)
 
 } // namespace
 
-const char *
-memBackendName(MemBackendKind k)
+EnumNames<ReplPolicy>
+nameTable(ReplPolicy)
 {
-    switch (k) {
-      case MemBackendKind::Meter: return "meter";
-      case MemBackendKind::Ddr: return "ddr";
-    }
-    panic("unknown memory backend kind");
+    static const NameRow<ReplPolicy> rows[] = {
+        {ReplPolicy::Lru, "lru"},
+        {ReplPolicy::Random, "random"},
+        {ReplPolicy::Fifo, "fifo"},
+    };
+    return {"replacement policy", rows};
 }
 
-MemBackendKind
-memBackendFromName(const std::string &name)
+EnumNames<MemBackendKind>
+nameTable(MemBackendKind)
 {
-    if (name == "meter")
-        return MemBackendKind::Meter;
-    if (name == "ddr")
-        return MemBackendKind::Ddr;
-    fatal("unknown memory backend '", name, "' (valid: meter, ddr)");
+    static const NameRow<MemBackendKind> rows[] = {
+        {MemBackendKind::Meter, "meter"},
+        {MemBackendKind::Ddr, "ddr"},
+    };
+    return {"memory backend", rows};
 }
 
-const char *
-pagePolicyName(PagePolicy p)
+EnumNames<PagePolicy>
+nameTable(PagePolicy)
 {
-    switch (p) {
-      case PagePolicy::Open: return "open";
-      case PagePolicy::Close: return "close";
-      case PagePolicy::Adaptive: return "adaptive";
-    }
-    panic("unknown page policy");
+    static const NameRow<PagePolicy> rows[] = {
+        {PagePolicy::Open, "open"},
+        {PagePolicy::Close, "close"},
+        {PagePolicy::Adaptive, "adaptive"},
+    };
+    return {"page policy", rows};
 }
 
-PagePolicy
-pagePolicyFromName(const std::string &name)
+EnumNames<DramAddrMapKind>
+nameTable(DramAddrMapKind)
 {
-    if (name == "open")
-        return PagePolicy::Open;
-    if (name == "close")
-        return PagePolicy::Close;
-    if (name == "adaptive")
-        return PagePolicy::Adaptive;
-    fatal("unknown page policy '", name,
-          "' (valid: open, close, adaptive)");
+    static const NameRow<DramAddrMapKind> rows[] = {
+        {DramAddrMapKind::RowBankColumn, "rbc"},
+        {DramAddrMapKind::RowColumnBank, "rcb"},
+        {DramAddrMapKind::BankRowColumn, "brc"},
+    };
+    return {"dram address map", rows};
 }
 
-const char *
-dramAddrMapName(DramAddrMapKind k)
+EnumNames<IntraTopology>
+nameTable(IntraTopology)
 {
-    switch (k) {
-      case DramAddrMapKind::RowBankColumn: return "rbc";
-      case DramAddrMapKind::RowColumnBank: return "rcb";
-      case DramAddrMapKind::BankRowColumn: return "brc";
-    }
-    panic("unknown dram address map");
+    static const NameRow<IntraTopology> rows[] = {
+        {IntraTopology::Crossbar, "crossbar"},
+        {IntraTopology::Ring, "ring"},
+    };
+    return {"intra-stack topology", rows};
 }
 
-DramAddrMapKind
-dramAddrMapFromName(const std::string &name)
+EnumNames<RateProfile>
+nameTable(RateProfile)
 {
-    if (name == "rbc")
-        return DramAddrMapKind::RowBankColumn;
-    if (name == "rcb")
-        return DramAddrMapKind::RowColumnBank;
-    if (name == "brc")
-        return DramAddrMapKind::BankRowColumn;
-    fatal("unknown dram address map '", name, "' (valid: rbc, rcb, brc)");
+    static const NameRow<RateProfile> rows[] = {
+        {RateProfile::Constant, "constant"},
+        {RateProfile::Bursty, "bursty"},
+        {RateProfile::Diurnal, "diurnal"},
+    };
+    return {"rate profile", rows};
 }
 
 std::string
@@ -457,10 +454,10 @@ SystemConfig::print(std::ostream &os) const
     os << "DRAM channel    : " << dram.busBits << " bits; tCAS=tRCD=tRP="
        << dram.tCasNs << "ns; " << dram.pjPerBitRw << "pJ/bit RD/WR, "
        << dram.pjActPre << "pJ ACT/PRE\n";
-    os << "Memory backend  : " << memBackendName(dram.backend);
+    os << "Memory backend  : " << nameOf(dram.backend);
     if (dram.backend == MemBackendKind::Ddr)
-        os << " (" << pagePolicyName(dram.pagePolicy) << " page, "
-           << dramAddrMapName(dram.addrMap) << " map, " << dram.banks
+        os << " (" << nameOf(dram.pagePolicy) << " page, "
+           << nameOf(dram.addrMap) << " map, " << dram.banks
            << " banks / " << dram.bankGroups << " groups; tRAS="
            << dram.tRasNs << "ns, tWR=" << dram.tWrNs << "ns, tFAW="
            << dram.tFawNs << "ns)";
@@ -473,9 +470,8 @@ SystemConfig::print(std::ostream &os) const
         os << "Traveller Cache : 1/R=1/" << traveller.ratioDenom
            << " of local mem. capacity, " << traveller.assoc << "-way; C="
            << traveller.campCount << " camp loc.; "
-           << (traveller.repl == ReplPolicy::Random ? "random" : "LRU")
-           << " repl., " << static_cast<int>(traveller.bypassProb * 100)
-           << "% bypass\n";
+           << nameOf(traveller.repl) << " repl., "
+           << static_cast<int>(traveller.bypassProb * 100) << "% bypass\n";
     } else {
         os << "Traveller Cache : disabled\n";
     }
@@ -483,8 +479,8 @@ SystemConfig::print(std::ostream &os) const
        << "-cycle workload exchange interval; hybrid scheduling weight B="
        << sched.hybridAlpha << "*Dinter\n";
     if (lb.enabled) {
-        os << "Hierarchical LB : intra=" << lbTierName(lb.intraTier)
-           << ", inter=" << lbTierName(lb.interTier) << "; hotK="
+        os << "Hierarchical LB : intra=" << nameOf(lb.intraTier)
+           << ", inter=" << nameOf(lb.interTier) << "; hotK="
            << lb.hotK << ", decay>>" << lb.decayShift;
         if (lb.migration.enabled)
             os << "; migration (threshold=" << lb.migration.threshold
@@ -533,21 +529,74 @@ SystemConfig::print(std::ostream &os) const
     }
 }
 
+NameTable<DesignRow>
+nameTable(Design)
+{
+    constexpr CacheStyle none = CacheStyle::None;
+    constexpr CacheStyle trav = CacheStyle::TravellerSramTags;
+    static const DesignRow rows[] = {
+        {Design::H, "H", "local", false, none, false, false},
+        {Design::B, "B", "local", false, none, false, false},
+        {Design::Sm, "Sm", "memmatch", false, none, false, false},
+        {Design::Sl, "Sl", "memmatch", true, none, false, false},
+        {Design::Sh, "Sh", "hybrid", false, none, false, false},
+        {Design::C, "C", "memmatch", false, trav, false, false},
+        {Design::O, "O", "hybrid", false, trav, false, false},
+        {Design::Hlb, "HLB", "hybrid", false, trav, true, false},
+        {Design::HlbM, "HLB-mig", "hybrid", false, trav, true, true},
+    };
+    return {"design", rows};
+}
+
 const char *
 designName(Design d)
 {
-    switch (d) {
-      case Design::H: return "H";
-      case Design::B: return "B";
-      case Design::Sm: return "Sm";
-      case Design::Sl: return "Sl";
-      case Design::Sh: return "Sh";
-      case Design::C: return "C";
-      case Design::O: return "O";
-      case Design::Hlb: return "HLB";
-      case Design::HlbM: return "HLB-mig";
-    }
-    panic("unknown design");
+    return nameOf(d);
+}
+
+Design
+designFromName(const std::string &name)
+{
+    return fromName<Design>(name);
+}
+
+const std::vector<Design> &
+allDesigns()
+{
+    static const std::vector<Design> designs = [] {
+        std::vector<Design> v;
+        for (const DesignRow &row : nameTable(Design{}).rows)
+            v.push_back(row.value);
+        return v;
+    }();
+    return designs;
+}
+
+const std::vector<Design> &
+ndpDesigns()
+{
+    static const std::vector<Design> designs = [] {
+        std::vector<Design> v;
+        for (Design d : allDesigns())
+            if (d != Design::H)
+                v.push_back(d);
+        return v;
+    }();
+    return designs;
+}
+
+SystemConfig
+applyDesign(SystemConfig base, Design d)
+{
+    const DesignRow &row = rowOf(nameTable(d), d);
+    base.sched.policyName = row.policy;
+    base.sched.workStealing = row.workStealing;
+    base.traveller.style = row.cache;
+    base.lb.enabled = row.lb;
+    base.lb.migration.enabled = row.lb && row.migrate;
+    if (base.sched.autoAlpha)
+        base.sched.hybridAlpha = base.meshDiameter() / 2.0;
+    return base;
 }
 
 } // namespace abndp

@@ -11,7 +11,9 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <vector>
 
+#include "common/name_table.hh"
 #include "common/types.hh"
 #include "fault/fault_config.hh"
 #include "sched/lb/lb_config.hh"
@@ -51,6 +53,9 @@ enum class ReplPolicy
     Random,
     Fifo,
 };
+
+/** The replacement policies' names (common/name_table.hh). */
+EnumNames<ReplPolicy> nameTable(ReplPolicy);
 
 /** Geometry of a set-associative SRAM cache. */
 struct CacheGeometry
@@ -123,18 +128,19 @@ enum class DramAddrMapKind
     BankRowColumn,
 };
 
-/** Display name of a backend kind ("meter" / "ddr"). */
-const char *memBackendName(MemBackendKind k);
-/** Parse a backend name; fatal() on anything unknown. */
-MemBackendKind memBackendFromName(const std::string &name);
-/** Display name of a page policy ("open" / "close" / "adaptive"). */
-const char *pagePolicyName(PagePolicy p);
-/** Parse a page-policy name; fatal() on anything unknown. */
-PagePolicy pagePolicyFromName(const std::string &name);
-/** Display name of an address-map order ("rbc" / "rcb" / "brc"). */
-const char *dramAddrMapName(DramAddrMapKind k);
-/** Parse an address-map name; fatal() on anything unknown. */
-DramAddrMapKind dramAddrMapFromName(const std::string &name);
+/** The memory backends' names (common/name_table.hh). */
+EnumNames<MemBackendKind> nameTable(MemBackendKind);
+/** The page policies' names. */
+EnumNames<PagePolicy> nameTable(PagePolicy);
+/** The address-map orders' names. */
+EnumNames<DramAddrMapKind> nameTable(DramAddrMapKind);
+
+/** nameOf() of a backend kind, the name bench_e2e spells it by. */
+inline const char *
+memBackendName(MemBackendKind k)
+{
+    return nameOf(k);
+}
 
 /** DRAM channel timing/energy parameters (Table 1, HBM-like). */
 struct DramConfig
@@ -223,6 +229,9 @@ enum class IntraTopology
     /** Bidirectional ring: Dintra scales with ring distance. */
     Ring,
 };
+
+/** The intra-stack topologies' names (common/name_table.hh). */
+EnumNames<IntraTopology> nameTable(IntraTopology);
 
 /** Interconnect parameters (Table 1). */
 struct NetConfig
@@ -510,14 +519,50 @@ enum class Design
     HlbM, ///< Hlb + hotness-driven data re-homing (extension)
 };
 
-/** Short display name of a design ("B", "Sm", ...). */
+/** One design point: its name and its composition of Table 2's axes. */
+struct DesignRow
+{
+    Design value;
+    const char *name;
+    /** Registered scheduling policy (sched/policy_registry.hh). */
+    const char *policy;
+    /** Wrap the policy in the work-stealing decorator. */
+    bool workStealing;
+    /** Cache layer between the units and their DRAM homes. */
+    CacheStyle cache;
+    /** Arm the hierarchical load balancer (src/sched/lb). */
+    bool lb;
+    /** Arm hotness-driven data re-homing (only with @ref lb). */
+    bool migrate;
+};
+
+/**
+ * The design table (common/config.cc): Table 2 in allDesigns() order,
+ * then the two load-balancing rows. Every function below reads it.
+ */
+NameTable<DesignRow> nameTable(Design);
+
+/** Short display name of a design ("B", "Sm", ..., "HLB-mig"). */
 const char *designName(Design d);
 
 /**
- * Apply a Table-2 design point on top of a base configuration: the
- * enum-keyed alias of composeDesign(base, designName(d)). Defined next
- * to the design registry (src/sched/policy_registry.cc), which is the
- * one composition table.
+ * Parse a design name as printed by designName(); fatal() listing the
+ * valid names on anything else. Shared by every command-line front
+ * end.
+ */
+Design designFromName(const std::string &name);
+
+/** All designs: Table 2 (H, B, Sm, Sl, Sh, C, O) + HLB, HLB-mig. */
+const std::vector<Design> &allDesigns();
+
+/** The NDP designs (without the host-only H), incl. the HLB family. */
+const std::vector<Design> &ndpDesigns();
+
+/**
+ * Apply a design point on top of a base configuration: its row sets
+ * the scheduling policy (sched.policyName), work stealing, the cache
+ * style and the load-balancer switches, and alpha is re-derived from
+ * the mesh when sched.autoAlpha is on.
  */
 SystemConfig applyDesign(SystemConfig base, Design d);
 

@@ -22,8 +22,7 @@ runExperiment(const SystemConfig &base, Design d, const WorkloadSpec &spec,
     if (d == Design::H) {
         if (cfg.serving.enabled())
             fatal("design H cannot run serving mode: the open-loop "
-                  "driver lives in NdpSystem (pick an NDP design: B, "
-                  "Sm, Sl, Sh, C or O)");
+                  "driver lives in NdpSystem (pick any other design)");
         HostSystem host(cfg);
         metrics = host.run(*wl);
     } else {
@@ -41,16 +40,6 @@ runExperiment(const SystemConfig &base, Design d, const WorkloadSpec &spec,
     return metrics;
 }
 
-Design
-designFromName(const std::string &name)
-{
-    for (Design d : allDesigns())
-        if (name == designName(d))
-            return d;
-    fatal("unknown design '", name,
-          "' (expected H, B, Sm, Sl, Sh, C, O, HLB or HLB-mig)");
-}
-
 std::string
 designToken(Design d)
 {
@@ -59,24 +48,6 @@ designToken(Design d)
         if (c == '-')
             c = '_';
     return tok;
-}
-
-const std::vector<Design> &
-allDesigns()
-{
-    static const std::vector<Design> designs{
-        Design::H, Design::B, Design::Sm, Design::Sl,
-        Design::Sh, Design::C, Design::O, Design::Hlb, Design::HlbM};
-    return designs;
-}
-
-const std::vector<Design> &
-ndpDesigns()
-{
-    static const std::vector<Design> designs{
-        Design::B, Design::Sm, Design::Sl, Design::Sh,
-        Design::C, Design::O, Design::Hlb, Design::HlbM};
-    return designs;
 }
 
 } // namespace abndp

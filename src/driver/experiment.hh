@@ -10,7 +10,6 @@
 
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "common/config.hh"
 #include "core/metrics.hh"
@@ -50,25 +49,11 @@ RunMetrics runExperiment(const SystemConfig &base, Design d,
                          const ExperimentOptions &opts = {});
 
 /**
- * Parse a design name ("H", "B", "Sm", "Sl", "Sh", "C", "O", plus the
- * "HLB" / "HLB-mig" extensions) as printed by designName(); fatal()
- * with the valid set on anything else. Shared by every command-line
- * front end.
- */
-Design designFromName(const std::string &name);
-
-/**
  * designName() restricted to identifier characters ("HLB-mig" becomes
  * "HLB_mig"): gtest parameterized-test labels and similar contexts
  * reject '-'.
  */
 std::string designToken(Design d);
-
-/** All designs: Table 2 (H, B, Sm, Sl, Sh, C, O) + HLB, HLB-mig. */
-const std::vector<Design> &allDesigns();
-
-/** The NDP designs (without the host-only H), incl. the HLB family. */
-const std::vector<Design> &ndpDesigns();
 
 } // namespace abndp
 

@@ -1,16 +1,15 @@
 /**
  * @file
- * Shared run command-line flags. Every front end (examples, benches,
- * tools) understands the same set — --threads, --trace-out,
- * --stats-out, --stats-interval, --mem-backend — and applies them to
- * a SystemConfig the same way; this helper is the single copy of that
- * parsing and wiring (it used to be duplicated per driver).
+ * Shared run command-line flags. The front ends that run simulations
+ * from the command line (abndp_sim, design_matrix, sweep) understand
+ * the same set — --trace-out, --stats-out, --stats-interval,
+ * --mem-backend — and this helper is the one place that reads them
+ * and applies them to a SystemConfig.
  */
 
 #ifndef ABNDP_DRIVER_RUN_FLAGS_HH
 #define ABNDP_DRIVER_RUN_FLAGS_HH
 
-#include <cstdint>
 #include <string>
 
 #include "common/cli.hh"
@@ -19,49 +18,19 @@
 namespace abndp
 {
 
-/** Parsed values of the shared run-output flags. */
-struct RunFlags
-{
-    /** Worker threads for grid front ends (--threads). */
-    std::uint32_t threads = 1;
-    /** Perfetto trace JSON path ("" = tracing off; --trace-out). */
-    std::string traceOut;
-    /** Interval-stats output path ("" = stdout; --stats-out). */
-    std::string statsOut;
-    /** Interval-stats period in epochs (0 = off; --stats-interval). */
-    std::uint64_t statsInterval = 0;
-    /**
-     * Memory timing backend ("" = keep the config's default;
-     * --mem-backend=meter|ddr). Parsed through memBackendFromName, so
-     * an unknown name fatal()s with the valid set.
-     */
-    std::string memBackend;
-
-    /** True if any observability output was requested. */
-    bool
-    anyOutput() const
-    {
-        return !traceOut.empty() || !statsOut.empty() ||
-            statsInterval > 0;
-    }
-};
-
 /**
- * Parse the shared flags out of @p flags. @p threadsDefault seeds
- * --threads; 0 (the default) means defaultThreads(), single-run front
- * ends pass 1.
+ * Read the shared run flags from @p flags and apply them to @p cfg:
+ * --trace-out and --stats-out set the output paths, --stats-interval
+ * the interval-dump period, and --mem-backend=meter|ddr the memory
+ * timing backend (fromName, so an unknown name fatal()s with
+ * the valid set). An absent flag leaves @p cfg's value alone. A
+ * nonempty @p tag is inserted into the output file names (tagPath), so
+ * multi-run front ends give every cell its own file. @p multiCell
+ * declares that several cells may run concurrently: interval stats
+ * then require --stats-out (fatal() otherwise), because per-cell
+ * interval dumps cannot share stdout.
  */
-RunFlags parseRunFlags(const CliFlags &flags,
-                       std::uint32_t threadsDefault = 0);
-
-/**
- * Wire @p rf into @p cfg. A nonempty @p tag is inserted into the
- * output file names (tagPath), so multi-run front ends give every
- * cell its own file. @p multiCell declares that several cells may run
- * concurrently: interval stats then require --stats-out (fatal()
- * otherwise), because per-cell interval dumps cannot share stdout.
- */
-void applyRunFlags(const RunFlags &rf, SystemConfig &cfg,
+void applyRunFlags(const CliFlags &flags, SystemConfig &cfg,
                    const std::string &tag = "", bool multiCell = false);
 
 } // namespace abndp

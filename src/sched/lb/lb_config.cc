@@ -1,39 +1,18 @@
 #include "sched/lb/lb_config.hh"
 
-#include "common/logging.hh"
-
 namespace abndp
 {
 
-const char *
-lbTierName(LbTierKind k)
+EnumNames<LbTierKind>
+nameTable(LbTierKind)
 {
-    switch (k) {
-      case LbTierKind::None:
-        return "none";
-      case LbTierKind::Stealing:
-        return "stealing";
-      case LbTierKind::Average:
-        return "average";
-      case LbTierKind::Reserve:
-        return "reserve";
-    }
-    panic("unreachable lb tier kind");
-}
-
-LbTierKind
-lbTierFromName(const std::string &name)
-{
-    if (name == "none")
-        return LbTierKind::None;
-    if (name == "stealing")
-        return LbTierKind::Stealing;
-    if (name == "average")
-        return LbTierKind::Average;
-    if (name == "reserve")
-        return LbTierKind::Reserve;
-    fatal("unknown lb tier '", name,
-          "' (expected none|stealing|average|reserve)");
+    static const NameRow<LbTierKind> rows[] = {
+        {LbTierKind::None, "none"},
+        {LbTierKind::Stealing, "stealing"},
+        {LbTierKind::Average, "average"},
+        {LbTierKind::Reserve, "reserve"},
+    };
+    return {"lb tier", rows};
 }
 
 } // namespace abndp

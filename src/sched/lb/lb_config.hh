@@ -15,7 +15,8 @@
 #define ABNDP_SCHED_LB_LB_CONFIG_HH
 
 #include <cstdint>
-#include <string>
+
+#include "common/name_table.hh"
 
 namespace abndp
 {
@@ -34,10 +35,8 @@ enum class LbTierKind
     Reserve,
 };
 
-/** Display name of a tier balancer ("none" / "stealing" / ...). */
-const char *lbTierName(LbTierKind k);
-/** Parse a tier balancer name; fatal() on anything unknown. */
-LbTierKind lbTierFromName(const std::string &name);
+/** The tier balancers' names (common/name_table.hh). */
+EnumNames<LbTierKind> nameTable(LbTierKind);
 
 /** Hotness-driven data re-homing (the `HLB-mig` design point). */
 struct LbMigrationConfig
@@ -56,10 +55,10 @@ struct LbMigrationConfig
 struct LbConfig
 {
     /**
-     * Master switch, set by applyDesign()/composeDesign() for the
-     * `HLB` family. When false, NdpSystem constructs no engine and
-     * every hook site is a single bool test, so classic designs stay
-     * bit-identical to their pre-HLB goldens.
+     * Master switch, set by applyDesign() for the `HLB` family.
+     * When false, NdpSystem constructs no engine and every hook site
+     * is a single bool test, so classic designs stay bit-identical to
+     * their pre-HLB goldens.
      */
     bool enabled = false;
     /** Balancer of the intra-stack (crossbar) tier. */

@@ -1,7 +1,6 @@
 #include "sched/policy_registry.hh"
 
 #include <map>
-#include <sstream>
 #include <utility>
 
 #include "common/logging.hh"
@@ -16,7 +15,7 @@ namespace abndp
 namespace
 {
 
-// Function-local statics: the registries are usable from static
+// A function-local static: the registry is usable from static
 // initializers of other translation units regardless of link order.
 // The simulator itself is single-threaded per instance and policies
 // are registered at startup, so no locking is needed.
@@ -28,13 +27,6 @@ policyMap()
     return m;
 }
 
-std::map<std::string, DesignSpec> &
-designMap()
-{
-    static std::map<std::string, DesignSpec> m;
-    return m;
-}
-
 template <typename P>
 PolicyFactory
 simpleFactory()
@@ -42,7 +34,7 @@ simpleFactory()
     return [](const SystemConfig &) { return std::make_unique<P>(); };
 }
 
-/** Seed the built-in policies and Table-2 design points exactly once. */
+/** Seed the built-in policies exactly once. */
 void
 ensureBuiltins()
 {
@@ -50,40 +42,9 @@ ensureBuiltins()
         policyMap().emplace("local", simpleFactory<LocalPolicy>());
         policyMap().emplace("memmatch", simpleFactory<MemMatchPolicy>());
         policyMap().emplace("hybrid", simpleFactory<HybridPolicy>());
-
-        const CacheStyle trav = CacheStyle::TravellerSramTags;
-        designMap().emplace("H", DesignSpec{"local", false,
-                                            CacheStyle::None});
-        designMap().emplace("B", DesignSpec{"local", false,
-                                            CacheStyle::None});
-        designMap().emplace("Sm", DesignSpec{"memmatch", false,
-                                             CacheStyle::None});
-        designMap().emplace("Sl", DesignSpec{"memmatch", true,
-                                             CacheStyle::None});
-        designMap().emplace("Sh", DesignSpec{"hybrid", false,
-                                             CacheStyle::None});
-        designMap().emplace("C", DesignSpec{"memmatch", false, trav});
-        designMap().emplace("O", DesignSpec{"hybrid", false, trav});
-        designMap().emplace("HLB", DesignSpec{"hybrid", false, trav,
-                                              true, false});
-        designMap().emplace("HLB-mig", DesignSpec{"hybrid", false, trav,
-                                                  true, true});
         return true;
     }();
     (void)seeded;
-}
-
-template <typename Map>
-std::string
-knownNames(const Map &m)
-{
-    std::ostringstream oss;
-    bool first = true;
-    for (const auto &[name, value] : m) {
-        oss << (first ? "" : ", ") << name;
-        first = false;
-    }
-    return oss.str();
 }
 
 } // namespace
@@ -104,9 +65,13 @@ makeSchedulingPolicy(const std::string &name, const SystemConfig &cfg)
 {
     ensureBuiltins();
     auto it = policyMap().find(name);
-    if (it == policyMap().end())
+    if (it == policyMap().end()) {
+        std::string known;
+        for (const auto &[registered, factory] : policyMap())
+            known += (known.empty() ? "" : ", ") + registered;
         fatal("unknown scheduling policy '", name, "' (registered: ",
-              knownNames(policyMap()), ")");
+              known, ")");
+    }
     auto policy = it->second(cfg);
     abndp_assert(policy != nullptr,
                  "factory for scheduling policy ", name, " returned null");
@@ -125,17 +90,6 @@ makeConfiguredPolicy(const SystemConfig &cfg)
     return policy;
 }
 
-std::vector<std::string>
-registeredPolicyNames()
-{
-    ensureBuiltins();
-    std::vector<std::string> names;
-    names.reserve(policyMap().size());
-    for (const auto &[name, factory] : policyMap())
-        names.push_back(name);
-    return names;
-}
-
 const char *
 builtinPolicyName(SchedPolicy policy)
 {
@@ -145,51 +99,6 @@ builtinPolicyName(SchedPolicy policy)
       case SchedPolicy::Hybrid: return "hybrid";
     }
     panic("unknown SchedPolicy enumerator");
-}
-
-bool
-registerDesignPoint(const std::string &name, DesignSpec spec)
-{
-    ensureBuiltins();
-    bool replaced = designMap().count(name) > 0;
-    designMap()[name] = std::move(spec);
-    return replaced;
-}
-
-SystemConfig
-composeDesign(SystemConfig base, const std::string &name)
-{
-    ensureBuiltins();
-    auto it = designMap().find(name);
-    if (it == designMap().end())
-        fatal("unknown design point '", name, "' (registered: ",
-              knownNames(designMap()), ")");
-    const DesignSpec &spec = it->second;
-    base.sched.policyName = spec.schedPolicy;
-    base.sched.workStealing = spec.workStealing;
-    base.traveller.style = spec.cache;
-    base.lb.enabled = spec.lb;
-    base.lb.migration.enabled = spec.lb && spec.migrate;
-    if (base.sched.autoAlpha)
-        base.sched.hybridAlpha = base.meshDiameter() / 2.0;
-    return base;
-}
-
-SystemConfig
-applyDesign(SystemConfig base, Design d)
-{
-    return composeDesign(std::move(base), designName(d));
-}
-
-std::vector<std::string>
-registeredDesignPoints()
-{
-    ensureBuiltins();
-    std::vector<std::string> names;
-    names.reserve(designMap().size());
-    for (const auto &[name, spec] : designMap())
-        names.push_back(name);
-    return names;
 }
 
 } // namespace abndp

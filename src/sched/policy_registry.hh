@@ -1,23 +1,18 @@
 /**
  * @file
- * Registries for scheduling policies and design points.
+ * Registry of scheduling policies.
  *
- * A scheduling policy registers under a name; a *design point* is a
- * named (policy, work stealing, cache layer) composition — exactly the
- * axes Table 2 varies. Registering both from one translation unit is
- * all it takes to make a new design runnable:
+ * A scheduling policy registers under a name, from any translation
+ * unit, and a configuration picks it through sched.policyName:
  *
  *     registerSchedulingPolicy("mine", [](const SystemConfig &) {
  *         return std::make_unique<MyPolicy>();
  *     });
- *     registerDesignPoint("M", {"mine", false, CacheStyle::None});
- *     SystemConfig cfg = composeDesign(SystemConfig{}, "M");
+ *     cfg.sched.policyName = "mine";
  *
- * The built-in policies ("local", "memmatch", "hybrid") and the Table-2
- * design points (B, Sm, Sl, Sh, C, O, the host-only H, and the HLB /
- * HLB-mig extension rows) are seeded on first use, so composeDesign()
- * also understands the paper's names. This registry is the only design
- * table: applyDesign() (common/config.hh) is its enum-keyed alias.
+ * The built-in policies ("local", "memmatch", "hybrid") are seeded on
+ * first use. The design points of Table 2 name these policies in the
+ * design table (common/config.cc), which applyDesign() reads.
  */
 
 #ifndef ABNDP_SCHED_POLICY_REGISTRY_HH
@@ -26,7 +21,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/config.hh"
 #include "sched/scheduling_policy.hh"
@@ -58,43 +52,8 @@ makeSchedulingPolicy(const std::string &name, const SystemConfig &cfg);
 std::unique_ptr<SchedulingPolicy>
 makeConfiguredPolicy(const SystemConfig &cfg);
 
-/** Registered policy names, sorted (diagnostics and tests). */
-std::vector<std::string> registeredPolicyNames();
-
 /** Name of the built-in policy implementing @p policy. */
 const char *builtinPolicyName(SchedPolicy policy);
-
-/** One named composition of the (extended) Table-2 axes. */
-struct DesignSpec
-{
-    /** Registered scheduling-policy name. */
-    std::string schedPolicy = "local";
-    /** Compose the work-stealing decorator around the policy. */
-    bool workStealing = false;
-    /** Cache layer between the units and their DRAM homes. */
-    CacheStyle cache = CacheStyle::None;
-    /** Arm the hierarchical load balancer (src/sched/lb). */
-    bool lb = false;
-    /** Arm hotness-driven data re-homing (requires @ref lb). */
-    bool migrate = false;
-};
-
-/**
- * Register (or replace) a design point under @p name.
- * @return true if a previous registration was replaced.
- */
-bool registerDesignPoint(const std::string &name, DesignSpec spec);
-
-/**
- * Apply the design point registered as @p name on top of @p base;
- * fatal() if unknown. Sets cfg.sched.policyName (never the
- * SchedPolicy enum), so makeConfiguredPolicy() builds the registered
- * policy.
- */
-SystemConfig composeDesign(SystemConfig base, const std::string &name);
-
-/** Registered design-point names, sorted (diagnostics and tests). */
-std::vector<std::string> registeredDesignPoints();
 
 } // namespace abndp
 

@@ -16,6 +16,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/name_table.hh"
+
 namespace abndp
 {
 
@@ -29,6 +31,9 @@ enum class RateProfile
     /** Sinusoidal modulation with diurnalDepth around the mean. */
     Diurnal,
 };
+
+/** The rate profiles' names (common/name_table.hh). */
+EnumNames<RateProfile> nameTable(RateProfile);
 
 /** Open-loop request-stream parameters (see docs/ARCHITECTURE.md). */
 struct ServingConfig

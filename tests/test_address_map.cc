@@ -158,7 +158,7 @@ TEST(DramAddrMap, AllOrdersCoverAllBanks)
             ASSERT_LT(c.bank, 8u);
             seen |= 1ull << c.bank;
         }
-        EXPECT_EQ(seen, 0xffull) << dramAddrMapName(kind);
+        EXPECT_EQ(seen, 0xffull) << nameOf(kind);
     }
 }
 

@@ -165,6 +165,46 @@ TEST(Cli, CollectsPositionals)
     EXPECT_EQ(f.positional()[1], "file2");
 }
 
+TEST(Cli, RejectUnreadPassesWhenEveryFlagWasRead)
+{
+    auto f = parse({"--scale=10", "--verify", "--trace-out=t.json"});
+    EXPECT_EQ(f.getUint("scale", 13), 10u);
+    EXPECT_TRUE(f.getBool("verify", false));
+    // has() counts as a read, and so does asking for an absent flag.
+    EXPECT_TRUE(f.has("trace-out"));
+    EXPECT_FALSE(f.has("stats-out"));
+    f.rejectUnread();
+}
+
+TEST(CliDeath, RejectUnreadNamesEveryUnreadFlagAndItsNearestName)
+{
+    // The typo run: both misspellings are named, each with the read
+    // flag closest to it.
+    auto f = parse({"--scale=10", "--stael-batch=4", "--camsp=9"});
+    f.getUint("scale", 13);
+    f.getUint("steal-batch", 8);
+    f.getUint("camps", 3);
+    EXPECT_EXIT(f.rejectUnread(), ::testing::ExitedWithCode(1),
+                "fatal: unknown flag --camsp \\(nearest flag: --camps\\); "
+                "unknown flag --stael-batch \\(nearest flag: "
+                "--steal-batch\\)");
+
+    // A tie goes to the name that contains the unread one.
+    auto g = parse({"--seed=7"});
+    g.getUint("scale", 13);
+    g.getUint("sim-seed", 1);
+    EXPECT_EXIT(g.rejectUnread(), ::testing::ExitedWithCode(1),
+                "fatal: unknown flag --seed \\(nearest flag: --sim-seed\\)");
+}
+
+TEST(CliDeath, RejectUnreadRefusesPositionalArguments)
+{
+    auto f = parse({"--x=1", "file1"});
+    f.getUint("x", 0);
+    EXPECT_EXIT(f.rejectUnread(), ::testing::ExitedWithCode(1),
+                "fatal: unexpected argument 'file1'");
+}
+
 TEST(Table, AlignsColumns)
 {
     TextTable t({"name", "value"});

@@ -118,6 +118,43 @@ TEST(Config, DesignNames)
     EXPECT_STREQ(designName(Design::Sh), "Sh");
     EXPECT_STREQ(designName(Design::C), "C");
     EXPECT_STREQ(designName(Design::O), "O");
+    EXPECT_STREQ(designName(Design::Hlb), "HLB");
+    EXPECT_STREQ(designName(Design::HlbM), "HLB-mig");
+    for (Design d : allDesigns())
+        EXPECT_EQ(designFromName(designName(d)), d);
+    EXPECT_EQ(allDesigns().size(), ndpDesigns().size() + 1);
+    EXPECT_EQ(allDesigns().front(), Design::H);
+}
+
+TEST(Config, NameTablesRoundTrip)
+{
+    for (auto v : {ReplPolicy::Lru, ReplPolicy::Random, ReplPolicy::Fifo})
+        EXPECT_EQ(fromName<ReplPolicy>(nameOf(v)), v);
+    for (auto v : {MemBackendKind::Meter, MemBackendKind::Ddr})
+        EXPECT_EQ(fromName<MemBackendKind>(nameOf(v)), v);
+    for (auto v : {PagePolicy::Open, PagePolicy::Close,
+                   PagePolicy::Adaptive})
+        EXPECT_EQ(fromName<PagePolicy>(nameOf(v)), v);
+    for (auto v : {DramAddrMapKind::RowBankColumn,
+                   DramAddrMapKind::RowColumnBank,
+                   DramAddrMapKind::BankRowColumn})
+        EXPECT_EQ(fromName<DramAddrMapKind>(nameOf(v)), v);
+    for (auto v : {IntraTopology::Crossbar, IntraTopology::Ring})
+        EXPECT_EQ(fromName<IntraTopology>(nameOf(v)), v);
+    for (auto v : {RateProfile::Constant, RateProfile::Bursty,
+                   RateProfile::Diurnal})
+        EXPECT_EQ(fromName<RateProfile>(nameOf(v)), v);
+    for (auto v : {LbTierKind::None, LbTierKind::Stealing,
+                   LbTierKind::Average, LbTierKind::Reserve})
+        EXPECT_EQ(fromName<LbTierKind>(nameOf(v)), v);
+    // Repro files and --mem-backend spell these; they must not move.
+    EXPECT_STREQ(nameOf(MemBackendKind::Ddr), "ddr");
+    EXPECT_STREQ(nameOf(DramAddrMapKind::RowColumnBank), "rcb");
+    EXPECT_STREQ(nameOf(IntraTopology::Crossbar), "crossbar");
+    EXPECT_STREQ(nameOf(RateProfile::Bursty), "bursty");
+    EXPECT_STREQ(nameOf(ReplPolicy::Lru), "lru");
+    EXPECT_STREQ(nameOf(LbTierKind::Stealing), "stealing");
+    EXPECT_STREQ(nameOf(PagePolicy::Adaptive), "adaptive");
 }
 
 TEST(Config, PrintMentionsKeyParameters)

@@ -64,14 +64,28 @@ TEST(ConfigValidateDeath, NdpSystemRefusesABrokenConfig)
 
 TEST(ConfigValidateDeath, RejectsUnknownBackendNames)
 {
-    EXPECT_DEATH(memBackendFromName("hbm3"), "unknown memory backend");
-    EXPECT_DEATH(pagePolicyFromName("lazy"), "unknown page policy");
-    EXPECT_DEATH(dramAddrMapFromName("rbx"), "unknown dram address map");
+    EXPECT_DEATH(fromName<MemBackendKind>("hbm3"), "unknown memory backend");
+    EXPECT_DEATH(fromName<PagePolicy>("lazy"), "unknown page policy");
+    EXPECT_DEATH(fromName<DramAddrMapKind>("rbx"), "unknown dram address map");
 }
 
 TEST(ConfigValidateDeath, RejectsUnknownLbTierNames)
 {
-    EXPECT_DEATH(lbTierFromName("bogus"), "unknown lb tier");
+    EXPECT_DEATH(fromName<LbTierKind>("bogus"), "unknown lb tier");
+}
+
+TEST(ConfigValidateDeath, UnknownNamesListTheirTable)
+{
+    EXPECT_DEATH(designFromName("X"), "unknown design 'X' \\(valid: H, B, "
+                 "Sm, Sl, Sh, C, O, HLB, HLB-mig\\)");
+    EXPECT_DEATH(fromName<ReplPolicy>("mru"), "unknown replacement policy "
+                 "'mru' \\(valid: lru, random, fifo\\)");
+    EXPECT_DEATH(fromName<IntraTopology>("rign"), "unknown intra-stack "
+                 "topology 'rign' \\(valid: crossbar, ring\\)");
+    EXPECT_DEATH(fromName<RateProfile>("spiky"), "unknown rate profile "
+                 "'spiky' \\(valid: constant, bursty, diurnal\\)");
+    EXPECT_DEATH(fromName<LbTierKind>("bogus"),
+                 "\\(valid: none, stealing, average, reserve\\)");
 }
 
 TEST(ConfigValidateDeath, UnknownDesignPanics)

@@ -106,8 +106,9 @@ TEST_P(SetAssocDifferential, LockStepAgainstReference)
             opt.invalidateAll();
             ref.invalidateAll();
         }
-        if (i % 512 == 0)
+        if (i % 512 == 0) {
             ASSERT_EQ(opt.occupancy(), ref.occupancy()) << "op " << i;
+        }
     }
     EXPECT_EQ(opt.hits(), ref.hits());
     EXPECT_EQ(opt.misses(), ref.misses());
@@ -173,8 +174,9 @@ TEST_P(TravellerDifferential, LockStepAgainstReference)
             opt.bulkInvalidate();
             ref.bulkInvalidate();
         }
-        if (i % 512 == 0)
+        if (i % 512 == 0) {
             ASSERT_EQ(opt.occupancy(), ref.occupancy()) << "op " << i;
+        }
     }
     EXPECT_EQ(opt.hits(), ref.hits());
     EXPECT_EQ(opt.misses(), ref.misses());
@@ -329,10 +331,11 @@ sparseRefreshes(FencedMeterPair &m, Rng &gen, Tick &now, int windows)
         const Tick end = now + kWindowBuckets * m.width;
         for (; next < end; next += 14 * m.width + gen.below(2 * m.width)) {
             ASSERT_NO_FATAL_FAILURE(m.reserve(next, refresh));
-            if (gen.below(3) == 0)
+            if (gen.below(3) == 0) {
                 ASSERT_NO_FATAL_FAILURE(
                     m.reserve(next + gen.below(8 * m.width),
                               5 * ticksPerNs + gen.below(40 * ticksPerNs)));
+            }
         }
         now = end;
         ASSERT_NO_FATAL_FAILURE(m.fenceAt(now));

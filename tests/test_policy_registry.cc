@@ -1,14 +1,13 @@
 /**
  * @file
- * Tests for the scheduling-policy / design-point registries: builtin
- * seeding, name-based construction, and — the point of the exercise —
- * that a brand-new policy registered from this translation unit
- * composes into a runnable design without touching any core file.
+ * Tests for the scheduling-policy registry: name-based construction,
+ * and — the point of the exercise — that a brand-new policy registered
+ * from this translation unit runs by name without touching any core
+ * file.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
 
 #include "core/ndp_system.hh"
@@ -43,25 +42,7 @@ class AlwaysForwardPolicy : public SchedulingPolicy
     bool usesSchedulingWindow() const override { return true; }
 };
 
-bool
-contains(const std::vector<std::string> &names, const std::string &name)
-{
-    return std::find(names.begin(), names.end(), name) != names.end();
-}
-
 } // namespace
-
-TEST(PolicyRegistry, BuiltinsAreSeeded)
-{
-    auto policies = registeredPolicyNames();
-    EXPECT_TRUE(contains(policies, "local"));
-    EXPECT_TRUE(contains(policies, "memmatch"));
-    EXPECT_TRUE(contains(policies, "hybrid"));
-
-    auto designs = registeredDesignPoints();
-    for (const char *d : {"H", "B", "Sm", "Sl", "Sh", "C", "O"})
-        EXPECT_TRUE(contains(designs, d)) << d;
-}
 
 TEST(PolicyRegistry, MakeByNameAndBuiltinMapping)
 {
@@ -81,42 +62,19 @@ TEST(PolicyRegistryDeathTest, UnknownNamesAreFatal)
     SystemConfig cfg;
     EXPECT_DEATH((void)makeSchedulingPolicy("no-such-policy", cfg),
                  "unknown scheduling policy");
-    EXPECT_DEATH((void)composeDesign(cfg, "no-such-design"),
-                 "unknown design point");
-}
-
-TEST(PolicyRegistry, ComposeDesignMatchesApplyDesign)
-{
-    SystemConfig base;
-    for (const char *name : {"B", "Sm", "Sl", "Sh", "C", "O"}) {
-        SystemConfig byName = composeDesign(base, name);
-        SystemConfig byEnum = applyDesign(base, designFromName(name));
-        EXPECT_EQ(byName.sched.workStealing, byEnum.sched.workStealing)
-            << name;
-        EXPECT_EQ(byName.traveller.style, byEnum.traveller.style) << name;
-        EXPECT_DOUBLE_EQ(byName.sched.hybridAlpha,
-                         byEnum.sched.hybridAlpha) << name;
-        // The name route sets policyName; both must build the same
-        // policy object.
-        EXPECT_STREQ(makeConfiguredPolicy(byName)->name(),
-                     makeConfiguredPolicy(byEnum)->name()) << name;
-    }
 }
 
 TEST(PolicyRegistry, NewPolicyComposesIntoRunnableDesign)
 {
-    // Register a policy and a design point from this file only — no
-    // edits to the scheduler, config, or epoch engine — and run a
-    // workload under it.
+    // Register a policy from this file only — no edits to the
+    // scheduler, config, or epoch engine — pick it by name on top of a
+    // Table-2 design, and run a workload under it.
     registerSchedulingPolicy("always-forward", [](const SystemConfig &) {
         return std::make_unique<AlwaysForwardPolicy>();
     });
-    registerDesignPoint("AF",
-                        {"always-forward", false, CacheStyle::None});
-    EXPECT_TRUE(contains(registeredPolicyNames(), "always-forward"));
-    EXPECT_TRUE(contains(registeredDesignPoints(), "AF"));
 
-    SystemConfig cfg = composeDesign(SystemConfig{}, "AF");
+    SystemConfig cfg = applyDesign(SystemConfig{}, Design::B);
+    cfg.sched.policyName = "always-forward";
     NdpSystem sys(cfg);
     EXPECT_STREQ(sys.scheduler().policy().name(), "always-forward");
     EXPECT_TRUE(sys.scheduler().usesSchedulingWindow());

@@ -1,7 +1,7 @@
 /**
  * @file
- * The shared run-output flag helper (driver/run_flags.hh): parsing,
- * config wiring with per-cell tagging, and the parallel-grid
+ * The shared run-flag helper (driver/run_flags.hh): reading the flags
+ * into a config with per-cell tagging, and the parallel-grid
  * stats-interval guard.
  */
 
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/cli.hh"
-#include "driver/cell_runner.hh"
 #include "driver/run_flags.hh"
 
 namespace abndp
@@ -35,104 +34,89 @@ makeFlags(std::vector<std::string> argv)
 
 TEST(RunFlags, DefaultsAreQuiet)
 {
-    CliFlags flags = makeFlags({});
-    RunFlags rf = parseRunFlags(flags);
-    EXPECT_EQ(rf.threads, defaultThreads());
-    EXPECT_TRUE(rf.traceOut.empty());
-    EXPECT_TRUE(rf.statsOut.empty());
-    EXPECT_EQ(rf.statsInterval, 0u);
-    EXPECT_FALSE(rf.anyOutput());
-}
-
-TEST(RunFlags, ThreadsDefaultOverride)
-{
-    CliFlags flags = makeFlags({});
-    EXPECT_EQ(parseRunFlags(flags, 1).threads, 1u);
-    CliFlags withFlag = makeFlags({"--threads=7"});
-    // An explicit --threads always wins over the caller's default.
-    EXPECT_EQ(parseRunFlags(withFlag, 1).threads, 7u);
+    SystemConfig cfg;
+    applyRunFlags(makeFlags({}), cfg);
+    EXPECT_TRUE(cfg.traceOut.empty());
+    EXPECT_TRUE(cfg.statsOut.empty());
+    EXPECT_EQ(cfg.statsInterval, 0u);
+    EXPECT_EQ(cfg.dram.backend, MemBackendKind::Meter);
 }
 
 TEST(RunFlags, ParsesAllFourFlags)
 {
-    CliFlags flags = makeFlags({"--threads=3", "--trace-out=t.json",
-                                "--stats-out=s.txt",
-                                "--stats-interval=5"});
-    RunFlags rf = parseRunFlags(flags);
-    EXPECT_EQ(rf.threads, 3u);
-    EXPECT_EQ(rf.traceOut, "t.json");
-    EXPECT_EQ(rf.statsOut, "s.txt");
-    EXPECT_EQ(rf.statsInterval, 5u);
-    EXPECT_TRUE(rf.anyOutput());
+    CliFlags flags = makeFlags({"--trace-out=t.json", "--stats-out=s.txt",
+                                "--stats-interval=5",
+                                "--mem-backend=ddr"});
+    SystemConfig cfg;
+    applyRunFlags(flags, cfg);
+    EXPECT_EQ(cfg.traceOut, "t.json");
+    EXPECT_EQ(cfg.statsOut, "s.txt");
+    EXPECT_EQ(cfg.statsInterval, 5u);
+    EXPECT_EQ(cfg.dram.backend, MemBackendKind::Ddr);
+    // Reading them is what lets the strict check pass.
+    flags.rejectUnread();
 }
 
 TEST(RunFlags, ApplyWiresConfigAndTagsPaths)
 {
-    RunFlags rf;
-    rf.traceOut = "out/trace.json";
-    rf.statsOut = "stats.txt";
-    rf.statsInterval = 2;
+    CliFlags flags = makeFlags({"--trace-out=out/trace.json",
+                                "--stats-out=stats.txt",
+                                "--stats-interval=2"});
     SystemConfig cfg;
-    applyRunFlags(rf, cfg, "pr.O");
+    applyRunFlags(flags, cfg, "pr.O");
     EXPECT_EQ(cfg.traceOut, "out/trace.pr.O.json");
     EXPECT_EQ(cfg.statsOut, "stats.pr.O.txt");
     EXPECT_EQ(cfg.statsInterval, 2u);
 
     SystemConfig untagged;
-    applyRunFlags(rf, untagged);
+    applyRunFlags(flags, untagged);
     EXPECT_EQ(untagged.traceOut, "out/trace.json");
     EXPECT_EQ(untagged.statsOut, "stats.txt");
 }
 
 TEST(RunFlags, ApplyLeavesUnsetFieldsAlone)
 {
-    RunFlags rf; // nothing requested
     SystemConfig cfg;
     cfg.traceOut = "preset.json";
-    applyRunFlags(rf, cfg, "tag");
+    cfg.statsInterval = 3;
+    applyRunFlags(makeFlags({}), cfg, "tag");
     EXPECT_EQ(cfg.traceOut, "preset.json"); // not clobbered by ""
-    EXPECT_EQ(cfg.statsInterval, 0u);
+    EXPECT_EQ(cfg.statsInterval, 3u);
 }
 
 TEST(RunFlags, MemBackendParsesAndApplies)
 {
-    CliFlags flags = makeFlags({"--mem-backend=ddr"});
-    RunFlags rf = parseRunFlags(flags);
-    EXPECT_EQ(rf.memBackend, "ddr");
     SystemConfig cfg;
-    applyRunFlags(rf, cfg);
+    applyRunFlags(makeFlags({"--mem-backend=ddr"}), cfg);
     EXPECT_EQ(cfg.dram.backend, MemBackendKind::Ddr);
 
     // Unset leaves the config's choice alone (including a non-default
     // one baked into a preset).
-    RunFlags quiet;
     SystemConfig preset;
     preset.dram.backend = MemBackendKind::Ddr;
-    applyRunFlags(quiet, preset);
+    applyRunFlags(makeFlags({}), preset);
     EXPECT_EQ(preset.dram.backend, MemBackendKind::Ddr);
 
     // Explicit meter overrides a DDR preset.
-    CliFlags meterFlags = makeFlags({"--mem-backend=meter"});
     SystemConfig back;
     back.dram.backend = MemBackendKind::Ddr;
-    applyRunFlags(parseRunFlags(meterFlags), back);
+    applyRunFlags(makeFlags({"--mem-backend=meter"}), back);
     EXPECT_EQ(back.dram.backend, MemBackendKind::Meter);
 }
 
 TEST(RunFlagsDeath, UnknownMemBackendNameIsFatal)
 {
-    RunFlags rf;
-    rf.memBackend = "hbm3";
     SystemConfig cfg;
-    EXPECT_DEATH(applyRunFlags(rf, cfg), "unknown memory backend");
+    EXPECT_DEATH(applyRunFlags(makeFlags({"--mem-backend=hbm3"}), cfg),
+                 "unknown memory backend");
 }
 
 TEST(RunFlagsDeath, MultiCellIntervalStatsRequireFile)
 {
-    RunFlags rf;
-    rf.statsInterval = 3; // interval dumps but no --stats-out
+    // Interval dumps but no --stats-out.
+    CliFlags flags = makeFlags({"--stats-interval=3"});
     SystemConfig cfg;
-    EXPECT_DEATH(applyRunFlags(rf, cfg, "pr.O", /*multiCell=*/true),
+    EXPECT_DEATH(applyRunFlags(flags, cfg, "pr.O", /*multiCell=*/true),
                  "stats-interval under a parallel grid requires");
 }
 

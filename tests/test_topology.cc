@@ -147,8 +147,9 @@ TEST_P(TopologyParam, GroupPartitionInvariants)
     if (topo.numGroups() <= topo.numStacks()) {
         for (UnitId a = 0; a < topo.numUnits(); ++a)
             for (UnitId b = a + 1; b < topo.numUnits(); ++b)
-                if (topo.stackOf(a) == topo.stackOf(b))
+                if (topo.stackOf(a) == topo.stackOf(b)) {
                     EXPECT_EQ(topo.groupOf(a), topo.groupOf(b));
+                }
     }
 }
 

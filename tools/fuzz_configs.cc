@@ -31,7 +31,6 @@
 #include "common/rng.hh"
 #include "core/ndp_system.hh"
 #include "driver/cell_runner.hh"
-#include "driver/run_flags.hh"
 #include "workloads/factory.hh"
 
 using namespace abndp;
@@ -91,12 +90,14 @@ main(int argc, char **argv)
     CliFlags flags(argc, argv);
     const auto count = flags.getUint("count", 25);
     const auto seed = flags.getUint("seed", Rng::defaultSeed);
-    const std::uint32_t threads = parseRunFlags(flags).threads;
+    const std::uint32_t threads =
+        flags.getUint32("threads", defaultThreads());
     const auto timeBoxS = flags.getUint("time-box-s", 0);
     const std::string reproOut =
         flags.getString("repro-out", "fuzz_repro.json");
     const std::string replay = flags.getString("replay", "");
     const bool verbose = flags.getBool("verbose", false);
+    flags.rejectUnread();
 
     if (!replay.empty()) {
         std::ifstream ifs(replay);
