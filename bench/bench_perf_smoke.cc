@@ -23,7 +23,14 @@
  * separated workload names / Table-2 design letters), so expensive
  * large-scale records (e.g. the scale-20 guard in CI) can track a
  * single representative cell instead of the full default grid.
+ *
+ * peak_rss_mb is the process's peak resident set (getrusage
+ * ru_maxrss) after the grid ran. Cells on different threads are
+ * resident together, so it compares only between records of the same
+ * threads value; it is reported, not compared by --compare.
  */
+
+#include <sys/resource.h>
 
 #include <chrono>
 #include <iostream>
@@ -75,6 +82,9 @@ main(int argc, char **argv)
         runSeconds += m.hostSeconds;
     }
     const double eps = runSeconds > 0 ? events / runSeconds : 0;
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    const double peakRssMb = static_cast<double>(ru.ru_maxrss) / 1024.0;
 
     std::uint32_t threads = opts.threads ? opts.threads
                                          : defaultThreads();
@@ -96,6 +106,7 @@ main(int argc, char **argv)
          << ",\"wall_seconds\":" << wall
          << ",\"cells_per_sec\":" << (wall > 0 ? grid.size() / wall : 0)
          << ",\"events_per_sec\":" << eps
+         << ",\"peak_rss_mb\":" << peakRssMb
          << "}";
 
     emitRecord(json.str(), opts);

@@ -171,12 +171,14 @@ MachineChecker::onRunEnd(const RunMetrics &m)
                                mem.cachingEnabled());
 
     // A run cut by maxEpochs leaves staged tasks whose load is still
-    // booked; otherwise every task ran and all load must be gone.
-    bool staged = false;
+    // booked and whose pool slots are still held; otherwise every task
+    // ran, and all load and every slot must be gone.
+    std::uint64_t staged = 0;
     for (UnitId u = 0; u < sys.numUnits(); ++u)
-        staged |= !sys.unit(u).stagedPending.empty()
-            || !sys.unit(u).stagedReady.empty();
-    if (!staged)
+        staged += sys.unit(u).stagedPending.size()
+            + sys.unit(u).stagedReady.size();
+    checkTaskPoolDrained(ctx, sys.taskPool().live(), staged);
+    if (staged == 0)
         for (UnitId u = 0; u < sys.numUnits(); ++u)
             checkLoadDrained(ctx, u, sys.scheduler().trueW(u));
 

@@ -74,7 +74,10 @@ class MachineChecker
                     std::uint64_t executedRecovered,
                     std::uint64_t stagedTasks);
 
-    /** Run-end hook: metrics reconciliation and bandwidth audits. */
+    /**
+     * Run-end hook: metrics reconciliation, the task-pool drain, and
+     * bandwidth audits.
+     */
     void onRunEnd(const RunMetrics &m);
 
     /**
@@ -173,6 +176,23 @@ class MachineChecker
                     " still carries scheduler load ", trueW,
                     " with no task left (a task move left its load "
                     "credit behind)");
+    }
+
+    /**
+     * The task pool holds exactly the tasks still staged: every task
+     * that ran released its slot at dispatch, so a run leaves none
+     * (@p staged is zero) or, cut by maxEpochs, only the @p staged
+     * tasks of the epoch it did not run. A surplus slot is a task that
+     * was dropped without running or a slot dispatch never released.
+     */
+    static void
+    checkTaskPoolDrained(CheckContext &ctx, std::uint64_t live,
+                         std::uint64_t staged)
+    {
+        ctx.require(live == staged, "task pool drained: ", live,
+                    " tasks still hold pool slots but ", staged,
+                    " are staged (a task was dropped unrun or its slot "
+                    "was never released)");
     }
 
     /**

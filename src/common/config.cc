@@ -446,9 +446,11 @@ SystemConfig::print(std::ostream &os) const
     os << "NDP core        : " << coreFreqGHz << "GHz, " << coresPerUnit
        << " cores per NDP unit (" << numCores() << " in total)\n";
     os << "L1-D cache      : " << (l1d.sizeBytes >> 10) << "kB, "
-       << l1d.assoc << "-way, " << l1d.lineBytes << "B cachelines, LRU\n";
+       << l1d.assoc << "-way, " << l1d.lineBytes << "B cachelines, "
+       << nameOf(l1d.repl) << "\n";
     os << "L1-I cache      : " << (l1i.sizeBytes >> 10) << "kB, "
-       << l1i.assoc << "-way, " << l1i.lineBytes << "B cachelines, LRU\n";
+       << l1i.assoc << "-way, " << l1i.lineBytes << "B cachelines, "
+       << nameOf(l1i.repl) << "\n";
     os << "Prefetch buffer : " << (prefetchBufBytes >> 10) << "kB, "
        << cachelineBytes << "B blocks, FIFO\n";
     os << "DRAM channel    : " << dram.busBits << " bits; tCAS=tRCD=tRP="
@@ -462,7 +464,8 @@ SystemConfig::print(std::ostream &os) const
            << dram.tRasNs << "ns, tWR=" << dram.tWrNs << "ns, tFAW="
            << dram.tFawNs << "ns)";
     os << "\n";
-    os << "Intra-stack net : " << net.intraLinkBits << "-bit link; "
+    os << "Intra-stack net : " << nameOf(net.intraTopology) << ", "
+       << net.intraLinkBits << "-bit link; "
        << net.intraHopNs << "ns/hop; " << net.intraPjPerBit << "pJ/bit\n";
     os << "Inter-stack net : " << net.interGBs << "GB/s per direction; "
        << net.interHopNs << "ns/hop; " << net.interPjPerBit << "pJ/bit\n";

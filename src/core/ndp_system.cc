@@ -316,11 +316,11 @@ NdpSystem::enqueueTask(Task &&task)
         if (creatorCtx == invalidUnit)
             creator = static_cast<UnitId>(initialSpread++ % units.size());
         sched.onEnqueued(creator, task.loadEstimate);
-        units[creator].stagedPending.push_back(std::move(task));
+        units[creator].stagedPending.push_back(pool.add(std::move(task)));
     } else {
         UnitId dst = sched.choose(task, creator);
         sched.onEnqueued(dst, task.loadEstimate);
-        units[dst].stagedReady.push_back(std::move(task));
+        units[dst].stagedReady.push_back(pool.add(std::move(task)));
     }
     ++stagedCount;
 }
@@ -336,19 +336,6 @@ NdpSystem::mainHomeOf(const Task &task) const
     if (main_addr != invalidAddr)
         return mem.campMapping().homeOf(main_addr);
     return creatorCtx != invalidUnit ? creatorCtx : 0;
-}
-
-std::uint32_t
-NdpSystem::grabFwdSlot(Task &&task)
-{
-    if (fwdPoolFree.empty()) {
-        fwdPool.push_back(std::move(task));
-        return static_cast<std::uint32_t>(fwdPool.size() - 1);
-    }
-    std::uint32_t idx = fwdPoolFree.back();
-    fwdPoolFree.pop_back();
-    fwdPool[idx] = std::move(task);
-    return idx;
 }
 
 std::uint32_t
@@ -384,12 +371,13 @@ NdpSystem::pumpScheduler(UnitId u)
             return;
         if (unit.pending.empty())
             return;
-        Task task = std::move(unit.pending.front());
+        const TaskRef ref = unit.pending.front();
         unit.pending.pop_front();
+        Task &task = pool[ref];
 
         UnitId dst = sched.choose(task, u);
         if (dst == u) {
-            unit.ready.push_back(std::move(task));
+            unit.ready.push_back(ref);
             tryDispatch(u);
         } else {
             sched.onForwarded(u, dst, task.loadEstimate);
@@ -410,25 +398,22 @@ NdpSystem::pumpScheduler(UnitId u)
                 // with a timeout; expiry redispatches the task to a
                 // live unit (docs/ARCHITECTURE.md).
                 auto tr = std::make_shared<TaskTransit>();
-                tr->task = std::move(task);
+                tr->task = ref;
                 tr->from = u;
                 tr->dst = dst;
                 tr->reexamine = reexamine;
                 trackDelivery(tr, t);
             } else {
-                const std::uint32_t idx = grabFwdSlot(std::move(task));
-                auto deliver = [this, idx, dst, reexamine] {
-                    Task moved = std::move(fwdPool[idx]);
-                    fwdPoolFree.push_back(idx);
+                auto deliver = [this, ref, dst, reexamine] {
                     if (reexamine) {
-                        units[dst].pending.push_back(std::move(moved));
+                        units[dst].pending.push_back(ref);
                         pumpScheduler(dst);
                     } else {
-                        landReady(dst, std::move(moved));
+                        landReady(dst, ref);
                     }
                 };
                 // The event kernel stores captures inline with no heap
-                // fallback; this forwarding closure (this + pool index
+                // fallback; this forwarding closure (this + task handle
                 // + UnitId + bool) is the largest one this file
                 // schedules and must fit the fixed slot.
                 static_assert(
@@ -452,7 +437,7 @@ NdpSystem::issuePrefetches(UnitId u)
         static_cast<std::uint32_t>(unit.ready.size()));
     Tick now = eq.now();
     while (unit.prefetchedCount < window) {
-        Task &task = unit.ready[unit.prefetchedCount];
+        Task &task = pool[unit.ready[unit.prefetchedCount]];
         if (!task.prefetched)
             path.prefetchTask(unit, task, now);
         ++unit.prefetchedCount;
@@ -475,13 +460,15 @@ NdpSystem::tryDispatch(UnitId u)
             break;
 
         issuePrefetches(u);
-        Task task = std::move(unit.ready.front());
+        const TaskRef ref = unit.ready.front();
         unit.ready.pop_front();
         if (unit.prefetchedCount > 0)
             --unit.prefetchedCount;
+        Task &task = pool[ref];
         sched.onDequeued(u, task.loadEstimate);
 
-        // Functional execution: real computation + child enqueues.
+        // Functional execution: real computation + child enqueues (the
+        // pool's addresses are stable, so `task` survives them).
         creatorCtx = u;
         workload->executeTask(task, *this);
         creatorCtx = invalidUnit;
@@ -505,11 +492,12 @@ NdpSystem::tryDispatch(UnitId u)
         if (servingMode) {
             // Stash the request identity on the core so the completion
             // event below can record its latency without growing the
-            // capture (the task dies with this scope).
+            // capture (the task dies with its slot, released here).
             core.servingArrival = task.servingArrival;
             core.servingTenant = task.tenant;
             core.servingRecovered = task.recovered;
         }
+        pool.release(ref);
 
         eq.schedule(end, [this, u, c] {
             units[u].cores[c].busy = false;
@@ -578,7 +566,7 @@ NdpSystem::attemptSteal(UnitId u)
     abndp_assert(batch > 0);
 
     // The batch is built in place: directly in the tracked transit on
-    // the failure-tolerant path, or in a recycled pool slot (keeping
+    // the failure-tolerant path, or in a recycled batch slot (keeping
     // its vector capacity) on the common path.
     std::shared_ptr<StealTransit> tr;
     std::uint32_t slotIdx = 0;
@@ -586,8 +574,8 @@ NdpSystem::attemptSteal(UnitId u)
         tr = std::make_shared<StealTransit>();
     else
         slotIdx = grabBatchSlot();
-    std::vector<Task> &stolen = failuresOn ? tr->batch
-                                           : batchPool[slotIdx];
+    std::vector<TaskRef> &stolen = failuresOn ? tr->batch
+                                              : batchPool[slotIdx];
     const Tick t = shipBatch(victim, u, batch, stolen);
     stolenTasks += stolen.size();
 
@@ -630,24 +618,24 @@ NdpSystem::attemptSteal(UnitId u)
 }
 
 void
-NdpSystem::landReady(UnitId dst, Task &&task)
+NdpSystem::landReady(UnitId dst, TaskRef task)
 {
     const UnitId to = faults.rehomeOf(dst);
     if (to != dst)
-        sched.onStolen(dst, to, task.loadEstimate);
-    units[to].ready.push_back(std::move(task));
+        sched.onStolen(dst, to, pool[task].loadEstimate);
+    units[to].ready.push_back(task);
     tryDispatch(to);
 }
 
 void
-NdpSystem::landBatch(UnitId dst, std::vector<Task> &batch)
+NdpSystem::landBatch(UnitId dst, std::vector<TaskRef> &batch)
 {
     const UnitId to = faults.rehomeOf(dst);
     auto &ready = units[to].ready;
-    for (auto &task : batch) {
+    for (TaskRef task : batch) {
         if (to != dst)
-            sched.onStolen(dst, to, task.loadEstimate);
-        ready.push_back(std::move(task));
+            sched.onStolen(dst, to, pool[task].loadEstimate);
+        ready.push_back(task);
     }
     batch.clear();
     tryDispatch(to);
@@ -655,16 +643,17 @@ NdpSystem::landBatch(UnitId dst, std::vector<Task> &batch)
 
 Tick
 NdpSystem::shipBatch(UnitId victim, UnitId thief, std::uint32_t count,
-                     std::vector<Task> &out)
+                     std::vector<TaskRef> &out)
 {
     auto &vic = units[victim];
     double load = 0.0;
     for (std::uint32_t i = 0; i < count && !vic.ready.empty(); ++i) {
-        Task t = std::move(vic.ready.back());
+        const TaskRef ref = vic.ready.back();
         vic.ready.pop_back();
+        Task &t = pool[ref];
         t.prefetched = false;
         load += t.loadEstimate;
-        out.push_back(std::move(t));
+        out.push_back(ref);
     }
     vic.prefetchedCount = std::min<std::uint32_t>(
         vic.prefetchedCount, static_cast<std::uint32_t>(vic.ready.size()));
@@ -756,24 +745,25 @@ NdpSystem::recoverUnitTasks(UnitId dead)
     for (auto *queue : {&unit.pending, &unit.ready}) {
         for (; !queue->empty(); queue->pop_front()) {
             ++tasksRecovered;
-            reinject(std::move(queue->front()), dead, buddy, dead);
+            reinject(queue->front(), dead, buddy, dead);
         }
     }
     // Staged (next-epoch) tasks re-stage onto live units keeping their
     // queue kind; staging is bookkeeping, so no delivery events — only
     // the descriptor traffic is modelled.
     for (; !unit.stagedPending.empty(); unit.stagedPending.pop_front()) {
-        Task &task = unit.stagedPending.front();
+        const TaskRef ref = unit.stagedPending.front();
         ++tasksRecovered;
-        moveLostTask(task, dead, buddy, dead);
-        units[buddy].stagedPending.push_back(std::move(task));
+        moveLostTask(pool[ref], dead, buddy, dead);
+        units[buddy].stagedPending.push_back(ref);
     }
     for (; !unit.stagedReady.empty(); unit.stagedReady.pop_front()) {
-        Task &task = unit.stagedReady.front();
+        const TaskRef ref = unit.stagedReady.front();
+        Task &task = pool[ref];
         ++tasksRecovered;
         const UnitId dst = sched.choose(task, buddy);
         moveLostTask(task, dead, dst, dead);
-        units[dst].stagedReady.push_back(std::move(task));
+        units[dst].stagedReady.push_back(ref);
     }
 }
 
@@ -789,14 +779,13 @@ NdpSystem::moveLostTask(Task &task, UnitId owner, UnitId dst, UnitId sender)
 }
 
 void
-NdpSystem::reinject(Task &&task, UnitId owner, UnitId creator, UnitId sender)
+NdpSystem::reinject(TaskRef task, UnitId owner, UnitId creator,
+                    UnitId sender)
 {
-    const UnitId dst = sched.choose(task, creator);
-    const Tick t = moveLostTask(task, owner, dst, sender);
-    auto moved = std::make_shared<Task>(std::move(task));
-    eq.schedule(t, [this, dst, moved] {
-        landReady(dst, std::move(*moved));
-    });
+    Task &lost = pool[task];
+    const UnitId dst = sched.choose(lost, creator);
+    const Tick t = moveLostTask(lost, owner, dst, sender);
+    eq.schedule(t, [this, dst, task] { landReady(dst, task); });
 }
 
 void
@@ -810,10 +799,10 @@ NdpSystem::trackDelivery(std::shared_ptr<TaskTransit> tr, Tick deliverAt)
         tr->delivered = true;
         --acksOutstanding[tr->dst];
         if (tr->reexamine) {
-            units[tr->dst].pending.push_back(std::move(tr->task));
+            units[tr->dst].pending.push_back(tr->task);
             pumpScheduler(tr->dst);
         } else {
-            landReady(tr->dst, std::move(tr->task));
+            landReady(tr->dst, tr->task);
         }
     };
     static_assert(EventQueue::callbackFits<decltype(deliver)>,
@@ -832,7 +821,7 @@ NdpSystem::trackDelivery(std::shared_ptr<TaskTransit> tr, Tick deliverAt)
 void
 NdpSystem::redispatchTask(std::shared_ptr<TaskTransit> tr)
 {
-    std::uint8_t &attempts = tr->task.redispatchCount;
+    std::uint8_t &attempts = pool[tr->task].redispatchCount;
     if (attempts < faults.maxRedispatch())
         ++attempts;
     ++tasksRedispatched;
@@ -840,18 +829,18 @@ NdpSystem::redispatchTask(std::shared_ptr<TaskTransit> tr)
     // creator's live buddy acts for it if the creator itself is down.
     Tick wait = faults.redispatchBackoffTicks(attempts - 1);
     eq.scheduleIn(wait, [this, tr, from = faults.rehomeOf(tr->from)] {
-        Task &task = tr->task;
+        Task &task = pool[tr->task];
         // A spent budget resends untracked; the arrival rule still
         // keeps the task off a unit that died in flight.
         if (task.redispatchCount >= faults.maxRedispatch()) {
-            reinject(std::move(task), tr->dst, from, from);
+            reinject(tr->task, tr->dst, from, from);
             return;
         }
         auto nt = std::make_shared<TaskTransit>();
         nt->from = from;
         nt->dst = sched.choose(task, from);
         const Tick t = moveLostTask(task, tr->dst, nt->dst, from);
-        nt->task = std::move(task);
+        nt->task = tr->task;
         trackDelivery(nt, t);
     });
 }
@@ -861,9 +850,9 @@ NdpSystem::reinjectStealBatch(std::shared_ptr<StealTransit> tr,
                               bool timedOut)
 {
     const UnitId from = faults.rehomeOf(tr->thief);
-    for (auto &task : tr->batch) {
+    for (TaskRef task : tr->batch) {
         ++(timedOut ? tasksRedispatched : tasksRecovered);
-        reinject(std::move(task), tr->thief, from, from);
+        reinject(task, tr->thief, from, from);
     }
     tr->batch.clear();
 }
@@ -1161,12 +1150,12 @@ NdpSystem::injectServingTask(Task &&task)
         const UnitId creator = faults.rehomeOf(
             static_cast<UnitId>(initialSpread++ % units.size()));
         sched.onEnqueued(creator, task.loadEstimate);
-        units[creator].pending.push_back(std::move(task));
+        units[creator].pending.push_back(pool.add(std::move(task)));
         pumpScheduler(creator);
     } else {
         const UnitId dst = sched.choose(task, task.mainHome);
         sched.onEnqueued(dst, task.loadEstimate);
-        landReady(dst, std::move(task));
+        landReady(dst, pool.add(std::move(task)));
     }
 }
 

@@ -12,6 +12,10 @@
  * remains here is the epoch barrier, the dispatch/steal/forward event
  * choreography, and run-wide bookkeeping.
  *
+ * Every task the machine holds lives in one TaskPool from enqueue to
+ * dispatch; the queues, forwards, steal/shed batches and recovery
+ * transits below carry 4-byte TaskRef handles into it.
+ *
  * Queue organization per unit (Figure 4): newly created tasks enter the
  * creating unit's *pending* queue; the unit's task scheduler — operating
  * in parallel with the cores — examines the scheduling window at the
@@ -46,6 +50,7 @@
 #include "serve/latency_recorder.hh"
 #include "sim/event_queue.hh"
 #include "tasking/task.hh"
+#include "tasking/task_pool.hh"
 #include "workloads/workload.hh"
 
 namespace abndp
@@ -101,6 +106,9 @@ class NdpSystem : public TaskSink
     /** The per-unit components (tests may inspect queue state). */
     NdpUnit &unit(UnitId u) { return units[u]; }
     std::size_t numUnits() const { return units.size(); }
+
+    /** The tasks the unit queues' handles refer to. */
+    const TaskPool &taskPool() const { return pool; }
 
     /** The unified core-to-DRAM access chain. */
     AccessPath &accessPath() { return path; }
@@ -185,14 +193,14 @@ class NdpSystem : public TaskSink
      * the task in flight (then the task's scheduler load moves with
      * it), and let that unit dispatch.
      */
-    void landReady(UnitId dst, Task &&task);
+    void landReady(UnitId dst, TaskRef task);
 
     /**
      * landReady for a whole batch: empties @p batch into one ready
-     * queue, then dispatches. @p batch may be a pool slot the caller
+     * queue, then dispatches. @p batch may be a batch slot the caller
      * already freed, since the dispatch only runs once it is empty.
      */
-    void landBatch(UnitId dst, std::vector<Task> &batch);
+    void landBatch(UnitId dst, std::vector<TaskRef> &batch);
 
     /**
      * The batch transfer steals and lb sheds share: pop up to @p count
@@ -203,7 +211,7 @@ class NdpSystem : public TaskSink
      * at @p thief; delivery is the caller's.
      */
     Tick shipBatch(UnitId victim, UnitId thief, std::uint32_t count,
-                   std::vector<Task> &out);
+                   std::vector<TaskRef> &out);
 
     /**
      * Periodic workload information exchange chain: refresh the
@@ -247,7 +255,7 @@ class NdpSystem : public TaskSink
     /** A tracked task delivery awaiting its ack. */
     struct TaskTransit
     {
-        Task task;
+        TaskRef task;
         UnitId from = invalidUnit;
         UnitId dst = invalidUnit;
         /** Receiver may re-forward (scheduling-window path). */
@@ -260,7 +268,7 @@ class NdpSystem : public TaskSink
     /** A tracked steal-batch delivery awaiting its ack. */
     struct StealTransit
     {
-        std::vector<Task> batch;
+        std::vector<TaskRef> batch;
         UnitId thief = invalidUnit;
         bool delivered = false;
         bool abandoned = false;
@@ -296,7 +304,8 @@ class NdpSystem : public TaskSink
      * (on behalf of @p creator), move the task there from @p owner
      * via @p sender, and land it when the descriptor arrives.
      */
-    void reinject(Task &&task, UnitId owner, UnitId creator, UnitId sender);
+    void reinject(TaskRef task, UnitId owner, UnitId creator,
+                  UnitId sender);
 
     /** Ship a forwarded task with delivery-ack tracking. */
     void trackDelivery(std::shared_ptr<TaskTransit> tr, Tick deliverAt);
@@ -315,21 +324,17 @@ class NdpSystem : public TaskSink
     void buildStats();
 
     /**
-     * Pooled payloads for the non-failure forward/steal transits: the
-     * event kernel stores captures inline, so a forward ships a pool
-     * index (trivially copyable) instead of heap-allocating a
-     * shared_ptr<Task> (or a task vector) per hop. Slots recycle
-     * through free lists and batch slots keep their vector capacity,
-     * so steady-state forwarding and stealing allocate nothing. An
-     * in-flight slot always carries not-yet-executed tasks, which hold
-     * activeRemaining > 0 — the epoch barrier (which clears pending
-     * events) cannot fire while a slot is live.
+     * Batch slots for the untracked steal and shed transits: the event
+     * kernel stores captures inline, so a batch in flight ships a slot
+     * index instead of heap-allocating its handle vector. Slots recycle
+     * through a free list and keep their vector capacity, so
+     * steady-state stealing allocates nothing. An in-flight slot always
+     * carries not-yet-executed tasks, which hold activeRemaining > 0;
+     * the epoch barrier (which clears pending events) cannot fire while
+     * a slot is live.
      */
-    std::uint32_t grabFwdSlot(Task &&task);
     std::uint32_t grabBatchSlot();
-    std::vector<Task> fwdPool;
-    std::vector<std::uint32_t> fwdPoolFree;
-    std::vector<std::vector<Task>> batchPool;
+    std::vector<std::vector<TaskRef>> batchPool;
     std::vector<std::uint32_t> batchPoolFree;
 
     SystemConfig cfg;
@@ -347,6 +352,8 @@ class NdpSystem : public TaskSink
     /** Armed iff cfg.checkInvariants (src/check; observational only). */
     std::unique_ptr<check::MachineChecker> checker;
 
+    /** Every task from enqueue until tryDispatch releases its slot. */
+    TaskPool pool;
     std::vector<NdpUnit> units;
     Workload *workload = nullptr;
 

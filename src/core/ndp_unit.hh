@@ -8,7 +8,9 @@
  * The queue fields are deliberately public: the epoch engine
  * (NdpSystem), the scheduling-window pump, and the stealing mechanics
  * all manipulate them directly, and the queues *are* the unit's
- * architectural interface (Figure 4). NdpUnit owns the lifecycle —
+ * architectural interface (Figure 4). They hold TaskRef handles into
+ * the NdpSystem's TaskPool, like the 32-byte descriptors the model
+ * ships between units, not the tasks. NdpUnit owns the lifecycle —
  * construction, the per-epoch barrier swap, timestamp invalidation,
  * and stats registration — so the epoch engine no longer needs to
  * know what a unit is made of.
@@ -27,8 +29,8 @@
 #include "common/rng.hh"
 #include "common/types.hh"
 #include "obs/stats_registry.hh"
-#include "tasking/task.hh"
 #include "tasking/task_deque.hh"
+#include "tasking/task_pool.hh"
 
 namespace abndp
 {
@@ -92,12 +94,12 @@ class NdpUnit
     void regStats(obs::StatNode &node) const;
 
     /** Tasks awaiting a scheduling decision (scheduling-window only). */
-    SlidingDeque<Task> pending;
+    SlidingDeque<TaskRef> pending;
     /** Tasks placed on this unit, awaiting execution. */
-    SlidingDeque<Task> ready;
+    SlidingDeque<TaskRef> ready;
     /** Next-epoch tasks (swapped into pending/ready at the barrier). */
-    SlidingDeque<Task> stagedPending;
-    SlidingDeque<Task> stagedReady;
+    SlidingDeque<TaskRef> stagedPending;
+    SlidingDeque<TaskRef> stagedReady;
 
     std::vector<CoreState> cores;
     std::unique_ptr<PrefetchBuffer> pb;

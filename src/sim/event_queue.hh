@@ -39,7 +39,7 @@ class EventQueue
     /**
      * Inline storage per event callback, in bytes. Sized for the
      * largest capture in the simulator core (NdpSystem's forward path:
-     * this + UnitId + shared_ptr<Task> + bool) with headroom for a
+     * this + task handle + UnitId + bool) with headroom for a
      * std::function-sized closure; callbackFits<F> rejects anything
      * larger at compile time instead of silently heap-allocating.
      */

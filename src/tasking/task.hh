@@ -13,9 +13,11 @@
  * list) are SmallVec spans: small hints live inline in the task object
  * and larger ones spill into the per-epoch TaskArena owned by the
  * workload generator, so task creation performs no per-member heap
- * allocation and task movement (steals, forwards, queue shuffles) is a
- * pointer transfer. Tasks are therefore move-only; the rare test or
- * tool that needs a duplicate calls clone().
+ * allocation. The NDP runtime moves each accepted task once, into its
+ * TaskPool (tasking/task_pool.hh); queues, forwards, steals and
+ * recovery transits then carry a 4-byte TaskRef, and dispatch destroys
+ * the task in its slot. Tasks are move-only; the rare test or tool
+ * that needs a duplicate calls clone().
  */
 
 #ifndef ABNDP_TASKING_TASK_HH
@@ -130,9 +132,9 @@ struct Task
     Tick servingArrival = 0;
     std::uint8_t tenant = 0;
 
-    // Move-only: every runtime path (staging, forwards, steals,
-    // recovery transits) transfers ownership of the hint spans; an
-    // accidental copy would silently re-heap them per hop.
+    // Move-only: the hint spans have one owner, moved with the task
+    // into the runtime's pool; an accidental copy would silently
+    // re-heap them.
     Task() = default;
     Task(Task &&) noexcept = default;
     Task &operator=(Task &&) noexcept = default;

@@ -244,6 +244,27 @@ TEST(CheckerPerturbation, LoadDrainedFires)
               std::string::npos);
 }
 
+TEST(CheckerPerturbation, TaskPoolDrainedFires)
+{
+    // Run-end law: dispatch releases every task's pool slot, so a run
+    // leaves none, or, cut by maxEpochs, exactly its staged tasks. A
+    // task dropped unrun or a slot never released leaves a surplus.
+    check::CheckContext ctx;
+    check::MachineChecker::checkTaskPoolDrained(ctx, 0, 0);
+    check::MachineChecker::checkTaskPoolDrained(ctx, 12, 12);
+    EXPECT_TRUE(ctx.clean());
+    check::MachineChecker::checkTaskPoolDrained(ctx, 1, 0);
+    ASSERT_FALSE(ctx.clean());
+    EXPECT_NE(ctx.violations()[0].find(
+                  "task pool drained: 1 tasks still hold pool slots but "
+                  "0 are staged"),
+              std::string::npos);
+    ctx.clearViolations();
+    // A staged task that lost its slot is as wrong as a leaked one.
+    check::MachineChecker::checkTaskPoolDrained(ctx, 11, 12);
+    EXPECT_FALSE(ctx.clean());
+}
+
 TEST(CheckerPerturbation, StaleCampCopyFires)
 {
     check::CheckContext ctx;

@@ -169,4 +169,24 @@ TEST(Config, PrintMentionsKeyParameters)
     EXPECT_NE(out.find("100000-cycle"), std::string::npos);
 }
 
+TEST(Config, PrintNamesPoliciesAndTopology)
+{
+    // The L1 lines name each cache's own policy, and the intra-stack
+    // line names the topology, so a ring run's config reads as one.
+    SystemConfig cfg;
+    cfg.l1d.repl = ReplPolicy::Fifo;
+    cfg.net.intraTopology = IntraTopology::Ring;
+    std::ostringstream oss;
+    cfg.print(oss);
+    std::string out = oss.str();
+    EXPECT_NE(out.find("L1-D cache      : 64kB, 4-way, 64B cachelines, "
+                       "fifo\n"),
+              std::string::npos)
+        << out;
+    EXPECT_NE(out.find("64B cachelines, lru\n"), std::string::npos) << out;
+    EXPECT_NE(out.find("Intra-stack net : ring, "), std::string::npos)
+        << out;
+    EXPECT_EQ(out.find("LRU"), std::string::npos) << out;
+}
+
 } // namespace abndp

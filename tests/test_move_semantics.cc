@@ -2,13 +2,15 @@
  * @file
  * Move-semantics regression tests for the task transit paths.
  *
- * Task is move-only: the recovery (TaskTransit) and steal-batch
- * (StealTransit) paths used to copy tasks — with payload spans now
- * owned by per-epoch arenas, a stray copy would either fail to compile
- * or silently double-account payload lines. The static_asserts pin the
- * type contract; the run-twice fingerprint tests pin that moving (not
- * copying) tasks through forward, steal, failure-drain, and redispatch
- * leaves simulated behavior bit-identical and deterministic.
+ * A task is moved once, into the NdpSystem's TaskPool, when the runtime
+ * accepts it; from there to dispatch, the unit queues, forwards, steal
+ * and shed batches, and recovery transits carry 4-byte TaskRef handles.
+ * Task stays move-only (its payload spans are owned by per-epoch
+ * arenas, so a stray copy would either fail to compile or silently
+ * double-account payload lines). The static_asserts pin both type
+ * contracts; the run-twice fingerprint tests pin that handing tasks
+ * through forward, steal, failure-drain, and redispatch leaves
+ * simulated behavior bit-identical and deterministic.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +22,7 @@
 #include "core/ndp_system.hh"
 #include "driver/experiment.hh"
 #include "tasking/task.hh"
+#include "tasking/task_pool.hh"
 #include "workloads/factory.hh"
 
 namespace abndp
@@ -36,6 +39,21 @@ static_assert(!std::is_copy_assignable_v<Task>,
               "Task must not be copy-assignable");
 static_assert(std::is_nothrow_move_constructible_v<Task>,
               "Task moves must not throw (vector growth would copy)");
+
+// Between enqueue and dispatch a task never moves: every carrier holds
+// a 4-byte handle into the pool.
+static_assert(sizeof(TaskRef) == 4, "a task handle is 32 bits");
+static_assert(std::is_trivially_copyable_v<TaskRef>,
+              "task handles are copied, not moved");
+static_assert(std::is_same_v<decltype(NdpUnit::pending),
+                             SlidingDeque<TaskRef>>
+                  && std::is_same_v<decltype(NdpUnit::ready),
+                                    SlidingDeque<TaskRef>>
+                  && std::is_same_v<decltype(NdpUnit::stagedPending),
+                                    SlidingDeque<TaskRef>>
+                  && std::is_same_v<decltype(NdpUnit::stagedReady),
+                                    SlidingDeque<TaskRef>>,
+              "unit queues hold task handles, not tasks");
 
 namespace
 {
@@ -71,7 +89,7 @@ runAndDump(const SystemConfig &cfg)
 TEST(TransitMoveSemantics, StealPathBitIdenticalAcrossRuns)
 {
     // Sl exercises StealTransit: steal batches are drained from victim
-    // queues and delivered (or redispatched) by moving tasks. Two runs
+    // queues and delivered (or redispatched) as task handles. Two runs
     // of the same config must produce byte-identical stats dumps.
     auto cfg = smallConfig(Design::Sl);
     std::string a = runAndDump(cfg);
@@ -98,7 +116,7 @@ TEST(TransitMoveSemantics, RecoveryPathBitIdenticalAcrossRuns)
 TEST(TransitMoveSemantics, ForwardPathBitIdenticalAcrossRuns)
 {
     // O exercises TaskTransit: scheduling-window forwards tracked for
-    // delivery acks, with the task moved into and out of the transit.
+    // delivery acks, with the task's handle carried by the transit.
     auto cfg = smallConfig(Design::O);
     cfg.fault.unitFailure.count = 1;
     cfg.fault.unitFailure.failAtNs = 100.0;

@@ -39,14 +39,17 @@ TEST(NdpUnit, BeginEpochSwapsStagedIntoLive)
     NdpUnit unit;
     unit.init(cfg, 0);
 
-    for (int i = 0; i < 3; ++i)
-        unit.stagedPending.push_back(Task{});
-    for (int i = 0; i < 2; ++i)
-        unit.stagedReady.push_back(Task{});
+    // The queues carry handles; the tasks stay in the system's pool.
+    for (std::uint32_t i = 0; i < 3; ++i)
+        unit.stagedPending.push_back(TaskRef{i});
+    for (std::uint32_t i = 3; i < 5; ++i)
+        unit.stagedReady.push_back(TaskRef{i});
 
     EXPECT_EQ(unit.beginEpoch(), 5u);
-    EXPECT_EQ(unit.pending.size(), 3u);
-    EXPECT_EQ(unit.ready.size(), 2u);
+    ASSERT_EQ(unit.pending.size(), 3u);
+    ASSERT_EQ(unit.ready.size(), 2u);
+    EXPECT_EQ(unit.pending.front(), TaskRef{0});
+    EXPECT_EQ(unit.ready.front(), TaskRef{3});
     EXPECT_TRUE(unit.stagedPending.empty());
     EXPECT_TRUE(unit.stagedReady.empty());
 }
@@ -56,7 +59,7 @@ TEST(NdpUnit, BeginEpochResetsWindowState)
     SystemConfig cfg;
     NdpUnit unit;
     unit.init(cfg, 0);
-    unit.stagedReady.push_back(Task{});
+    unit.stagedReady.push_back(TaskRef{0});
     unit.prefetchedCount = 4;
     unit.stealBackoff = 1234;
 
