@@ -1,5 +1,9 @@
 #include "bench_common.hh"
 
+#include <sys/mman.h>
+
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -180,6 +184,18 @@ compareRecord(const std::string &json, const Options &opts,
     }
     bool regressed = false;
     for (std::size_t i = 0; i < keys.size(); ++i) {
+        const std::string &same = keys[i].onlyWhenEqual;
+        double mine = 0.0;
+        double theirs = 0.0;
+        if (!same.empty()
+            && !(extractJsonNumber(json, same, mine)
+                 && extractJsonNumber(baseline, same, theirs)
+                 && mine == theirs)) {
+            std::cerr << "compare " << keys[i].key << ": skipped, "
+                      << same << " " << mine << " vs baseline " << theirs
+                      << "\n";
+            continue;
+        }
         double cur = 0.0;
         extractJsonNumber(json, keys[i].key, cur);
         std::cerr << "compare " << keys[i].key << ": " << cur
@@ -195,6 +211,32 @@ compareRecord(const std::string &json, const Options &opts,
         }
     }
     return regressed ? 1 : 0;
+}
+
+double
+hostReferenceSeconds()
+{
+    constexpr std::size_t n = std::size_t{1} << 20;
+    constexpr std::size_t bytes = n * sizeof(std::uint64_t);
+    void *mem = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (mem == MAP_FAILED)
+        fatal("mmap() failed");
+    auto *keys = static_cast<std::uint64_t *>(mem);
+    std::uint64_t x = 0x9e3779b97f4a7c15ull;
+    for (std::size_t i = 0; i < n; ++i) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        keys[i] = x;
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    std::sort(keys, keys + n);
+    const double s = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+    munmap(mem, bytes);
+    return s;
 }
 
 void

@@ -105,6 +105,11 @@ struct RecordKey
 {
     std::string key;
     bool higherIsBetter;
+    /**
+     * Compare only when this other key reads the same in both records
+     * (e.g. "threads" for peak_rss_mb); "" compares always.
+     */
+    std::string onlyWhenEqual{};
 };
 
 /**
@@ -114,10 +119,25 @@ struct RecordKey
  * without --compare, or when FILE is missing or any key is missing or
  * <= 0 in it (a warning: a fresh CI cache has no baseline yet), or when
  * nothing regressed; 1 when a key regressed beyond the tolerance, after
- * every key was checked and reported.
+ * every key was checked and reported. A key whose onlyWhenEqual key
+ * differs between the records is skipped with a note.
  */
 int compareRecord(const std::string &json, const Options &opts,
                   const std::vector<RecordKey> &keys);
+
+/** What hostReferenceSeconds() takes on a host of nominal speed. */
+constexpr double hostReferenceNominalS = 0.1;
+
+/**
+ * Time a fixed host kernel, the same one bench_e2e scales its host
+ * times by: sort 2^20 xorshift 64-bit keys in a buffer the kernel maps
+ * and unmaps itself (so the caller's heap is left as it was). It runs
+ * no simulator code, so no simulator change moves it; it follows the
+ * host's speed drift, so a throughput scaled by
+ * hostReferenceNominalS / hostReferenceSeconds() compares across runs
+ * on a drifting host.
+ */
+double hostReferenceSeconds();
 
 /** Split a comma-separated flag value; empty fields are dropped. */
 std::vector<std::string> splitCsv(const std::string &s);

@@ -3,9 +3,9 @@
  * Component microbenchmarks (google-benchmark): throughput of the hot
  * simulator primitives — camp mapping, cache probes, the event queue,
  * DRAM/network reservations and meter pages, scheduler scoring, the
- * serving key draw — and of the graph set-up every graph workload
- * starts with. These guard the simulator's own performance, not the
- * paper's results.
+ * serving key draw — of the graph set-up every graph workload starts
+ * with, and of building one graph task's hint. These guard the
+ * simulator's own performance, not the paper's results.
  */
 
 #include <benchmark/benchmark.h>
@@ -29,6 +29,7 @@
 #include "sim/bandwidth_meter.hh"
 #include "sim/event_queue.hh"
 #include "workloads/graph_gen.hh"
+#include "workloads/graph_layout.hh"
 
 namespace abndp
 {
@@ -420,6 +421,35 @@ BM_GraphTransposed(benchmark::State &state)
         benchmark::DoNotOptimize(g.transposed());
 }
 BENCHMARK(BM_GraphTransposed)->Unit(benchmark::kMicrosecond);
+
+/**
+ * One pr task's hint and block list per iteration, vertex after vertex
+ * over the in-neighbour layout of a scale-12 R-MAT graph: the task
+ * borrows both lists from the layout and finalizeBlocks() finds them
+ * memoized. The arena rotates after each sweep, as an epoch would.
+ */
+void
+BM_GraphVertexTask(benchmark::State &state)
+{
+    const Graph g = makeRmatGraph(setupGraphParams(false)).transposed();
+    SystemConfig cfg;
+    SimAllocator alloc(cfg);
+    GraphLayout layout(g, 16, 4);
+    layout.setup(alloc);
+    TaskArena arena;
+    std::uint32_t v = 0;
+    for (auto _ : state) {
+        Task t;
+        layout.borrowVertexHint(v, t);
+        t.finalizeBlocks(arena);
+        benchmark::DoNotOptimize(std::as_const(t).blocks.data());
+        if (++v == g.numVertices()) {
+            v = 0;
+            arena.rotate();
+        }
+    }
+}
+BENCHMARK(BM_GraphVertexTask);
 
 } // namespace
 } // namespace abndp

@@ -11,12 +11,22 @@
  * the summed kernel events by the summed time spent inside
  * NdpSystem::run() (RunMetrics::hostSeconds), so input generation,
  * verify() and thread fan-out do not dilute it; wall_seconds is the
- * whole grid's elapsed time, set-up included.
+ * whole grid's elapsed time, set-up and host reference timing
+ * included.
  *
- * --compare=FILE checks this run's events_per_sec against a baseline
- * JSON line written by a previous run (--out): the process exits
- * nonzero when throughput regressed by more than --tolerance (default
- * 0.10). A missing or unparsable baseline warns and passes, so the
+ * Host speed drifts between runs by about as much as a regression gate
+ * can allow, so right before each cell the bench times the host
+ * reference kernel (bench::hostReferenceSeconds(), bench_e2e's kernel)
+ * and records the median as host_ref_s. events_per_sec_nominal is
+ * events_per_sec scaled to a host on which that kernel takes
+ * bench::hostReferenceNominalS (0.1 s).
+ *
+ * --compare=FILE checks this run's events_per_sec_nominal and
+ * peak_rss_mb against a baseline JSON line written by a previous run
+ * (--out): the process exits nonzero when throughput fell or the peak
+ * resident set rose by more than --tolerance (default 0.10). The peak
+ * resident set is checked only against a baseline of the same threads
+ * value. A missing or unparsable baseline warns and passes, so the
  * first CI run on a fresh cache succeeds.
  *
  * --workloads=pr,bfs and --designs=B,O subset the grid (comma-
@@ -27,11 +37,12 @@
  * peak_rss_mb is the process's peak resident set (getrusage
  * ru_maxrss) after the grid ran. Cells on different threads are
  * resident together, so it compares only between records of the same
- * threads value; it is reported, not compared by --compare.
+ * threads value.
  */
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <chrono>
 #include <iostream>
 #include <sstream>
@@ -68,9 +79,19 @@ main(int argc, char **argv)
             grid.push_back(
                 cellFor(designFromName(dn), specFor(wl, opts), opts));
 
+    std::vector<double> refSeconds(grid.size());
     auto start = std::chrono::steady_clock::now();
-    std::vector<RunMetrics> results = runGrid(opts, grid);
+    std::vector<RunMetrics> results = runCells(
+        opts.base, grid, opts.threads, {},
+        [&refSeconds](std::size_t i) {
+            refSeconds[i] = hostReferenceSeconds();
+        });
     auto end = std::chrono::steady_clock::now();
+    std::sort(refSeconds.begin(), refSeconds.end());
+    const std::size_t mid = refSeconds.size() / 2;
+    const double hostRefS = refSeconds.size() % 2
+        ? refSeconds[mid]
+        : (refSeconds[mid - 1] + refSeconds[mid]) / 2;
 
     double wall = std::chrono::duration<double>(end - start).count();
     std::uint64_t events = 0;
@@ -82,6 +103,7 @@ main(int argc, char **argv)
         runSeconds += m.hostSeconds;
     }
     const double eps = runSeconds > 0 ? events / runSeconds : 0;
+    const double epsNominal = eps * hostRefS / hostReferenceNominalS;
     rusage ru{};
     getrusage(RUSAGE_SELF, &ru);
     const double peakRssMb = static_cast<double>(ru.ru_maxrss) / 1024.0;
@@ -106,9 +128,13 @@ main(int argc, char **argv)
          << ",\"wall_seconds\":" << wall
          << ",\"cells_per_sec\":" << (wall > 0 ? grid.size() / wall : 0)
          << ",\"events_per_sec\":" << eps
+         << ",\"host_ref_s\":" << hostRefS
+         << ",\"events_per_sec_nominal\":" << epsNominal
          << ",\"peak_rss_mb\":" << peakRssMb
          << "}";
 
     emitRecord(json.str(), opts);
-    return compareRecord(json.str(), opts, {{"events_per_sec", true}});
+    return compareRecord(json.str(), opts,
+                         {{"events_per_sec_nominal", true},
+                          {"peak_rss_mb", false, "threads"}});
 }

@@ -1,7 +1,10 @@
 #include "check/machine_checker.hh"
 
+#include <algorithm>
+
 #include "core/metrics.hh"
 #include "core/ndp_system.hh"
+#include "tasking/task.hh"
 
 namespace abndp
 {
@@ -206,6 +209,32 @@ MachineChecker::onRunEnd(const RunMetrics &m)
     }
 
     ctx.raiseIfAny("run end");
+}
+
+void
+MachineChecker::checkBlockMemo(CheckContext &ctx, const Task &task)
+{
+    const std::uint64_t lines = task.hint.totalLines();
+    ctx.require(task.hintLines == lines, "block memo: task func ",
+                task.func, " arg ", task.arg, " memoized hintLines ",
+                task.hintLines, " but its hint has ", lines, " lines");
+    if (task.blocks.empty())
+        return;
+    std::vector<Addr> derived(lines);
+    derived.resize(deriveBlocks(task.hint, derived.data()));
+    ctx.require(std::equal(task.blocks.begin(), task.blocks.end(),
+                           derived.begin(), derived.end()),
+                "block memo: task func ", task.func, " arg ", task.arg,
+                " memoized ", task.blocks.size(),
+                " blocks that differ from the ", derived.size(),
+                " its hint derives (a stale or corrupted block list)");
+}
+
+void
+MachineChecker::onTaskEnqueued(const Task &task)
+{
+    checkBlockMemo(ctx, task);
+    ctx.raiseIfAny("task enqueue");
 }
 
 void

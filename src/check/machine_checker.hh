@@ -33,6 +33,7 @@ namespace abndp
 
 class NdpSystem;
 struct RunMetrics;
+struct Task;
 
 namespace check
 {
@@ -87,6 +88,13 @@ class MachineChecker
      * the targeted invalidation found every copy.
      */
     void onBlockMigrated(Addr block);
+
+    /**
+     * Enqueue hook, called once a task's block memo is final: at
+     * enqueue (after Task::finalizeBlocks()) and at serving injection.
+     * Runs checkBlockMemo().
+     */
+    void onTaskEnqueued(const Task &task);
 
     // ---- Primitive conservation predicates (perturbation-testable) ----
 
@@ -194,6 +202,16 @@ class MachineChecker
                     " are staged (a task was dropped unrun or its slot "
                     "was never released)");
     }
+
+    /**
+     * A task's memoized per-hint state is what its hint derives:
+     * hintLines equals hint.totalLines(), and a memoized (nonempty)
+     * block list equals deriveBlocks() over the hint, entry for entry.
+     * A vertex task borrows both from run-lived per-vertex lists, so a
+     * stale or corrupted list would silently move every access of the
+     * tasks that borrow it.
+     */
+    static void checkBlockMemo(CheckContext &ctx, const Task &task);
 
     /**
      * After a re-homing, no camp cache holds the moved block: @p holders

@@ -1,6 +1,5 @@
 #include "core/access_path.hh"
 
-#include <algorithm>
 #include <bit>
 
 #include "common/logging.hh"
@@ -30,18 +29,9 @@ AccessPath::taskBlocks(const Task &task)
 {
     if (!task.blocks.empty())
         return {task.blocks.data(), task.blocks.size()};
-    blockScratch.clear();
-    for (Addr a : task.hint.data)
-        blockScratch.push_back(blockAlign(a));
-    for (const auto &r : task.hint.ranges)
-        for (Addr a = blockAlign(r.start); a < r.start + r.bytes;
-             a += cachelineBytes)
-            blockScratch.push_back(a);
-    std::sort(blockScratch.begin(), blockScratch.end());
-    blockScratch.erase(
-        std::unique(blockScratch.begin(), blockScratch.end()),
-        blockScratch.end());
-    return {blockScratch.data(), blockScratch.size()};
+    blockScratch.resize(task.hint.totalLines());
+    return {blockScratch.data(),
+            deriveBlocks(task.hint, blockScratch.data())};
 }
 
 void

@@ -49,10 +49,12 @@ class AccessPath
                EnergyAccount &energy, const FaultModel &faults);
 
     /**
-     * The task's sorted deduplicated block addresses: the list memoized
-     * by Task::finalizeBlocks() when present, otherwise derived into
-     * scratch (hand-built test tasks bypass the enqueue path). The span
-     * is valid until the next taskBlocks() call.
+     * The task's sorted deduplicated block addresses: the memoized list
+     * when present (borrowed from GraphLayout or filled by
+     * Task::finalizeBlocks()), otherwise deriveBlocks() into scratch
+     * (serving tasks without a borrowed list, and hand-built test
+     * tasks that bypass the enqueue path). The span is valid until the
+     * next taskBlocks() call.
      */
     std::span<const Addr> taskBlocks(const Task &task);
 

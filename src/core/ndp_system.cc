@@ -303,6 +303,8 @@ NdpSystem::enqueueTask(Task &&task)
 
     task.mainHome = mainHomeOf(task);
     task.finalizeBlocks(workload->taskArena());
+    if (checker)
+        checker->onTaskEnqueued(task);
     task.loadEstimate = sched.estimateLoad(task);
 
     UnitId creator = creatorCtx != invalidUnit ? creatorCtx : task.mainHome;
@@ -1136,9 +1138,14 @@ NdpSystem::injectServingTask(Task &&task)
 {
     task.mainHome = mainHomeOf(task);
     // No finalizeBlocks(): serving tasks outlive every epoch-arena
-    // generation, so blocks stays empty (the access path derives the
-    // block list from the hint) and only hintLines is memoized.
-    task.hintLines = task.hint.totalLines();
+    // generation. A task that arrives with its block list memoized
+    // (borrowed from run-lived storage, hintLines set alongside) keeps
+    // it; any other keeps an empty list (the access path derives it
+    // from the hint) and memoizes only hintLines.
+    if (task.blocks.empty())
+        task.hintLines = task.hint.totalLines();
+    if (checker)
+        checker->onTaskEnqueued(task);
     task.loadEstimate = sched.estimateLoad(task);
     ++activeRemaining;
 

@@ -15,7 +15,8 @@ defaultThreads()
 
 std::vector<RunMetrics>
 runCells(const SystemConfig &base, const std::vector<CellSpec> &cells,
-         std::uint32_t threads, const CellProgressFn &progress)
+         std::uint32_t threads, const CellProgressFn &progress,
+         const CellStartFn &onStart)
 {
     std::vector<RunMetrics> results(cells.size());
     if (cells.empty())
@@ -23,14 +24,17 @@ runCells(const SystemConfig &base, const std::vector<CellSpec> &cells,
     if (threads == 0)
         threads = defaultThreads();
 
-    auto runOne = [&base](const CellSpec &cell) {
+    auto runOne = [&base, &cells, &onStart](std::size_t idx) {
+        if (onStart)
+            onStart(idx);
+        const CellSpec &cell = cells[idx];
         return runExperiment(cell.config ? *cell.config : base,
                              cell.design, cell.workload, cell.opts);
     };
 
     if (threads <= 1) {
         for (std::size_t i = 0; i < cells.size(); ++i) {
-            results[i] = runOne(cells[i]);
+            results[i] = runOne(i);
             if (progress)
                 progress(i + 1, cells.size(), i);
         }
@@ -50,7 +54,7 @@ runCells(const SystemConfig &base, const std::vector<CellSpec> &cells,
                     return;
                 idx = nextCell++;
             }
-            RunMetrics m = runOne(cells[idx]);
+            RunMetrics m = runOne(idx);
             {
                 std::lock_guard<std::mutex> guard(lock);
                 results[idx] = std::move(m);

@@ -48,6 +48,13 @@ using CellProgressFn =
     std::function<void(std::size_t, std::size_t, std::size_t)>;
 
 /**
+ * Start callback: invoked with a cell's index on the thread that runs
+ * it, right before the cell starts (not serialized; a callback that
+ * writes per-cell state must write only that cell's slot).
+ */
+using CellStartFn = std::function<void(std::size_t)>;
+
+/**
  * Run all @p cells on top of @p base and return their metrics in cell
  * order. @p threads = 0 means hardware_concurrency(); the pool size is
  * clamped to the cell count, and threads <= 1 runs inline on the
@@ -57,7 +64,8 @@ using CellProgressFn =
 std::vector<RunMetrics> runCells(const SystemConfig &base,
                                  const std::vector<CellSpec> &cells,
                                  std::uint32_t threads,
-                                 const CellProgressFn &progress = {});
+                                 const CellProgressFn &progress = {},
+                                 const CellStartFn &onStart = {});
 
 /** Threads to use by default: all hardware threads, at least 1. */
 std::uint32_t defaultThreads();

@@ -9,15 +9,17 @@
  * ends. By convention hint.data[0] is the address of the task's main
  * (to-be-updated) element, which defines its "home" for co-location.
  *
- * The hint spans (data, ranges, writes, and the runtime-memoized block
- * list) are SmallVec spans: small hints live inline in the task object
- * and larger ones spill into the per-epoch TaskArena owned by the
- * workload generator, so task creation performs no per-member heap
- * allocation. The NDP runtime moves each accepted task once, into its
- * TaskPool (tasking/task_pool.hh); queues, forwards, steals and
- * recovery transits then carry a 4-byte TaskRef, and dispatch destroys
- * the task in its slot. Tasks are move-only; the rare test or tool
- * that needs a duplicate calls clone().
+ * The hint spans (data, ranges, writes, and the memoized block list)
+ * are SmallVec spans, so task creation performs no per-member heap
+ * allocation. A vertex-centric task borrows its address and block
+ * lists from the run-lived per-vertex lists GraphLayout builds once;
+ * other small hints live inline in the task object, and larger ones
+ * spill into the per-epoch TaskArena owned by the workload generator.
+ * The NDP runtime moves each accepted task once, into its TaskPool
+ * (tasking/task_pool.hh); queues, forwards, steals and recovery
+ * transits then carry a 4-byte TaskRef, and dispatch destroys the task
+ * in its slot. Tasks are move-only; the rare test or tool that needs a
+ * duplicate calls clone().
  */
 
 #ifndef ABNDP_TASKING_TASK_HH
@@ -25,6 +27,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 
 #include "common/types.hh"
 #include "tasking/small_vec.hh"
@@ -80,6 +83,39 @@ struct TaskHint
     }
 };
 
+/**
+ * The one derivation of a hint's block list: write the sorted,
+ * deduplicated cache-block addresses of @p data and of every line of
+ * @p ranges to @p out, and return how many were written. @p out needs
+ * room for data.size() plus the ranges' lines (TaskHint::totalLines()).
+ * Task::finalizeBlocks(), AccessPath::taskBlocks() and GraphLayout's
+ * per-vertex build all call it, so a memoized list and a derived one
+ * cannot disagree.
+ */
+inline std::size_t
+deriveBlocks(std::span<const Addr> data, std::span<const AddrRange> ranges,
+             Addr *out)
+{
+    std::size_t n = 0;
+    for (Addr a : data)
+        out[n++] = blockAlign(a);
+    for (const AddrRange &r : ranges) {
+        Addr a = blockAlign(r.start);
+        for (std::uint32_t i = r.lines(); i > 0; --i, a += cachelineBytes)
+            out[n++] = a;
+    }
+    std::sort(out, out + n);
+    return static_cast<std::size_t>(std::unique(out, out + n) - out);
+}
+
+/** deriveBlocks() over a whole hint. */
+inline std::size_t
+deriveBlocks(const TaskHint &hint, Addr *out)
+{
+    return deriveBlocks({hint.data.data(), hint.data.size()},
+                        {hint.ranges.data(), hint.ranges.size()}, out);
+}
+
 /** One unit of data-centric work. */
 struct Task
 {
@@ -96,13 +132,16 @@ struct Task
     /** Non-memory instruction estimate for timing/energy. */
     std::uint64_t computeInstrs = 0;
 
-    // ---- Fields managed by the runtime, not the workload ----
+    // ---- Fields managed by the runtime, not the workload (a vertex
+    // task may arrive with blocks and hintLines already memoized) ----
     /**
-     * Memoized sorted, deduplicated block addresses of the hint, filled
-     * by finalizeBlocks() at enqueue so neither the prefetcher nor the
-     * execution walk re-derives (and re-sorts) them per visit. Empty
-     * means "not memoized": consumers fall back to deriving the list,
-     * which is exact because an empty hint also derives an empty list.
+     * Memoized sorted, deduplicated block addresses of the hint
+     * (deriveBlocks()), so neither the prefetcher nor the execution
+     * walk re-derives (and re-sorts) them per visit. A vertex-centric
+     * task arrives with the list borrowed from GraphLayout; otherwise
+     * finalizeBlocks() fills it at enqueue. Empty means "not
+     * memoized": consumers fall back to deriving the list, which is
+     * exact because an empty hint also derives an empty list.
      */
     SmallVec<Addr, 2> blocks;
     /** Memoized hint.totalLines(), set alongside blocks. 0 = unset. */
@@ -169,28 +208,21 @@ struct Task
      * Memoize the hint-derived per-task state: totalLines() for the
      * load estimate and the sorted deduplicated block list for the
      * access path. Called once at enqueue by the runtime that owns
-     * @p arena (the workload generator's epoch arena).
+     * @p arena (the workload generator's epoch arena). A task whose
+     * block list is already memoized (borrowed with its hint, and
+     * hintLines set alongside) is left as it is.
      */
     void
     finalizeBlocks(TaskArena &arena)
     {
-        hintLines = hint.totalLines();
-        blocks.clear();
-        std::size_t cnt = hint.data.size();
-        for (const auto &r : hint.ranges)
-            cnt += r.lines();
-        if (cnt == 0)
+        if (!blocks.empty())
             return;
-        blocks.reserveIn(arena, cnt);
-        for (Addr a : hint.data)
-            blocks.push_back(blockAlign(a));
-        for (const auto &r : hint.ranges)
-            for (Addr a = blockAlign(r.start); a < r.start + r.bytes;
-                 a += cachelineBytes)
-                blocks.push_back(a);
-        std::sort(blocks.begin(), blocks.end());
-        blocks.truncate(static_cast<std::size_t>(
-            std::unique(blocks.begin(), blocks.end()) - blocks.begin()));
+        hintLines = hint.totalLines();
+        if (hintLines == 0)
+            return;
+        blocks.reserveIn(arena, hintLines);
+        blocks.resize(hintLines);
+        blocks.truncate(deriveBlocks(hint, blocks.data()));
     }
 };
 

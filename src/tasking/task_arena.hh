@@ -2,19 +2,24 @@
  * @file
  * Two-generation bump arena for task-hint storage.
  *
- * Every task of a bulk-synchronous epoch carries a hint (address list,
- * ranges, write set, memoized block list) whose lifetime is exactly one
- * epoch: tasks for timestamp ts+1 are created while ts executes and die
- * when ts+1's barrier completes. Allocating those spans individually
- * (one std::vector per task per member) dominated the allocator profile
- * at scale; the arena replaces them with pointer bumps into two
- * alternating generations:
+ * A task whose hint is not a function of one vertex (astar's per-query
+ * hints, knn's leaf blocks, and the block list finalizeBlocks() derives
+ * for any task that did not arrive with one) carries spans whose
+ * lifetime is exactly one epoch: tasks for timestamp ts+1 are created
+ * while ts executes and die when ts+1's barrier completes. Allocating
+ * those spans individually (one std::vector per task per member)
+ * dominated the allocator profile at scale; the arena replaces them
+ * with pointer bumps into two alternating generations:
  *
  *   - during epoch ts, new allocations (hints of epoch ts+1's tasks) go
  *     to the *active* generation;
  *   - the epoch engine calls rotate() at every epoch boundary, flipping
  *     the active generation and resetting it. The generation being
  *     reset held epoch ts-1's hints, which are dead by construction.
+ *
+ * Vertex-centric graph tasks never touch it: they borrow run-lived
+ * per-vertex lists from GraphLayout (workloads/graph_layout.hh), so a
+ * pr, bfs, sssp, gcn or spmv run leaves the arena empty.
  *
  * The arena is owned by the workload generator (Workload base class):
  * hints are built by workload code, and each simulator instance owns

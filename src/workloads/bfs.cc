@@ -30,7 +30,7 @@ BfsWorkload::makeTask(std::uint32_t v, std::uint64_t ts) const
     Task t;
     t.timestamp = ts;
     t.arg = v;
-    layout.buildVertexTaskHint(v, t.hint, hintArena);
+    layout.borrowVertexHint(v, t);
     t.writes.push_back(layout.vertexAddr(v));
     t.computeInstrs = 6 + 3ull * graph.degree(v);
     return t;

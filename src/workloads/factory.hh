@@ -67,9 +67,23 @@ struct WorkloadSpec
 
     /** Reduced sizes for unit/integration tests. */
     static WorkloadSpec tiny(const std::string &name);
+
+    /**
+     * The first rule this spec breaks, as the message makeWorkload()
+     * would fatal() with; "" when the spec is valid. Only the knobs of
+     * the named workload are checked (and the R-MAT size knobs only
+     * without a graphFile), so dormant knobs may hold anything; an
+     * unknown name breaks no rule here (makeWorkload() refuses it). The
+     * workload constructors keep their asserts as panics for simulator
+     * bugs; these rules refuse the user inputs that would reach them.
+     */
+    std::string validationError() const;
 };
 
-/** Instantiate a workload; fatal() on unknown names. */
+/**
+ * Instantiate a workload; fatal() on an invalid spec (see above) or an
+ * unknown name.
+ */
 std::unique_ptr<Workload> makeWorkload(const WorkloadSpec &spec);
 
 /** The paper's benchmark suite, in Figure-6 order. */

@@ -54,7 +54,7 @@ GcnWorkload::makeTask(std::uint32_t v, std::uint64_t ts) const
     Task t;
     t.timestamp = ts;
     t.arg = v;
-    layout.buildVertexTaskHint(v, t.hint, hintArena);
+    layout.borrowVertexHint(v, t);
     t.writes.push_back(layout.vertexAddr(v));
     // deg * F aggregation MACs + F*F transform MACs.
     t.computeInstrs = static_cast<std::uint64_t>(graph.degree(v))

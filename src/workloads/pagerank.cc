@@ -38,7 +38,7 @@ PageRankWorkload::makeTask(std::uint32_t v, std::uint64_t ts) const
     t.arg = v;
     // Reads: v's record, its in-neighbor list, the in-neighbors' records
     // (Algorithm 1 reads each in-neighbor's currPr / outDegree).
-    layout.buildVertexTaskHint(v, t.hint, hintArena);
+    layout.borrowVertexHint(v, t);
     t.writes.push_back(layout.vertexAddr(v));
     // ~4 instructions per neighbor contribution plus fixed overhead.
     t.computeInstrs = 8 + 4ull * transpose.degree(v);

@@ -44,7 +44,7 @@ SpmvWorkload::makeTask(std::uint32_t row, std::uint64_t ts) const
     Task t;
     t.timestamp = ts;
     t.arg = row;
-    layout.buildVertexTaskHint(row, t.hint, hintArena);
+    layout.borrowVertexHint(row, t);
     t.writes.push_back(layout.vertexAddr(row));
     t.computeInstrs = 4 + 2ull * matrix.degree(row);
     if (explicitLoadHints)

@@ -45,7 +45,7 @@ SsspWorkload::makeTask(std::uint32_t v, std::uint64_t ts) const
     Task t;
     t.timestamp = ts;
     t.arg = v;
-    layout.buildVertexTaskHint(v, t.hint, hintArena);
+    layout.borrowVertexHint(v, t);
     t.writes.push_back(layout.vertexAddr(v));
     t.computeInstrs = 6 + 4ull * graph.degree(v);
     return t;
@@ -97,14 +97,11 @@ SsspWorkload::makeQueryTask(std::uint64_t key, std::uint64_t seq)
     t.timestamp = 0;
     t.func = 1;
     t.arg = seq;
-    // Same footprint as one batch relaxation of v, but built with
-    // plain push_back (inline/heap tiers): serving tasks outlive every
-    // epoch-arena generation, so the arena must not back them. No
-    // writes: the oracle is read-only.
-    t.hint.data.push_back(layout.vertexAddr(v));
-    layout.appendAdjacency(v, t.hint);
-    for (std::uint32_t n : graph.neighbors(v))
-        t.hint.data.push_back(layout.vertexAddr(n));
+    // Same footprint as one batch relaxation of v, borrowed from the
+    // layout's run-lived lists (serving tasks outlive every epoch-arena
+    // generation, which is why no arena may back them). No writes: the
+    // oracle is read-only.
+    layout.borrowVertexHint(v, t);
     t.computeInstrs = 6 + 4ull * graph.degree(v);
     return t;
 }

@@ -67,10 +67,12 @@ class Workload
     void setExplicitLoadHints(bool on) { explicitLoadHints = on; }
 
     /**
-     * The per-epoch bump arena backing this workload's task-hint spans
-     * (the workload generator owns hint storage; see task_arena.hh).
-     * The driving runtime (NdpSystem, HostSystem, ImmediateExecutor)
-     * calls rotate() at every epoch boundary.
+     * The per-epoch bump arena backing this workload's per-task hint
+     * spans (the workload generator owns hint storage; see
+     * task_arena.hh). Graph workloads lend their tasks run-lived
+     * per-vertex lists instead and leave it empty. The driving runtime
+     * (NdpSystem, HostSystem, ImmediateExecutor) calls rotate() at every
+     * epoch boundary.
      */
     TaskArena &taskArena() const { return hintArena; }
 
@@ -79,7 +81,7 @@ class Workload
     bool explicitLoadHints = false;
 
     /**
-     * Epoch-scoped storage for hint spans built by makeTask().
+     * Epoch-scoped storage for per-task hint spans built by makeTask().
      * Mutable: the arena is allocation plumbing, not observable
      * workload state, and makeTask() is const across workloads.
      */

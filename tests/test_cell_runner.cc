@@ -123,4 +123,27 @@ TEST(CellRunner, ProgressReportsEveryCellExactlyOnce)
         EXPECT_EQ(count, 1);
 }
 
+TEST(CellRunner, StartCallbackRunsOnceBeforeEachCell)
+{
+    // bench_perf_smoke times its host reference kernel here, so every
+    // cell must be started exactly once, before its result lands, on
+    // one thread or many.
+    const std::vector<CellSpec> cells = smallGrid();
+    for (std::uint32_t threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        std::vector<std::atomic<int>> started(cells.size());
+        std::vector<int> startedBeforeDone(cells.size(), 0);
+        runCells(
+            SystemConfig{}, cells, threads,
+            [&](std::size_t, std::size_t, std::size_t idx) {
+                startedBeforeDone[idx] = started[idx].load();
+            },
+            [&](std::size_t idx) { ++started[idx]; });
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+            EXPECT_EQ(started[i].load(), 1);
+            EXPECT_EQ(startedBeforeDone[i], 1);
+        }
+    }
+}
+
 } // namespace abndp

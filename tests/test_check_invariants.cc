@@ -10,6 +10,7 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "check/check_context.hh"
 #include "check/machine_checker.hh"
@@ -263,6 +264,45 @@ TEST(CheckerPerturbation, TaskPoolDrainedFires)
     // A staged task that lost its slot is as wrong as a leaked one.
     check::MachineChecker::checkTaskPoolDrained(ctx, 11, 12);
     EXPECT_FALSE(ctx.clean());
+}
+
+TEST(CheckerPerturbation, BlockMemoFires)
+{
+    // A vertex task borrows its hint and its block list from run-lived
+    // lists; one corrupted entry in the lender's block list, or a
+    // hintLines that does not match the hint, must fire the memo law.
+    std::vector<Addr> data{0x1000, 0x2040, 0x1010, 0x5000};
+    std::vector<Addr> blocks{0x1000, 0x2040, 0x5000, 0x9000, 0x9040};
+    Task t;
+    t.hint.data.borrow(data.data(), data.size());
+    t.hint.ranges.push_back({0x9000, 100}); // two lines
+    t.blocks.borrow(blocks.data(), blocks.size());
+    t.hintLines = 6;
+    check::CheckContext ctx;
+    check::MachineChecker::checkBlockMemo(ctx, t);
+    EXPECT_TRUE(ctx.clean());
+
+    blocks[2] += cachelineBytes;
+    check::MachineChecker::checkBlockMemo(ctx, t);
+    ASSERT_EQ(ctx.violations().size(), 1u);
+    EXPECT_NE(ctx.violations()[0].find("stale or corrupted block list"),
+              std::string::npos);
+
+    ctx.clearViolations();
+    blocks[2] -= cachelineBytes;
+    t.hintLines = 5;
+    check::MachineChecker::checkBlockMemo(ctx, t);
+    ASSERT_EQ(ctx.violations().size(), 1u);
+    EXPECT_NE(ctx.violations()[0].find("memoized hintLines 5"),
+              std::string::npos);
+
+    // A task without a memoized list (a served query derives it on
+    // the fly) is held to hintLines only.
+    ctx.clearViolations();
+    t.hintLines = 6;
+    t.blocks.clear();
+    check::MachineChecker::checkBlockMemo(ctx, t);
+    EXPECT_TRUE(ctx.clean());
 }
 
 TEST(CheckerPerturbation, StaleCampCopyFires)

@@ -1,14 +1,15 @@
 /**
  * @file
- * The config-rule table: every SystemConfig rule checked through
- * validationError(), without forking a death test per rule. A row
- * names a valid base config, one mutation, and the message (a regex)
- * of the rule the mutated config must break first; an empty message
- * means the mutated config must stay valid, which pins the knobs that
- * are dormant while their feature is off. Rows sharing a test name run
- * as one gtest test under that name, so each rule group keeps its
- * established test id. tests/test_death_paths.cc keeps the real death
- * tests of validate() itself and of NdpSystem's constructor.
+ * The config-rule tables: every SystemConfig and WorkloadSpec rule
+ * checked through validationError(), without forking a death test per
+ * rule. A row names a valid base config, one mutation, and the
+ * message (a regex) of the rule the mutated config must break first;
+ * an empty message means the mutated config must stay valid, which
+ * pins the knobs that are dormant while their feature is off. Rows
+ * sharing a test name run as one gtest test under that name, so each
+ * rule group keeps its established test id. tests/test_death_paths.cc
+ * keeps the real death tests of validate() itself and of NdpSystem's
+ * constructor.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include <utility>
 
 #include "common/config.hh"
+#include "workloads/factory.hh"
 
 namespace abndp
 {
@@ -74,19 +76,21 @@ hlbConfig()
     return applyDesign(SystemConfig{}, Design::HlbM);
 }
 
+/** One row of a rule table over config type @p Cfg. */
+template <typename Cfg>
 struct Row
 {
     /** gtest id, "Suite.Name"; rows sharing it form one test. */
     const char *test;
-    SystemConfig (*base)();
-    void (*mutate)(SystemConfig &);
+    Cfg (*base)();
+    void (*mutate)(Cfg &);
     /** Regex the first broken rule's message must contain; "" = valid. */
     const char *expect;
 };
 
 using C = SystemConfig;
 
-const Row rows[] = {
+const Row<C> rows[] = {
     // ---- mesh / units / memory ----
     {"ConfigValidateDeath.RejectsZeroMesh", plainConfig,
      [](C &c) { c.meshX = 0; }, "mesh dimensions must be nonzero"},
@@ -566,20 +570,142 @@ const Row rows[] = {
      ""},
 };
 
-/** Runs every row that carries this test's id. */
+/** A named workload's benchmark-size spec. */
+template <const char *Name>
+WorkloadSpec
+spec()
+{
+    WorkloadSpec s;
+    s.name = Name;
+    return s;
+}
+
+constexpr char pr[] = "pr";
+constexpr char astar[] = "astar";
+constexpr char gcn[] = "gcn";
+constexpr char spmv[] = "spmv";
+constexpr char kmeans[] = "kmeans";
+constexpr char knn[] = "knn";
+constexpr char kv[] = "kv";
+
+using W = WorkloadSpec;
+
+/**
+ * WorkloadSpec's rules: knobs a workload constructor would otherwise
+ * assert on (or read past) are refused with a message naming the knob
+ * and its bound; boundary values and other workloads' knobs stay valid.
+ */
+const Row<W> workloadRows[] = {
+    // ---- R-MAT size: vertices and arcs fit in 32 bits ----
+    {"WorkloadValidate.RejectsGraphPast32Bits", spec<pr>,
+     [](W &w) { w.scale = 40; },
+     "scale 40 is too large: at edgeFactor 16 .* up to scale 26"},
+    {"WorkloadValidate.RejectsGraphPast32Bits", spec<pr>,
+     [](W &w) { w.scale = 27; }, "up to scale 26"},
+    {"WorkloadValidate.RejectsGraphPast32Bits", spec<astar>,
+     [](W &w) {
+         w.scale = 20;
+         w.edgeFactor = 4096;
+     },
+     "scale 20 is too large: at edgeFactor 4096 .* up to scale 18"},
+    {"WorkloadValidate.RejectsGraphPast32Bits", spec<gcn>,
+     [](W &w) { w.edgeFactor = 1u << 31; },
+     "edgeFactor 2147483648 is too large.*at most 2147483647"},
+    {"WorkloadValidate.RejectsGraphPast32Bits", spec<astar>,
+     [](W &w) { w.scale = 0; }, "scale must be at least 1 for astar"},
+    // ---- per-workload counts ----
+    {"WorkloadValidate.RejectsZeroAstarQueries", spec<astar>,
+     [](W &w) { w.astarQueries = 0; },
+     "astarQueries 0 must be at least 1: astar has no task"},
+    {"WorkloadValidate.RejectsKmeansPointsBelowClusters", spec<kmeans>,
+     [](W &w) { w.kmeansPoints = 0; },
+     "kmeansPoints 0 must be at least kmeansClusters \\(16\\)"},
+    {"WorkloadValidate.RejectsKmeansPointsBelowClusters", spec<kmeans>,
+     [](W &w) { w.kmeansPoints = 15; },
+     "kmeansPoints 15 must be at least kmeansClusters"},
+    {"WorkloadValidate.RejectsKmeansPointsBelowClusters", spec<kmeans>,
+     [](W &w) {
+         w.kmeansPoints = 0;
+         w.kmeansClusters = 0;
+     },
+     "kmeansClusters must be at least 1"},
+    {"WorkloadValidate.RejectsKnnPointsBelowK", spec<knn>,
+     [](W &w) { w.knnPoints = 1; },
+     "knnPoints 1 must be at least knnK \\(4\\)"},
+    {"WorkloadValidate.RejectsKnnPointsBelowK", spec<knn>,
+     [](W &w) { w.knnK = 0; }, "knnK must be at least 1"},
+    {"WorkloadValidate.RejectsZeroIterationCounts", spec<kmeans>,
+     [](W &w) { w.kmeansIters = 0; }, "kmeansIters must be at least 1"},
+    {"WorkloadValidate.RejectsZeroIterationCounts", spec<gcn>,
+     [](W &w) { w.gcnLayers = 0; }, "gcnLayers must be at least 1"},
+    {"WorkloadValidate.RejectsZeroIterationCounts", spec<spmv>,
+     [](W &w) { w.spmvIters = 0; }, "spmvIters must be at least 1"},
+
+    // ---- boundaries and dormant knobs stay valid ----
+    {"WorkloadValidate.AcceptsBoundariesAndDormantKnobs", spec<pr>,
+     [](W &) {}, ""},
+    {"WorkloadValidate.AcceptsBoundariesAndDormantKnobs", spec<pr>,
+     [](W &w) { w.scale = 26; }, ""},
+    {"WorkloadValidate.AcceptsBoundariesAndDormantKnobs", spec<pr>,
+     [](W &w) {
+         w.scale = 31;
+         w.edgeFactor = 0;
+     },
+     ""},
+    {"WorkloadValidate.AcceptsBoundariesAndDormantKnobs", spec<gcn>,
+     [](W &w) {
+         w.scale = 0;
+         w.edgeFactor = (1u << 31) - 1;
+     },
+     ""},
+    // A graph file replaces the R-MAT knobs.
+    {"WorkloadValidate.AcceptsBoundariesAndDormantKnobs", spec<pr>,
+     [](W &w) {
+         w.graphFile = "graph.txt";
+         w.scale = 40;
+     },
+     ""},
+    // pr runs to convergence with prIters = 0.
+    {"WorkloadValidate.AcceptsBoundariesAndDormantKnobs", spec<pr>,
+     [](W &w) { w.prIters = 0; }, ""},
+    {"WorkloadValidate.AcceptsBoundariesAndDormantKnobs", spec<kmeans>,
+     [](W &w) { w.kmeansPoints = w.kmeansClusters; }, ""},
+    {"WorkloadValidate.AcceptsBoundariesAndDormantKnobs", spec<knn>,
+     [](W &w) { w.knnPoints = w.knnK; }, ""},
+    {"WorkloadValidate.AcceptsBoundariesAndDormantKnobs", spec<kmeans>,
+     [](W &w) {
+         w.scale = 40;
+         w.astarQueries = 0;
+         w.knnPoints = 0;
+     },
+     ""},
+    {"WorkloadValidate.AcceptsBoundariesAndDormantKnobs", spec<kv>,
+     [](W &w) {
+         w.scale = 40;
+         w.kmeansPoints = 0;
+         w.gcnLayers = 0;
+     },
+     ""},
+};
+
+/** Runs every row of @p table that carries this test's id. */
+template <typename Cfg, std::size_t K>
 class RuleRows : public ::testing::Test
 {
   public:
-    explicit RuleRows(std::string id) : id(std::move(id)) {}
+    RuleRows(const Row<Cfg> (&table)[K], std::string id)
+        : table(table), id(std::move(id))
+    {
+    }
 
     void
     TestBody() override
     {
-        for (std::size_t i = 0; i < std::size(rows); ++i) {
-            const Row &r = rows[i];
+        for (std::size_t i = 0; i < K; ++i) {
+            const Row<Cfg> &r = table[i];
             if (id != r.test)
                 continue;
-            SystemConfig cfg = r.base();
+            Cfg cfg = r.base();
             r.mutate(cfg);
             const std::string err = cfg.validationError();
             if (*r.expect == '\0')
@@ -592,21 +718,32 @@ class RuleRows : public ::testing::Test
     }
 
   private:
+    const Row<Cfg> (&table)[K];
     std::string id;
 };
 
-const bool rowsRegistered = [] {
+/** Register one gtest test per distinct id in @p table. */
+template <typename Cfg, std::size_t K>
+void
+registerRows(const Row<Cfg> (&table)[K])
+{
     std::set<std::string> seen;
-    for (const Row &r : rows) {
+    for (const Row<Cfg> &r : table) {
         const std::string id = r.test;
         if (!seen.insert(id).second)
             continue;
         const auto dot = id.find('.');
         ::testing::RegisterTest(
             id.substr(0, dot).c_str(), id.substr(dot + 1).c_str(), nullptr,
-            nullptr, __FILE__, __LINE__,
-            [id]() -> ::testing::Test * { return new RuleRows(id); });
+            nullptr, __FILE__, __LINE__, [&table, id]() -> ::testing::Test * {
+                return new RuleRows<Cfg, K>(table, id);
+            });
     }
+}
+
+const bool rowsRegistered = [] {
+    registerRows(rows);
+    registerRows(workloadRows);
     return true;
 }();
 

@@ -192,6 +192,17 @@ TEST(Factory, UnknownWorkloadIsFatal)
     EXPECT_DEATH(makeWorkload(spec), "unknown workload");
 }
 
+TEST(Factory, InvalidSpecExitsWithTheRule)
+{
+    // A knob a constructor would assert on (or read past) is a user
+    // error: fatal() exits 1 naming the knob and its bound.
+    WorkloadSpec spec;
+    spec.name = "kmeans";
+    spec.kmeansPoints = 0;
+    EXPECT_EXIT(makeWorkload(spec), ::testing::ExitedWithCode(1),
+                "kmeansPoints 0 must be at least kmeansClusters");
+}
+
 TEST(Factory, SuiteMatchesPaperList)
 {
     const auto &names = allWorkloadNames();
