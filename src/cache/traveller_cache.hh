@@ -6,26 +6,35 @@
  * bulk-synchronous timestamp. Only read-only primary data are cached, so
  * no writebacks ever occur.
  *
- * Tags and recency stamps are contiguous preallocated [numSets * assoc]
- * parallel arrays (the set count is fixed at construction), so the
- * hottest loop of the memory system scans a flat 8-byte tag row instead
- * of probing a hash map and chasing a heap-allocated per-set vector. Bulk invalidation stays O(1)
- * through per-set generation stamps: a set whose stamp is stale is
- * logically empty and is lazily re-initialized on its first insertion of
- * the new timestamp, so untouched sets never even fault their pages in.
+ * Tags are one contiguous [numSets * assoc] array (the set count is
+ * fixed at construction), so the hottest loop of the memory system
+ * scans a flat 8-byte tag row instead of probing a hash map and chasing
+ * a heap-allocated per-set vector. Bulk invalidation stays O(1) through
+ * per-set generation stamps: a set whose stamp is stale is logically
+ * empty and is lazily re-initialized on its first insertion of the new
+ * timestamp.
+ *
+ * The tag and generation arrays are anonymous zero pages (ZeroPages):
+ * every generation starts at 0, stale against the first timestamp, so
+ * construction writes nothing, and a set's pages become resident only
+ * when a block is first inserted into it (or into a set sharing its
+ * page). Lookups and sweeps of untouched sets read the shared zero
+ * page and add no RSS. Recency stamps, a parallel array, exist only
+ * under the policies that read them (LRU, FIFO); under random
+ * replacement, the default and the paper's policy, neither stamps nor
+ * the tick counter are kept.
  */
 
 #ifndef ABNDP_CACHE_TRAVELLER_CACHE_HH
 #define ABNDP_CACHE_TRAVELLER_CACHE_HH
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "common/config.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "common/zero_pages.hh"
 #include "mem/address_map.hh"
 #include "obs/stats_registry.hh"
 
@@ -44,15 +53,12 @@ class TravellerCache
           repl(cfg.traveller.repl),
           rng(mix64(seed ^ 0x7261764c6c657243ULL)),
           bypassProb(cfg.traveller.bypassProb),
-          // Default-initialized on purpose: ways of a set are written
-          // before first use (lazy clear below), so the untouched bulk
-          // of both arrays stays in never-faulted zero pages. Tags and
-          // stamps are split (struct-of-arrays) so the hit probe scans
-          // contiguous 8-byte tags — vectorizable, and one cacheline
-          // covers 8 ways instead of 4.
-          tags(new Addr[nSets * assoc]),
-          stamps(new std::uint64_t[nSets * assoc]),
-          setGen(nSets, 0)
+          // Tags and stamps are split (struct-of-arrays) so the hit
+          // probe scans contiguous 8-byte tags — vectorizable, and one
+          // cacheline covers 8 ways instead of 4.
+          tags(nSets * assoc),
+          stamps(keepsStamps() ? nSets * assoc : 0),
+          setGen(nSets)
     {
     }
 
@@ -109,39 +115,33 @@ class TravellerCache
         std::uint64_t s = setOf(blockAddr);
         const std::uint64_t base = s * assoc;
         Addr *tag = &tags[base];
-        std::uint64_t *stamp = &stamps[base];
         if (setGen[s] != curGen) {
-            for (std::uint32_t w = 0; w < assoc; ++w) {
+            // Stamps need no clearing: a way's stamp is written with
+            // its tag, and only a full set's stamps are ever read.
+            for (std::uint32_t w = 0; w < assoc; ++w)
                 tag[w] = invalidAddr;
-                stamp[w] = 0;
-            }
             setGen[s] = curGen;
         }
         std::uint32_t size = 0;
         for (; size < assoc && tag[size] != invalidAddr; ++size) {
             if (tag[size] == blockAddr) {
                 if (repl == ReplPolicy::Lru)
-                    stamp[size] = ++tick;
+                    stamps[base + size] = ++tick;
                 return true; // raced insert of an already-present block
             }
         }
+        std::uint32_t way = size;
         if (size < assoc) {
-            tag[size] = blockAddr;
-            stamp[size] = ++tick;
             ++nOccupied;
         } else {
-            std::uint32_t victim = 0;
-            if (repl == ReplPolicy::Random) {
-                victim = static_cast<std::uint32_t>(rng.below(assoc));
-            } else {
-                for (std::uint32_t w = 1; w < assoc; ++w)
-                    if (stamp[w] < stamp[victim])
-                        victim = w;
-            }
-            tag[victim] = blockAddr;
-            stamp[victim] = ++tick;
+            way = repl == ReplPolicy::Random
+                ? static_cast<std::uint32_t>(rng.below(assoc))
+                : oldestWay(base);
             ++nEvicts;
         }
+        tag[way] = blockAddr;
+        if (keepsStamps())
+            stamps[base + way] = ++tick;
         ++nInserts;
         return true;
     }
@@ -235,22 +235,34 @@ class TravellerCache
             return 0; // logically empty since the last bulk clear
         const std::uint64_t base = s * assoc;
         Addr *tag = &tags[base];
-        std::uint64_t *stamp = &stamps[base];
         std::uint32_t keep = 0;
         std::uint32_t w = 0;
         for (; w < assoc && tag[w] != invalidAddr; ++w) {
             if (!pred(tag[w])) {
                 tag[keep] = tag[w];
-                stamp[keep] = stamp[w];
+                if (keepsStamps())
+                    stamps[base + keep] = stamps[base + w];
                 ++keep;
             }
         }
         const std::uint32_t dropped = w - keep;
-        for (; keep < w; ++keep) {
+        for (; keep < w; ++keep)
             tag[keep] = invalidAddr;
-            stamp[keep] = 0;
-        }
         return dropped;
+    }
+
+    /** Whether the policy reads recency stamps (LRU, FIFO). */
+    bool keepsStamps() const { return repl != ReplPolicy::Random; }
+
+    /** The way of the full set at @p base with the oldest stamp. */
+    std::uint32_t
+    oldestWay(std::uint64_t base) const
+    {
+        std::uint32_t victim = 0;
+        for (std::uint32_t w = 1; w < assoc; ++w)
+            if (stamps[base + w] < stamps[base + victim])
+                victim = w;
+        return victim;
     }
 
     /**
@@ -278,9 +290,9 @@ class TravellerCache
     std::uint64_t tick = 0;
     std::uint64_t nOccupied = 0;
     std::uint64_t curGen = 1;
-    std::unique_ptr<Addr[]> tags;          // way tags, set-major
-    std::unique_ptr<std::uint64_t[]> stamps; // parallel recency stamps
-    std::vector<std::uint64_t> setGen;
+    ZeroPages<Addr> tags;            // way tags, set-major
+    ZeroPages<std::uint64_t> stamps; // recency; empty under Random
+    ZeroPages<std::uint64_t> setGen; // generation a set was filled in
 
     stats::Counter nHits;
     stats::Counter nMisses;

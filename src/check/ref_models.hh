@@ -273,6 +273,19 @@ class RefTravellerCache
         return false;
     }
 
+    /** Erase every block @p pred matches, in place, in every set. */
+    template <typename Pred>
+    std::uint64_t
+    invalidateMatching(Pred pred)
+    {
+        std::uint64_t dropped = 0;
+        for (auto &set : sets)
+            dropped += std::erase_if(
+                set, [&pred](const Way &way) { return pred(way.block); });
+        nEvicts += dropped;
+        return dropped;
+    }
+
     void
     bulkInvalidate()
     {

@@ -1,6 +1,7 @@
 /**
  * @file
- * Address-stable storage for the tasks an NdpSystem holds.
+ * Address-stable storage for the tasks an NdpSystem (or the functional
+ * ImmediateExecutor) holds.
  *
  * A task is moved into the pool once, when the runtime accepts it (an
  * enqueue or a serving injection), and destroyed in place when a core

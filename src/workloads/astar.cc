@@ -20,9 +20,19 @@ AstarWorkload::AstarWorkload(Graph graph_, std::uint32_t numQueries,
     // (good coverage on power-law graphs) plus random ones.
     std::vector<std::uint32_t> lms;
     std::uint32_t v_max = 0;
-    for (std::uint32_t v = 0; v < graph.numVertices(); ++v)
+    std::uint32_t eligible = 0;
+    for (std::uint32_t v = 0; v < graph.numVertices(); ++v) {
         if (graph.degree(v) > graph.degree(v_max))
             v_max = v;
+        if (graph.degree(v) > 0)
+            ++eligible;
+    }
+    // The draw below ends only once it has found numLandmarks distinct
+    // vertices with neighbours.
+    if (eligible < numLandmarks)
+        fatal("astar: the graph has ", eligible, " vertices with "
+              "neighbours, fewer than the ", numLandmarks,
+              " landmarks ALT preprocessing draws from them");
     lms.push_back(v_max);
     while (lms.size() < numLandmarks) {
         auto v = static_cast<std::uint32_t>(
@@ -42,7 +52,13 @@ AstarWorkload::AstarWorkload(Graph graph_, std::uint32_t numQueries,
     for (std::uint32_t v = 0; v < graph.numVertices(); ++v)
         if (reach[v] != inf)
             candidates.push_back(v);
-    abndp_assert(candidates.size() >= 2, "graph too disconnected");
+    // Every graph the landmark check admits passes (the first
+    // landmark's neighbours are reachable); this guards the endpoint
+    // draw below, which would never end on a single candidate.
+    if (candidates.size() < 2)
+        fatal("astar: only ", candidates.size(), " vertex is reachable "
+              "from the first landmark; queries need 2 distinct "
+              "endpoints");
 
     queries.resize(numQueries);
     for (auto &q : queries) {

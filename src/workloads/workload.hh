@@ -18,6 +18,7 @@
 #include "mem/allocator.hh"
 #include "tasking/task.hh"
 #include "tasking/task_arena.hh"
+#include "tasking/task_pool.hh"
 
 namespace abndp
 {
@@ -91,6 +92,10 @@ class Workload
 /**
  * Trivial TaskSink that runs every task immediately and in order; used by
  * workload unit tests and the host baseline's functional execution.
+ * Tasks live in a TaskPool, as in NdpSystem: the epoch lists hold
+ * handles, and a task's slot is recycled right after it runs, so the
+ * executor holds the peak number of live tasks, not a growing buffer of
+ * whole tasks per epoch.
  */
 class ImmediateExecutor : public TaskSink
 {
@@ -100,7 +105,7 @@ class ImmediateExecutor : public TaskSink
     void
     enqueueTask(Task &&task) override
     {
-        pending.push_back(std::move(task));
+        pending.push_back(pool.add(std::move(task)));
         ++nEnqueued;
     }
 
@@ -115,8 +120,12 @@ class ImmediateExecutor : public TaskSink
             wl.taskArena().rotate();
             current.swap(pending);
             pending.clear();
-            for (auto &task : current)
-                wl.executeTask(task, *this);
+            // Pool addresses are stable, so the task stays valid while
+            // executeTask() adds its children.
+            for (TaskRef ref : current) {
+                wl.executeTask(pool[ref], *this);
+                pool.release(ref);
+            }
             wl.endEpoch(ts);
             current.clear();
             ++ts;
@@ -128,8 +137,9 @@ class ImmediateExecutor : public TaskSink
 
   private:
     Workload &wl;
-    std::vector<Task> current;
-    std::vector<Task> pending;
+    TaskPool pool;
+    std::vector<TaskRef> current;
+    std::vector<TaskRef> pending;
     std::uint64_t nEnqueued = 0;
 };
 

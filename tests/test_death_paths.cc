@@ -3,15 +3,20 @@
  * Death-test coverage of the simulator's fatal()/panic() paths that a
  * return value cannot show: validate() and NdpSystem's constructor
  * exiting on a broken config rule (the rules themselves are one table
- * in test_config_validation.cc), the name parsers, the serving driver,
- * and the watchdog/deadlock diagnostic dump. The event queue's own
- * death paths (schedule-into-the-past panic; its capacity limit is a
- * compile-time callbackFits rejection) live in test_event_queue.cc.
+ * in test_config_validation.cc), the name parsers, a zero-page mapping
+ * the kernel refuses, the serving driver, and the watchdog/deadlock
+ * diagnostic dump. The event queue's own death paths (schedule-into-
+ * the-past panic; its capacity limit is a compile-time callbackFits
+ * rejection) live in test_event_queue.cc.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+
 #include "common/config.hh"
+#include "common/zero_pages.hh"
 #include "core/ndp_system.hh"
 #include "driver/experiment.hh"
 #include "workloads/factory.hh"
@@ -91,6 +96,17 @@ TEST(ConfigValidateDeath, UnknownNamesListTheirTable)
 TEST(ConfigValidateDeath, UnknownDesignPanics)
 {
     EXPECT_DEATH(designName(static_cast<Design>(99)), "unknown design");
+}
+
+// ---- ZeroPages: the Traveller arrays' storage -------------------------
+
+TEST(ZeroPagesDeath, RefusedMappingIsFatal)
+{
+    // 2^63 bytes: more than any address space the kernel hands out.
+    EXPECT_EXIT(ZeroPages<std::uint64_t>(std::size_t{1} << 60),
+                ::testing::ExitedWithCode(1),
+                "^fatal: cannot map 9223372036854775808 bytes of zero "
+                "pages: ");
 }
 
 // ---- serving driver fatal paths ---------------------------------------

@@ -15,6 +15,7 @@
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -129,17 +130,21 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- TravellerCache vs RefTravellerCache ------------------------------
 
-class TravellerDifferential : public ::testing::TestWithParam<double>
+namespace
 {
-};
 
-TEST_P(TravellerDifferential, LockStepAgainstReference)
+/**
+ * Drive a TravellerCache and its reference in lock-step under @p repl
+ * and @p bypass. Both sides mix the same raw seed into the same
+ * dedicated stream, so bypass and victim draws line up one-to-one.
+ */
+void
+travellerLockStep(ReplPolicy repl, double bypass)
 {
-    // Both sides mix the same raw seed into the same dedicated stream,
-    // so bypass and victim draws line up one-to-one.
     SystemConfig cfg;
     cfg.memBytesPerUnit = 1ull << 22; // small cache: evictions happen
-    cfg.traveller.bypassProb = GetParam();
+    cfg.traveller.repl = repl;
+    cfg.traveller.bypassProb = bypass;
     cfg.validate();
     TravellerCache opt(cfg, cfg.seed);
     check::RefTravellerCache ref(cfg.travellerSets(), cfg.traveller.assoc,
@@ -163,12 +168,24 @@ TEST_P(TravellerDifferential, LockStepAgainstReference)
             break;
           case 6:
             // Re-homing drop: the surviving ways must keep the order
-            // the reference keeps, or later random victims diverge.
+            // (and, under LRU/FIFO, the stamps) the reference keeps, or
+            // later victims diverge.
             ASSERT_EQ(opt.invalidate(a), ref.invalidate(a)) << "op " << i;
             break;
           default:
             ASSERT_EQ(opt.contains(a), ref.contains(a)) << "op " << i;
             break;
+        }
+        if (i % 997 == 996) {
+            // Rare unit-failure purge: a pseudo-random third of the
+            // blocks, so most sets keep some ways and compact.
+            const std::uint64_t third = gen.below(3);
+            auto failed = [third](Addr b) {
+                return mix64(blockNumber(b)) % 3 == third;
+            };
+            ASSERT_EQ(opt.invalidateMatching(failed),
+                      ref.invalidateMatching(failed))
+                << "op " << i;
         }
         if (i % 4096 == 4095) {
             opt.bulkInvalidate();
@@ -186,13 +203,53 @@ TEST_P(TravellerDifferential, LockStepAgainstReference)
     EXPECT_EQ(opt.occupancy(), ref.occupancy());
 }
 
+std::string
+bypassName(double bypass)
+{
+    return "bypass" + std::to_string(static_cast<int>(bypass * 100));
+}
+
+} // namespace
+
+/** Random replacement (the default) at each bypass probability. */
+class TravellerDifferential : public ::testing::TestWithParam<double>
+{
+};
+
+TEST_P(TravellerDifferential, LockStepAgainstReference)
+{
+    travellerLockStep(ReplPolicy::Random, GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(BypassProbs, TravellerDifferential,
                          ::testing::Values(0.0, 0.1, 0.5),
                          [](const auto &info) {
-                             return "bypass"
-                                 + std::to_string(static_cast<int>(
-                                       info.param * 100));
+                             return bypassName(info.param);
                          });
+
+/**
+ * The stamp-reading policies: the cache keeps recency stamps only for
+ * these, so their victims, stamp updates on hits and stamp moves on
+ * compaction are checked here.
+ */
+class TravellerRecencyDifferential
+    : public ::testing::TestWithParam<std::tuple<ReplPolicy, double>>
+{
+};
+
+TEST_P(TravellerRecencyDifferential, LockStepAgainstReference)
+{
+    travellerLockStep(std::get<0>(GetParam()), std::get<1>(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, TravellerRecencyDifferential,
+    ::testing::Combine(::testing::Values(ReplPolicy::Lru, ReplPolicy::Fifo),
+                       ::testing::Values(0.0, 0.1, 0.5)),
+    [](const auto &info) {
+        return std::string(nameOf(std::get<0>(info.param))) + "_"
+            + bypassName(std::get<1>(info.param));
+    });
 
 // ---- BandwidthMeter vs RefBandwidthMeter ------------------------------
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <fstream>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "cache/traveller_cache.hh"
@@ -29,6 +33,19 @@ sameSetBlocks(const TravellerCache &tc, std::uint32_t n)
     for (std::uint32_t i = 0; i < n; ++i)
         out.push_back(static_cast<Addr>(i) * tc.numSets() * cachelineBytes);
     return out;
+}
+
+/** This process's VmRSS in KB, from /proc/self/status. */
+std::int64_t
+residentKb()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line))
+        if (line.rfind("VmRSS:", 0) == 0)
+            return std::stoll(line.substr(6));
+    ADD_FAILURE() << "no VmRSS line in /proc/self/status";
+    return 0;
 }
 
 } // namespace
@@ -171,6 +188,29 @@ TEST(TravellerCache, InvalidateEqualsOneBlockSweep)
     EXPECT_EQ(probe.evictions(), sweep.evictions());
     for (Addr a = 0; a < 2048 * cachelineBytes; a += cachelineBytes)
         ASSERT_EQ(probe.contains(a), sweep.contains(a)) << "block " << a;
+}
+
+TEST(TravellerCache, DefaultMachineCachesStayOutOfRss)
+{
+    // The default machine's 128 camp caches map 160 MB of tags and set
+    // generations. Construction writes none of it, and a full
+    // invalidateMatching() sweep only reads each set's generation,
+    // which an untouched page serves from the shared zero page. The
+    // bound holds under ASan too (+0.5 MB there).
+    SystemConfig cfg;
+    const std::int64_t before = residentKb();
+    std::vector<std::unique_ptr<TravellerCache>> caches;
+    for (UnitId u = 0; u < cfg.numUnits(); ++u)
+        caches.push_back(std::make_unique<TravellerCache>(
+            cfg, mix64(cfg.seed ^ (0x1000ull + u))));
+    std::uint64_t dropped = 0;
+    for (auto &tc : caches)
+        dropped += tc->invalidateMatching([](Addr) { return true; });
+    const std::int64_t grewKb = residentKb() - before;
+    EXPECT_EQ(dropped, 0u);
+    EXPECT_EQ(caches.size(), 128u);
+    EXPECT_EQ(caches[0]->numSets(), 32768u);
+    EXPECT_LT(grewKb, 4 * 1024) << "VmRSS grew by " << grewKb << " KB";
 }
 
 } // namespace abndp

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "workloads/factory.hh"
 #include "workloads/pagerank.hh"
 #include "workloads/bfs.hh"
@@ -140,6 +143,39 @@ TEST(Astar, HeuristicIsAdmissible)
     for (std::uint32_t v = 0; v < g.numVertices(); ++v)
         EXPECT_EQ(astar.heuristic(v, v), 0u);
 }
+
+/**
+ * ALT preprocessing draws 8 distinct landmarks among the vertices with
+ * neighbours, so a sparser graph must exit naming the count; it used to
+ * draw forever. Each row is an R-MAT (scale, edge factor) with fewer
+ * than 8 such vertices. The rows run under a ctest TIMEOUT
+ * (tests/CMakeLists.txt), so a regression fails instead of hanging.
+ */
+class AstarTooSparse
+    : public ::testing::TestWithParam<
+          std::pair<std::uint32_t, std::uint32_t>>
+{
+};
+
+TEST_P(AstarTooSparse, IsFatal)
+{
+    WorkloadSpec spec;
+    spec.name = "astar";
+    spec.scale = GetParam().first;
+    spec.edgeFactor = GetParam().second;
+    EXPECT_EXIT(makeWorkload(spec), ::testing::ExitedWithCode(1),
+                "fatal: astar: the graph has [0-7] vertices with "
+                "neighbours, fewer than the 8 landmarks");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Inputs, AstarTooSparse,
+    ::testing::Values(std::pair{1u, 16u}, std::pair{2u, 1u},
+                      std::pair{8u, 0u}),
+    [](const auto &info) {
+        return "scale" + std::to_string(info.param.first) + "_ef"
+            + std::to_string(info.param.second);
+    });
 
 TEST(Gcn, ProducesNonNegativeFeatures)
 {
