@@ -185,8 +185,9 @@ BENCHMARK(BM_TravellerInvalidateSweep);
 
 /**
  * One DRAM read per 100 ns. Time only advances, so a fence every
- * 4,096 accesses retires every page behind it, as the epoch barrier
- * does; without one the meter keeps every page it ever touched.
+ * BandwidthMeter::fenceInterval of simulated time (~328 accesses)
+ * retires every page behind it, as NdpSystem's run loop does; without
+ * one the meter keeps every page it ever touched.
  */
 void
 BM_DramAccess(benchmark::State &state)
@@ -195,14 +196,16 @@ BM_DramAccess(benchmark::State &state)
     EnergyAccount energy(cfg);
     MeterBackend dram(cfg, energy);
     Tick t = 0;
+    Tick nextFence = BandwidthMeter::fenceInterval;
     Addr a = 0;
-    std::uint64_t sent = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(dram.access(a, 64, false, false, t));
         a += 4096;
         t += 100000;
-        if (++sent % 4096 == 0)
+        if (t >= nextFence) {
             dram.discardBefore(t);
+            nextFence = t + BandwidthMeter::fenceInterval;
+        }
     }
 }
 BENCHMARK(BM_DramAccess);
@@ -216,16 +219,18 @@ BM_NetworkTransfer(benchmark::State &state)
     EnergyAccount energy(cfg);
     Network net(cfg, topo, energy);
     Tick t = 0;
+    Tick nextFence = BandwidthMeter::fenceInterval;
     UnitId dst = 1;
-    std::uint64_t sent = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(net.transfer(0, dst, 80, t));
         dst = (dst + 17) % 128;
         if (dst == 0)
             dst = 1;
         t += 100000;
-        if (++sent % 4096 == 0)
+        if (t >= nextFence) {
             net.discardBefore(t);
+            nextFence = t + BandwidthMeter::fenceInterval;
+        }
     }
 }
 BENCHMARK(BM_NetworkTransfer);
@@ -233,8 +238,9 @@ BENCHMARK(BM_NetworkTransfer);
 /**
  * Mesh traffic as pr-B sends it: (src, dst) drawn over all 128 units,
  * so packets spread over every link and port meter, one every 3 ns at
- * out-of-order starts inside a sliding 2 us window, which a fence
- * closes every 4,096 packets as the epoch barrier does.
+ * out-of-order starts inside a sliding 2 us window, whose start a
+ * fence passes every BandwidthMeter::fenceInterval (~10,900 packets),
+ * as NdpSystem's run loop does.
  */
 void
 BM_NetworkTransferMesh(benchmark::State &state)
@@ -247,15 +253,17 @@ BM_NetworkTransferMesh(benchmark::State &state)
     const Tick window = 2000 * ticksPerNs;
     Rng rng(11);
     Tick now = window;
-    std::uint64_t sent = 0;
+    Tick nextFence = window + BandwidthMeter::fenceInterval;
     for (auto _ : state) {
         const auto src = static_cast<UnitId>(rng.below(units));
         const auto dst = static_cast<UnitId>(rng.below(units));
         benchmark::DoNotOptimize(net.transfer(src, dst, PacketSizes::data,
                                               now - rng.below(window)));
         now += 3 * ticksPerNs;
-        if (++sent % 4096 == 0)
+        if (now >= nextFence) {
             net.discardBefore(now - window);
+            nextFence = now + BandwidthMeter::fenceInterval;
+        }
     }
 }
 BENCHMARK(BM_NetworkTransferMesh);
@@ -275,8 +283,8 @@ BENCHMARK(BM_BandwidthMeterReserve);
 /**
  * The page lifecycle on sparse meters, as kv-serve's DRAM banks see it:
  * each iteration books a 260 ns refresh every 32 buckets of 256 ns
- * across one 1,024-bucket page of one bank (64 touched buckets, about
- * what a kv-serve page of 256 ns buckets holds at retirement), then
+ * across one 256-bucket page of one bank (16 touched buckets, about
+ * what a kv-serve page holds at retirement), then
  * fences past the page, so it is retired and its storage reused; time
  * per iteration is ns per page cycled. 512 banks taken in turn keep
  * the pages out of the core's caches, as a run's are.
@@ -284,8 +292,8 @@ BENCHMARK(BM_BandwidthMeterReserve);
 void
 BM_BandwidthMeterPageChurn(benchmark::State &state)
 {
-    const Tick width = 256 * ticksPerNs;
-    const Tick page = 1024 * width;
+    const Tick width = BandwidthMeter::defaultBucketTicks;
+    const Tick page = BandwidthMeter::pageBuckets * width;
     std::vector<BandwidthMeter> banks(512, BandwidthMeter(width));
     std::size_t bank = 0;
     Tick base = 0;

@@ -137,43 +137,48 @@ main(int argc, char **argv)
         std::cout << "\n";
     }
 
-    auto wl = makeWorkload(spec);
-    RunMetrics m;
-    if (design == Design::H) {
-        HostSystem host(cfg);
-        m = host.run(*wl);
-        if (verify && !wl->verify())
-            fatal("verification failed");
-        if (json) {
-            dumpJson(std::cout, cfg, m);
-            std::cout << "\n";
-            return 0;
+    // Inputs are sized by the user: one sized past the host's memory
+    // fails in makeWorkload() (R-MAT edges) or in the run's workload
+    // setup (an edge list's vertex range), and either is a fatal().
+    return fatalIfOutOfMemory(spec.inputName(), [&] {
+        auto wl = makeWorkload(spec);
+        RunMetrics m;
+        if (design == Design::H) {
+            HostSystem host(cfg);
+            m = host.run(*wl);
+            if (verify && !wl->verify())
+                fatal("verification failed");
+            if (json) {
+                dumpJson(std::cout, cfg, m);
+                std::cout << "\n";
+                return 0;
+            }
+        } else {
+            NdpSystem sys(cfg);
+            m = sys.run(*wl);
+            if (verify && !wl->verify())
+                fatal("verification failed");
+            if (json) {
+                dumpJson(std::cout, cfg, m);
+                std::cout << "\n";
+                return 0;
+            }
+            if (stats)
+                sys.statsRegistry().dump(std::cout);
+            if (heatmap)
+                dumpHeatmap(std::cout, cfg, m);
+            if (stats)
+                return 0;
         }
-    } else {
-        NdpSystem sys(cfg);
-        m = sys.run(*wl);
-        if (verify && !wl->verify())
-            fatal("verification failed");
-        if (json) {
-            dumpJson(std::cout, cfg, m);
-            std::cout << "\n";
-            return 0;
-        }
-        if (stats)
-            sys.statsRegistry().dump(std::cout);
-        if (heatmap)
-            dumpHeatmap(std::cout, cfg, m);
-        if (stats)
-            return 0;
-    }
 
-    std::cout << spec.name << " under " << designName(design) << ": "
-              << m.tasks << " tasks in " << m.seconds() * 1e3
-              << " ms simulated (" << m.epochs << " epochs), "
-              << m.interHops << " inter-stack hops, "
-              << m.energy.total() / 1e9 << " mJ, utilization "
-              << m.utilization() << ", imbalance x" << m.imbalance()
-              << "; " << m.simEvents << " events in " << m.hostSeconds
-              << " s host (" << m.eventsPerSec() << " events/s)\n";
-    return 0;
+        std::cout << spec.name << " under " << designName(design) << ": "
+                  << m.tasks << " tasks in " << m.seconds() * 1e3
+                  << " ms simulated (" << m.epochs << " epochs), "
+                  << m.interHops << " inter-stack hops, "
+                  << m.energy.total() / 1e9 << " mJ, utilization "
+                  << m.utilization() << ", imbalance x" << m.imbalance()
+                  << "; " << m.simEvents << " events in " << m.hostSeconds
+                  << " s host (" << m.eventsPerSec() << " events/s)\n";
+        return 0;
+    });
 }

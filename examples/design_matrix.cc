@@ -82,7 +82,9 @@ main(int argc, char **argv)
     std::map<Design, std::uint64_t> ticksOf;
     for (std::size_t i = 0; i < designs.size(); ++i) {
         const Design d = designs[i];
-        RunMetrics m = runExperiment(cellBases[i], d, spec, opts);
+        RunMetrics m = fatalIfOutOfMemory(spec.inputName(), [&] {
+            return runExperiment(cellBases[i], d, spec, opts);
+        });
         ticksOf[d] = m.ticks;
         if (d == Design::B)
             baseTicks = static_cast<double>(m.ticks);

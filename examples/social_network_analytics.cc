@@ -23,18 +23,14 @@
 #include "workloads/graph_gen.hh"
 #include "workloads/pagerank.hh"
 
+namespace
+{
+
+/** Rank the influencers and measure their reach under B and O. */
 int
-main(int argc, char **argv)
+analyze(const abndp::RmatParams &params)
 {
     using namespace abndp;
-
-    CliFlags flags(argc, argv);
-    RmatParams params;
-    params.scale = flags.getUint32("scale", 13);
-    params.edgeFactor = flags.getUint32("edge-factor", 16);
-    params.seed = flags.getUint("seed", 2026);
-    params.undirected = false;
-    flags.rejectUnread();
 
     std::cout << "Generating a power-law social graph (2^" << params.scale
               << " users)...\n";
@@ -109,4 +105,24 @@ main(int argc, char **argv)
     }
     bfsTable.print(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    using namespace abndp;
+
+    CliFlags flags(argc, argv);
+    RmatParams params;
+    params.scale = flags.getUint32("scale", 13);
+    params.edgeFactor = flags.getUint32("edge-factor", 16);
+    params.seed = flags.getUint("seed", 2026);
+    params.undirected = false;
+    flags.rejectUnread();
+    return fatalIfOutOfMemory(
+        logging_detail::concat("the R-MAT input at scale ", params.scale,
+                               ", edge factor ", params.edgeFactor),
+        [&] { return analyze(params); });
 }

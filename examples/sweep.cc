@@ -93,7 +93,9 @@ main(int argc, char **argv)
                   << designName(cells[idx].design) << "\n";
     };
     std::vector<RunMetrics> results =
-        runCells(SystemConfig{}, cells, threads, progress);
+        fatalIfOutOfMemory(baseSpec.inputName(), [&] {
+            return runCells(SystemConfig{}, cells, threads, progress);
+        });
 
     std::ofstream file;
     std::ostream *os = &std::cout;

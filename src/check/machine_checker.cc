@@ -199,14 +199,16 @@ MachineChecker::onRunEnd(const RunMetrics &m)
                 " pJ)");
 
     // Bandwidth conservation: no meter bucket anywhere in the machine
-    // may have admitted more than capacity x window.
-    mem.network().auditBandwidth(ctx);
-    for (UnitId u = 0; u < sys.numUnits(); ++u) {
-        mem.dram(u).auditBandwidth(ctx);
-        // Backend-specific timing invariants (the DDR backend checks
-        // its tFAW ACT-window bound; the meter backend has none).
+    // may have admitted more than capacity x window; every meter's
+    // pages are clean outside their touched marks.
+    mem.forEachMeter([this](const char *kind, std::size_t i,
+                            const BandwidthMeter &meter) {
+        checkMeter(ctx, kind, i, meter);
+    });
+    // Backend-specific timing invariants (the DDR backend checks its
+    // tFAW ACT-window bound; the meter backend has none).
+    for (UnitId u = 0; u < sys.numUnits(); ++u)
         mem.dram(u).auditTiming(ctx);
-    }
 
     ctx.raiseIfAny("run end");
 }

@@ -9,8 +9,10 @@
 #ifndef ABNDP_COMMON_LOGGING_HH
 #define ABNDP_COMMON_LOGGING_HH
 
+#include <new>
 #include <sstream>
 #include <string>
+#include <utility>
 
 namespace abndp
 {
@@ -61,6 +63,23 @@ warn(Args&&... args)
 {
     logging_detail::warnImpl(
         logging_detail::concat(std::forward<Args>(args)...));
+}
+
+/**
+ * Run @p body and end an allocation failure in one fatal() naming
+ * @p input. For front ends whose input the user sizes: an input too
+ * large for the host is refused like any other bad input, not left to
+ * an uncaught std::bad_alloc.
+ */
+template <typename F>
+decltype(auto)
+fatalIfOutOfMemory(const std::string &input, F &&body)
+{
+    try {
+        return std::forward<F>(body)();
+    } catch (const std::bad_alloc &) {
+        fatal(input, " does not fit in host memory (allocation failed)");
+    }
 }
 
 /**

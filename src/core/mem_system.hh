@@ -90,12 +90,13 @@ class MemSystem
     void migrateBlock(Addr block, UnitId to, Tick now);
 
     /**
-     * Barrier-time storage reclamation: retire bandwidth-meter pages
-     * that no reservation can reach anymore. Called with the barrier
-     * tick (every post-barrier access starts at or after it); forwards
-     * to every DRAM channel (per-bank refresh floor applies there) and
-     * the interconnect. Purely a memory-footprint optimization — the
-     * timing and stats of every subsequent reservation are identical.
+     * Storage reclamation at the run loop's time fence: retire
+     * bandwidth-meter pages that no reservation can reach anymore.
+     * Called with the fence tick @p tb (every later access starts at
+     * or after it); forwards to every DRAM channel (per-bank refresh
+     * floor applies there) and the interconnect. Purely a
+     * memory-footprint optimization — the timing and stats of every
+     * later reservation are identical.
      */
     void
     discardBefore(Tick tb)
@@ -103,6 +104,18 @@ class MemSystem
         for (auto &d : drams)
             d->discardBefore(tb);
         net.discardBefore(tb);
+    }
+
+    /**
+     * Visit every bandwidth meter of the machine, the interconnect's
+     * and then each channel's (audits only).
+     */
+    void
+    forEachMeter(const MeterVisitor &visit) const
+    {
+        net.forEachMeter(visit);
+        for (const auto &d : drams)
+            d->forEachMeter(visit);
     }
 
     /**

@@ -1028,6 +1028,33 @@ NdpSystem::watchdogTrip(const std::string &window, const char *hint)
         false);
 }
 
+void
+NdpSystem::step()
+{
+    if (!eq.runOne())
+        dumpStallDiagnostics(servingMode
+                                 ? "deadlock: serving stream live but no "
+                                   "events"
+                                 : "deadlock: live tasks but no events",
+                             true);
+    if (eq.watchdogTripped()) {
+        if (servingMode)
+            watchdogTrip("serving window",
+                         "; the open-loop arrival rate may exceed what "
+                         "this design can sustain");
+        else
+            watchdogTrip(logging_detail::concat("epoch ", curEpoch), "");
+    }
+    // Time fence: every later event runs at or after now and books
+    // bandwidth at or after its own tick, so meter pages wholly below
+    // now are unreachable. Retiring them every fenceInterval keeps a
+    // meter's live pages to its backlog ahead of now, not an epoch's.
+    if (eq.now() >= nextFence) {
+        mem.discardBefore(eq.now());
+        nextFence = eq.now() + BandwidthMeter::fenceInterval;
+    }
+}
+
 RunMetrics
 NdpSystem::run(Workload &wl)
 {
@@ -1089,13 +1116,8 @@ NdpSystem::batchRun(Workload &wl)
         // Drain the epoch: stop as soon as every task completed so that
         // periodic bookkeeping events (exchange ticks, steal backoffs)
         // cannot stretch the barrier, then cancel them.
-        while (activeRemaining > 0) {
-            if (!eq.runOne())
-                dumpStallDiagnostics(
-                    "deadlock: live tasks but no events", true);
-            if (eq.watchdogTripped())
-                watchdogTrip(logging_detail::concat("epoch ", ts), "");
-        }
+        while (activeRemaining > 0)
+            step();
         if (checker)
             checker->onEpochEnd(ts, epochTaskCount - epochRecoveredCount,
                                 epochRecoveredCount, stagedCount);
@@ -1110,11 +1132,6 @@ NdpSystem::batchRun(Workload &wl)
         mem.bulkInvalidate();
         for (auto &unit : units)
             unit.invalidatePrimaryData();
-        // The barrier is also a time fence: every event of the next
-        // epoch is scheduled at or after now(), so meter pages wholly
-        // below it are unreachable and their storage can be reclaimed
-        // (bounds resident pages to one epoch's backlog window).
-        mem.discardBefore(eq.now());
         wl.endEpoch(ts);
         ++ts;
         ++epochsDone;
@@ -1196,12 +1213,11 @@ void
 NdpSystem::armServingWindow(Tick interval)
 {
     // The serving analogue of the epoch boundary, minus the barrier:
-    // the watchdog budget re-arms, the schedulers refresh their
-    // exchange snapshot, and wholly-past meter pages are reclaimed
-    // (every future event books bandwidth at t >= now, so pages below
-    // now are unreachable — the same argument the batch barrier uses).
-    // Nothing drains, and no cache is invalidated: primary data is
-    // read-only under serving, so there is no timestamp boundary.
+    // the watchdog budget re-arms and the schedulers refresh their
+    // exchange snapshot. Nothing drains, and no cache is invalidated:
+    // primary data is read-only under serving, so there is no
+    // timestamp boundary. (Meter pages retire at step()'s time fence,
+    // as in batch runs.)
     eq.scheduleIn(interval, [this, interval] {
         ++servingWindows;
         eq.armWatchdog();
@@ -1209,7 +1225,6 @@ NdpSystem::armServingWindow(Tick interval)
             sched.exchangeSnapshot(eq.now());
         if (lbOn)
             runLbExchange();
-        mem.discardBefore(eq.now());
         armServingWindow(interval);
     });
 }
@@ -1263,15 +1278,8 @@ NdpSystem::serveRun(Workload &wl)
     // Drive the open loop: run until the stream is exhausted and every
     // admitted request completed. There is no drain barrier in between
     // — new arrivals keep injecting while earlier requests execute.
-    while (activeRemaining > 0 || servingInjected.value() < sc.requests) {
-        if (!eq.runOne())
-            dumpStallDiagnostics(
-                "deadlock: serving stream live but no events", true);
-        if (eq.watchdogTripped())
-            watchdogTrip("serving window",
-                         "; the open-loop arrival rate may exceed what "
-                         "this design can sustain");
-    }
+    while (activeRemaining > 0 || servingInjected.value() < sc.requests)
+        step();
     // Only bookkeeping chains remain (windows, steal backoffs).
     eq.clearPending();
 

@@ -125,14 +125,23 @@ class NdpSystem : public TaskSink
     /** The batch epoch engine (run() body when serving is off). */
     RunMetrics batchRun(Workload &wl);
 
+    /**
+     * One step of both drive loops (batchRun's epoch drain, serveRun's
+     * open loop): run the next event, dump diagnostics on a deadlock or
+     * a tripped watchdog, and once now has passed the next time fence
+     * retire the meter pages below now (MemSystem::discardBefore) and
+     * set the next fence BandwidthMeter::fenceInterval ahead.
+     */
+    void step();
+
     // ---- Online serving driver (docs/ARCHITECTURE.md) ----
 
     /**
      * The open-loop serving driver: injects cfg.serving.requests
      * independent query tasks at seeded stochastic arrival times and
      * drives the event loop without epoch drain barriers. Exchange
-     * snapshots, watchdog re-arms, and meter reclamation ride on a
-     * periodic *window* chain instead of the epoch barrier.
+     * snapshots and watchdog re-arms ride on a periodic *window* chain
+     * instead of the epoch barrier.
      */
     RunMetrics serveRun(Workload &wl);
 
@@ -148,7 +157,7 @@ class NdpSystem : public TaskSink
     /** The unit holding @p task's main datum (its affinity home). */
     UnitId mainHomeOf(const Task &task) const;
 
-    /** Self-rescheduling serving window (exchange/watchdog/reclaim). */
+    /** Self-rescheduling serving window (exchange/watchdog). */
     void armServingWindow(Tick interval);
 
     /** Completion-side latency/conservation accounting (serving). */
@@ -366,6 +375,8 @@ class NdpSystem : public TaskSink
     UnitId creatorCtx = invalidUnit;
     /** Tick of the most recent task completion (end-to-end time). */
     Tick lastCompletionTick = 0;
+    /** step() retires meter pages below now once now reaches this. */
+    Tick nextFence = BandwidthMeter::fenceInterval;
     /** The active policy routes tasks through the scheduling window. */
     bool windowPolicy = false;
 

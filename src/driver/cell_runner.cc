@@ -1,6 +1,7 @@
 #include "driver/cell_runner.hh"
 
 #include <algorithm>
+#include <exception>
 #include <mutex>
 #include <thread>
 
@@ -44,17 +45,26 @@ runCells(const SystemConfig &base, const std::vector<CellSpec> &cells,
     std::mutex lock;
     std::size_t nextCell = 0;
     std::size_t doneCells = 0;
+    std::exception_ptr failure;
 
     auto worker = [&] {
         while (true) {
             std::size_t idx;
             {
                 std::lock_guard<std::mutex> guard(lock);
-                if (nextCell >= cells.size())
+                if (nextCell >= cells.size() || failure)
                     return;
                 idx = nextCell++;
             }
-            RunMetrics m = runOne(idx);
+            RunMetrics m;
+            try {
+                m = runOne(idx);
+            } catch (...) {
+                std::lock_guard<std::mutex> guard(lock);
+                if (!failure)
+                    failure = std::current_exception();
+                return;
+            }
             {
                 std::lock_guard<std::mutex> guard(lock);
                 results[idx] = std::move(m);
@@ -72,6 +82,8 @@ runCells(const SystemConfig &base, const std::vector<CellSpec> &cells,
         pool.emplace_back(worker);
     for (auto &t : pool)
         t.join();
+    if (failure)
+        std::rethrow_exception(failure);
     return results;
 }
 

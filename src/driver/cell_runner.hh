@@ -59,7 +59,10 @@ using CellStartFn = std::function<void(std::size_t)>;
  * order. @p threads = 0 means hardware_concurrency(); the pool size is
  * clamped to the cell count, and threads <= 1 runs inline on the
  * calling thread. fatal()/panic() inside a cell aborts the process, as
- * in a sequential run.
+ * in a sequential run. An exception a cell throws (std::bad_alloc on
+ * an input too large for the host) is rethrown on the calling thread,
+ * as in a sequential run: the pool starts no further cell and lets the
+ * running ones finish first.
  */
 std::vector<RunMetrics> runCells(const SystemConfig &base,
                                  const std::vector<CellSpec> &cells,

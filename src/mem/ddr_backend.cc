@@ -178,10 +178,11 @@ DdrBackend::access(Addr addr, std::uint32_t bytes, bool isWrite,
 }
 
 void
-DdrBackend::auditBandwidth(check::CheckContext &ctx) const
+DdrBackend::forEachMeter(const MeterVisitor &visit) const
 {
     for (std::size_t b = 0; b < banks.size(); ++b)
-        check::checkMeter(ctx, "ddr bank", b, banks[b].meter);
+        visit("ddr bank", b, banks[b].meter);
+    visit("ddr channel ACT", unit, actMeter);
 }
 
 void
@@ -199,8 +200,6 @@ DdrBackend::auditTiming(check::CheckContext &ctx) const
                 " is not a whole number of quarter windows (",
                 actQuarter, " ticks) — something other than ACT",
                 " slots was poured into the ACT meter");
-    check::checkMeterClean(ctx, "ddr channel ACT", unit,
-                           actMeter.staleEntries());
 }
 
 void

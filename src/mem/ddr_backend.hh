@@ -66,7 +66,8 @@ class DdrBackend : public MemBackend
     /** Same refresh-floor discard rule as MeterBackend. */
     void discardBefore(Tick tb) override;
 
-    void auditBandwidth(check::CheckContext &ctx) const override;
+    /** The bank meters, then the channel's ACT meter. */
+    void forEachMeter(const MeterVisitor &visit) const override;
 
     /**
      * Audit the four-activate window: the ACT meter reserves one

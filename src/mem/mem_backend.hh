@@ -32,6 +32,7 @@
 #include "energy/energy.hh"
 #include "fault/fault_model.hh"
 #include "obs/stats_registry.hh"
+#include "sim/bandwidth_meter.hh"
 
 namespace abndp
 {
@@ -74,16 +75,14 @@ class MemBackend
     virtual void resetState() = 0;
 
     /**
-     * Retire bank-meter pages unreachable after the barrier at @p tb
-     * (see MeterBackend::discardBefore for the refresh-floor rule).
+     * Retire bank-meter pages unreachable after the run loop's time
+     * fence at @p tb (see MeterBackend::discardBefore for the
+     * refresh-floor rule).
      */
     virtual void discardBefore(Tick tb) = 0;
 
-    /**
-     * Audit every bank meter against the bandwidth-conservation
-     * invariant (no bucket filled beyond its width); src/check only.
-     */
-    virtual void auditBandwidth(check::CheckContext &ctx) const = 0;
+    /** Visit every meter of this channel (audits only). */
+    virtual void forEachMeter(const MeterVisitor &visit) const = 0;
 
     /**
      * Audit backend-specific timing invariants (e.g. the DDR tFAW

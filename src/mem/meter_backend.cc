@@ -1,7 +1,5 @@
 #include "mem/meter_backend.hh"
 
-#include "check/check_context.hh"
-
 namespace abndp
 {
 
@@ -75,10 +73,10 @@ MeterBackend::access(Addr addr, std::uint32_t bytes, bool isWrite,
 }
 
 void
-MeterBackend::auditBandwidth(check::CheckContext &ctx) const
+MeterBackend::forEachMeter(const MeterVisitor &visit) const
 {
     for (std::size_t b = 0; b < banks.size(); ++b)
-        check::checkMeter(ctx, "dram bank", b, banks[b].meter);
+        visit("dram bank", b, banks[b].meter);
 }
 
 void

@@ -38,19 +38,20 @@ class MeterBackend : public MemBackend
     void resetState() override;
 
     /**
-     * Retire bank-meter pages unreachable after the barrier at @p tb.
+     * Retire bank-meter pages unreachable after the run loop's time
+     * fence at @p tb.
      *
      * Every access() reservation walks forward from its start tick,
-     * and after a bulk-synchronous barrier all future starts are
-     * >= @p tb — except the lazy refresh catch-up, which backdates
-     * reservations to bank.nextRefresh. nextRefresh is monotone, so
-     * flooring each bank's discard at min(tb, nextRefresh) keeps the
-     * retirement exact even for a bank whose refresh schedule lags
-     * the barrier arbitrarily far behind.
+     * and after the fence all future starts are >= @p tb — except the
+     * lazy refresh catch-up, which backdates reservations to
+     * bank.nextRefresh. nextRefresh is monotone, so flooring each
+     * bank's discard at min(tb, nextRefresh) keeps the retirement
+     * exact even for a bank whose refresh schedule lags the fence
+     * arbitrarily far behind.
      */
     void discardBefore(Tick tb) override;
 
-    void auditBandwidth(check::CheckContext &ctx) const override;
+    void forEachMeter(const MeterVisitor &visit) const override;
 
   private:
     /** Spread initial per-bank refresh deadlines round-robin. */

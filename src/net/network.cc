@@ -208,15 +208,16 @@ Network::regStats(obs::StatNode &node) const
 }
 
 void
-Network::auditBandwidth(check::CheckContext &ctx) const
+Network::forEachMeter(const MeterVisitor &visit) const
 {
     for (std::size_t i = 0; i < linkMeter.size(); ++i)
-        check::checkMeter(ctx, "net link", i, linkMeter[i]);
+        visit("net link", i, linkMeter[i]);
     for (std::size_t i = 0; i < portMeter.size(); ++i)
-        check::checkMeter(ctx, "net port", i, portMeter[i]);
+        visit("net port", i, portMeter[i]);
     for (std::size_t i = 0; i < ringMeter.size(); ++i)
-        check::checkMeter(ctx, "net ring", i, ringMeter[i]);
+        visit("net ring", i, ringMeter[i]);
 }
+
 
 void
 Network::resetState()

@@ -99,11 +99,11 @@ class Network
     void resetState();
 
     /**
-     * Retire meter pages below the barrier tick @p tb on every link,
-     * port, and ring meter. Exact: transfer() reserves hops at
-     * monotonically advancing ticks starting from the packet's start,
-     * and after a barrier every future packet starts at or after
-     * @p tb, so no reservation can ever land below it.
+     * Retire meter pages below the run loop's time fence @p tb on
+     * every link, port, and ring meter. Exact: transfer() reserves
+     * hops at monotonically advancing ticks starting from the packet's
+     * start, and after the fence every future packet starts at or
+     * after @p tb, so no reservation can ever land below it.
      */
     void discardBefore(Tick tb);
 
@@ -128,8 +128,8 @@ class Network
      */
     std::uint64_t expectedInterHops() const { return checkedHops; }
 
-    /** Audit every link/port/ring meter: no bucket above its width. */
-    void auditBandwidth(check::CheckContext &ctx) const;
+    /** Visit every link, port and ring meter (audits only). */
+    void forEachMeter(const MeterVisitor &visit) const;
 
   private:
     /** Index of the directed mesh link leaving stack s toward dir. */

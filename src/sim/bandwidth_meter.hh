@@ -22,10 +22,18 @@
  *
  * A bucket's fill never exceeds the bucket width, so fills are stored
  * as 32 bits and the width is bounded by UINT32_MAX ticks (~4.29 ms at
- * 1 ps per tick): a page's fill row is 4 KB, and a page 6 KB with its
+ * 1 ps per tick): a page's fill row is 1 KB, and a page 1.5 KB with its
  * skip row. Every meter in the simulator is far below the bound: links,
  * ports and banks use 256 ns buckets, and the DDR ACT meter one tFAW
  * window, which SystemConfig::validationError() bounds.
+ *
+ * Pages are retired once simulated time has passed them: the run loop
+ * fences time every fenceInterval (half a page of 256 ns buckets) and
+ * calls discardBefore(), so a meter holds the pages its backlog ahead
+ * of now needs plus about two, not a whole epoch's worth. The meter
+ * remembers how far it has retired pages (its retirement floor) and
+ * panics if a reservation would need a page wholly below it: the fence
+ * contract is checked, not assumed.
  */
 
 #ifndef ABNDP_SIM_BANDWIDTH_METER_HH
@@ -34,6 +42,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <vector>
 
@@ -47,6 +56,18 @@ namespace abndp
 class BandwidthMeter
 {
   public:
+    /** Bucket width of the link, port and DRAM bank meters. */
+    static constexpr Tick defaultBucketTicks = 256 * ticksPerNs;
+    /** Buckets per page; a power of two. */
+    static constexpr std::uint64_t pageBuckets = 256;
+    /**
+     * Simulated time between discardBefore() fences: half a page of
+     * default-width buckets, so such a meter keeps at most two pages
+     * behind now between fences.
+     */
+    static constexpr Tick fenceInterval =
+        pageBuckets * defaultBucketTicks / 2;
+
     /**
      * @param bucketTicks bucket width. A service may be longer than
      *        one bucket (the DRAM backends reserve 260 ns refreshes on
@@ -54,7 +75,7 @@ class BandwidthMeter
      *        free room of consecutive buckets until all of it is
      *        booked. At most UINT32_MAX ticks: fills are 32 bits.
      */
-    explicit BandwidthMeter(Tick bucketTicks = 256 * ticksPerNs)
+    explicit BandwidthMeter(Tick bucketTicks = defaultBucketTicks)
         : width(bucketTicks)
     {
         abndp_assert(width > 0);
@@ -77,6 +98,8 @@ class BandwidthMeter
           minFreeBucket(other.minFreeBucket),
           nTouched(other.nTouched),
           retiredMaxFill(other.retiredMaxFill),
+          retireFloor(other.retireFloor),
+          peakPages(other.peakPages),
           spares(other.spares)
     {
         syncRow();
@@ -93,6 +116,8 @@ class BandwidthMeter
         minFreeBucket = other.minFreeBucket;
         nTouched = other.nTouched;
         retiredMaxFill = other.retiredMaxFill;
+        retireFloor = other.retireFloor;
+        peakPages = other.peakPages;
         spares = other.spares;
         syncRow();
         return *this;
@@ -245,9 +270,9 @@ class BandwidthMeter
         // Pages wholly under the advanced cursor self-retire on the
         // spot: reserve() clamps every start bucket up to
         // minFreeBucket, so nothing can ever scan or pour below it —
-        // no barrier needed, and a saturated meter keeps O(1) live
-        // pages instead of accreting one per ~quarter-millisecond of
-        // simulated congestion. (Runs after the proven[] stamps above;
+        // no fence needed, and a saturated meter keeps O(1) live
+        // pages instead of accreting one per page span of simulated
+        // congestion. (Runs after the proven[] stamps above;
         // retirement invalidates page pointers.)
         if (scanStart <= minFreeBucket && b > minFreeBucket) {
             minFreeBucket = b;
@@ -298,7 +323,7 @@ class BandwidthMeter
     /**
      * Drop all reservations (e.g., between independent runs); pages
      * are cleaned in place, touched groups only, so the next run
-     * allocates nothing.
+     * allocates nothing. The retirement floor returns to 0.
      */
     void
     reset()
@@ -308,6 +333,7 @@ class BandwidthMeter
         nTouched = 0;
         minFreeBucket = 0;
         retiredMaxFill = 0;
+        retireFloor = 0;
         syncRow();
     }
 
@@ -316,15 +342,21 @@ class BandwidthMeter
      * when the caller guarantees every future reserve() on this meter
      * uses a start tick >= @p t: reservations only scan and pour
      * forward from their start bucket, so buckets wholly below it are
-     * unreachable and their storage can be reclaimed. Called from the
-     * bulk-synchronous barrier (a global time fence), this bounds live
-     * pages to the current epoch's backlog window instead of the whole
-     * simulated timeline — the difference between ~100 MB and ~10 GB
-     * resident at scale 20. Retired storage is cleaned, stashed and
-     * recycled by ensurePage(), so steady-state epochs allocate
-     * nothing. A page cycled this way costs time per touched group of
-     * buckets, not per bucket: a sparse meter (a DRAM bank seeing only
-     * refreshes) cycles many pages holding a few dozen reservations.
+     * unreachable and their storage can be reclaimed. NdpSystem's run
+     * loop calls it (through MemSystem) at a time fence at least every
+     * fenceInterval of simulated time, which bounds live pages to the
+     * backlog ahead of now instead of an epoch's or the whole
+     * timeline's. Retired storage is cleaned, stashed and recycled by
+     * ensurePage(), so a steady run allocates nothing. A page cycled
+     * this way costs time per touched group of buckets, not per
+     * bucket: a sparse meter (a DRAM bank seeing only refreshes)
+     * cycles many pages holding a few reservations each.
+     *
+     * A retirement raises the meter's retirement floor to @p t's
+     * bucket (it never falls until reset()): a later reservation that
+     * needs a page wholly below the floor panics naming it, so a
+     * caller that breaks the contract cannot get a grant out of a
+     * retired page.
      *
      * Observational state is preserved exactly: retired pages' peak
      * fill folds into maxBucketFill() and bucketsInUse() keeps its
@@ -333,7 +365,11 @@ class BandwidthMeter
     void
     discardBefore(Tick t)
     {
-        retirePagesBelow(t / width);
+        // Most fences pass no page's end: tell that by a multiply, not
+        // the division a bucket number takes.
+        if (!pages.empty()
+            && (pages.front().first + pageBuckets) * width <= t)
+            retirePagesBelow(t / width);
     }
 
     /** Buckets holding at least one reservation. */
@@ -343,6 +379,14 @@ class BandwidthMeter
 
     /** Configured bucket width in ticks. */
     Tick bucketWidth() const { return width; }
+
+    /**
+     * Most pages this meter has held at once (retired ones excluded),
+     * counted where ensurePage() creates a page; reset() keeps it, as
+     * it keeps the pages. Not a stat: it depends on the fence cadence,
+     * which the simulated results do not.
+     */
+    std::size_t peakLivePages() const { return peakPages; }
 
     /**
      * Largest fill level of any bucket. The reserve() loop caps every
@@ -394,11 +438,9 @@ class BandwidthMeter
   private:
     /** A bucket's fill in ticks; never above the width. */
     using Fill = std::uint32_t;
-    /** Buckets per page; a power of two. */
-    static constexpr std::uint64_t pageBuckets = 1024;
-    /** Buckets per touched mark: 32 bytes of fill and 16 of skip. */
-    static constexpr std::uint64_t groupBuckets = 8;
-    /** 64-bit words of touched marks per page (128 bits). */
+    /** Buckets per touched mark: 16 bytes of fill and 8 of skip. */
+    static constexpr std::uint64_t groupBuckets = 4;
+    /** 64-bit words of touched marks per page (64 bits). */
     static constexpr std::uint64_t markWords = pageBuckets / groupBuckets / 64;
     /** Pages stampable with the frontier fact per scan (the rest
      *  compress over subsequent scans). */
@@ -496,14 +538,16 @@ class BandwidthMeter
     /**
      * Retire every page that ends at or below bucket @p floorBucket
      * (shared by discardBefore() and the minFreeBucket self-retire;
-     * both callers guarantee no future scan or pour reaches below it).
-     * Cleans each retired page's touched groups, folding their peak
-     * into retiredMaxFill, stashes the clean storage for ensurePage()
-     * reuse, and resets the page cache index.
+     * both callers guarantee no future scan or pour reaches below it)
+     * and raise the retirement floor to it. Cleans each retired page's
+     * touched groups, folding their peak into retiredMaxFill, stashes
+     * the clean storage for ensurePage() reuse, and resets the page
+     * cache index.
      */
     void
     retirePagesBelow(std::uint64_t floorBucket)
     {
+        retireFloor = std::max(retireFloor, floorBucket);
         std::size_t n = 0;
         while (n < pages.size()
                && pages[n].first + pageBuckets <= floorBucket)
@@ -524,7 +568,10 @@ class BandwidthMeter
     /**
      * The page starting at bucket @p first. If absent, it is made from
      * a stashed spare as it stands (retirement left it clean) or from
-     * a fresh allocation.
+     * a fresh allocation; a page wholly below the retirement floor is
+     * never made again (panic). Only the pour reaches here, so the
+     * check stays off the fast path: the cached page is live, and a
+     * live page ends above the floor.
      */
     Page &
     ensurePage(std::uint64_t first)
@@ -535,10 +582,15 @@ class BandwidthMeter
             pages.begin(), pages.end(), first,
             [](const Page &p, std::uint64_t f) { return p.first < f; });
         if (it == pages.end() || it->first != first) {
-            // Prefer storage retired by discardBefore(): a stashed page
-            // was cleaned at retirement, so reusing it takes no zeroing
-            // pass and no fresh 6 KB allocation (and its kernel
-            // zero-page faults) per created page.
+            if (first + pageBuckets <= retireFloor)
+                panic("bandwidth meter: a reservation reached the page "
+                      "at tick ", first * width, ", below the "
+                      "retirement floor at tick ", retireFloor * width,
+                      " (every reservation must start at or after the "
+                      "last discardBefore() fence)");
+            // Prefer retired storage: a stashed page was cleaned at
+            // retirement, so reusing it takes no zeroing pass and no
+            // fresh 1.5 KB allocation per created page.
             if (!spares.empty()) {
                 Page pg = std::move(spares.back());
                 spares.pop_back();
@@ -549,6 +601,7 @@ class BandwidthMeter
                     it, Page{first, std::vector<Fill>(pageBuckets, 0),
                              std::vector<std::uint16_t>(pageBuckets, 0)});
             }
+            peakPages = std::max(peakPages, pages.size());
         }
         lastIdx = static_cast<std::size_t>(it - pages.begin());
         return *it;
@@ -595,13 +648,25 @@ class BandwidthMeter
      *  resets); lets reserve() jump the saturated backlog in O(1). */
     std::uint64_t minFreeBucket = 0;
     std::size_t nTouched = 0;
-    /** Peak fill among pages retired by discardBefore(), so the
-     *  bucket-overbooking audit still sees the whole timeline. */
+    /** Peak fill among retired pages, so the bucket-overbooking
+     *  audit still sees the whole timeline. */
     Tick retiredMaxFill = 0;
+    /** Highest bucket pages were retired below; no page wholly under
+     *  it may be made again. */
+    std::uint64_t retireFloor = 0;
+    /** peakLivePages(). */
+    std::size_t peakPages = 0;
     /** Retired page storage awaiting reuse (bounded stash). */
     static constexpr std::size_t maxSpares = 8;
     std::vector<Page> spares;
 };
+
+/**
+ * Visits one meter of a component (audits only): its kind ("dram
+ * bank", "net link", ...), its index among that kind, and the meter.
+ */
+using MeterVisitor = std::function<void(
+    const char *kind, std::size_t index, const BandwidthMeter &meter)>;
 
 } // namespace abndp
 

@@ -134,6 +134,18 @@ WorkloadSpec::validationError() const
     return "";
 }
 
+std::string
+WorkloadSpec::inputName() const
+{
+    using logging_detail::concat;
+    if (graphInputOf(name) == GraphInput::None)
+        return concat("the ", name, " input");
+    if (!graphFile.empty())
+        return concat("graph file '", graphFile, "'");
+    return concat("the R-MAT input at scale ", scale, ", edge factor ",
+                  edgeFactor);
+}
+
 std::unique_ptr<Workload>
 makeWorkloadImpl(const WorkloadSpec &spec)
 {

@@ -78,6 +78,12 @@ struct WorkloadSpec
      * bugs; these rules refuse the user inputs that would reach them.
      */
     std::string validationError() const;
+
+    /**
+     * This spec's input, for messages: the graph file, the R-MAT
+     * scale and edge factor, or the workload's generated input.
+     */
+    std::string inputName() const;
 };
 
 /**

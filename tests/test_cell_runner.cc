@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -143,6 +144,26 @@ TEST(CellRunner, StartCallbackRunsOnceBeforeEachCell)
             EXPECT_EQ(started[i].load(), 1);
             EXPECT_EQ(startedBeforeDone[i], 1);
         }
+    }
+}
+
+TEST(CellRunner, CellExceptionIsRethrownOnTheCaller)
+{
+    // On a worker thread an escaping exception would terminate the
+    // process; the runner hands it to the caller, as a sequential run
+    // does, and starts no cell after it.
+    const std::vector<CellSpec> cells = smallGrid();
+    for (std::uint32_t threads : {1u, 2u}) {
+        SCOPED_TRACE(threads);
+        std::atomic<int> started{0};
+        EXPECT_THROW(runCells(SystemConfig{}, cells, threads, {},
+                              [&](std::size_t idx) {
+                                  ++started;
+                                  if (idx == 0)
+                                      throw std::runtime_error("cell 0");
+                              }),
+                     std::runtime_error);
+        EXPECT_LE(started.load(), static_cast<int>(threads));
     }
 }
 

@@ -348,7 +348,7 @@ struct FencedMeterPair
     std::uint64_t fences = 0;
 };
 
-/** Fence windows of 256 buckets, a quarter of a meter page. */
+/** Fence windows of 256 buckets, one meter page. */
 constexpr std::uint64_t kWindowBuckets = 256;
 
 /**
@@ -480,7 +480,7 @@ namespace
 /**
  * @p windows fence windows of 300 buckets offered ~1.1 times their
  * capacity in services of up to three widths at shuffled times, so
- * services pour across page boundaries (1,024 buckets) and fences
+ * services pour across page boundaries (256 buckets) and fences
  * retire pages for reuse. Every fence audits the cached row.
  */
 void
@@ -532,6 +532,68 @@ TEST(BandwidthMeterDifferential, FillsAtTheWidthLimit)
     now = 0;
     ASSERT_NO_FATAL_FAILURE(wideWindows(m, gen, now, 8));
     ASSERT_NO_FATAL_FAILURE(m.expectSameCounters());
+}
+
+namespace
+{
+
+/**
+ * The run loop's fence cadence: @p fences fences at ticks that are not
+ * page-aligned, each 1 tick to BandwidthMeter::fenceInterval (half a
+ * page) after the last, so several fall inside each page span. Between
+ * two fences the meter is offered @p load times the capacity of the
+ * gap in services of up to two widths, plus a rare five-width one,
+ * starting anywhere in [fence, fence + @p backlog): they straddle
+ * page boundaries, and at a load near 1 they fill buckets and spill
+ * past the window's end.
+ */
+void
+runLoopFences(FencedMeterPair &m, Rng &gen, Tick &now, int fences,
+              double load, Tick backlog)
+{
+    for (int f = 0; f < fences; ++f) {
+        const Tick gap = 1 + gen.below(BandwidthMeter::fenceInterval);
+        const auto offer = static_cast<Tick>(load * gap);
+        for (Tick offered = 0; offered < offer;) {
+            const Tick service = gen.below(64) == 0
+                ? 5 * m.width : 1 + gen.below(2 * m.width);
+            ASSERT_NO_FATAL_FAILURE(
+                m.reserve(now + gen.below(backlog), service));
+            offered += service;
+        }
+        now += gap;
+        ASSERT_NO_FATAL_FAILURE(m.fenceAt(now));
+        if (f % 64 == 0) {
+            ASSERT_EQ(m.opt.staleEntries(), 0u) << "fence " << m.fence;
+        }
+    }
+}
+
+} // namespace
+
+TEST(BandwidthMeterDifferential, RunLoopFencesInsidePages)
+{
+    // A link or bank meter under the run loop's fences: a near-
+    // saturated phase whose backlog runs three pages ahead of the
+    // fence, a sparse one, then a reset() mid-stream (the retirement
+    // floor goes back to 0, so the stream starts over at tick 0 over
+    // recycled and stashed pages) and both phases again.
+    FencedMeterPair m(BandwidthMeter::defaultBucketTicks);
+    const Tick page = BandwidthMeter::pageBuckets * m.width;
+    Rng gen(0xf3ce5u);
+    Tick now = 0;
+    for (int round = 0; round < 2; ++round) {
+        ASSERT_NO_FATAL_FAILURE(
+            runLoopFences(m, gen, now, 400, 0.98, 3 * page));
+        ASSERT_NO_FATAL_FAILURE(
+            runLoopFences(m, gen, now, 400, 0.3, page + page / 3));
+        ASSERT_NO_FATAL_FAILURE(m.expectSameCounters());
+        ASSERT_EQ(m.ref.maxBucketFill(), m.width);
+        ASSERT_GE(800 * page, 3 * now) << "under 3 fences a page span";
+        m.reset();
+        now = 0;
+    }
+    EXPECT_GT(m.ops, 50000u);
 }
 
 // ---- Network vs RefNetwork --------------------------------------------

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/ndp_system.hh"
 #include "driver/experiment.hh"
 #include "workloads/factory.hh"
@@ -151,6 +153,40 @@ TEST(NdpSystem, CoreActivityNeverExceedsRunLength)
         EXPECT_LE(t, m.ticks);
     EXPECT_LE(m.utilization(), 1.0);
     EXPECT_GE(m.imbalance(), 1.0);
+}
+
+TEST(NdpSystem, MeterPagesLiveOnlyWithinTheFenceWindow)
+{
+    // pr on B over 4 units: each epoch spans over ten page spans of
+    // 256 ns buckets, so a meter that kept its pages until the epoch
+    // barrier would peak above ten. The run loop's time fence retires
+    // them as now passes: a meter keeps at most two pages behind now
+    // (fences are half a page apart) plus its backlog ahead of now.
+    auto cfg = tinySystem(Design::B);
+    cfg.meshX = cfg.meshY = 2;
+    cfg.unitsPerStack = 1;
+    WorkloadSpec spec;
+    spec.name = "pr";
+    spec.scale = 14;
+    NdpSystem sys(cfg);
+    auto wl = makeWorkload(spec);
+    const RunMetrics m = sys.run(*wl);
+    ASSERT_TRUE(wl->verify());
+    const Tick pageSpan =
+        BandwidthMeter::pageBuckets * BandwidthMeter::defaultBucketTicks;
+    ASSERT_GT(m.ticks / m.epochs, 10 * pageSpan);
+
+    std::size_t busiest = 0;
+    std::string where;
+    sys.memSystem().forEachMeter(
+        [&](const char *kind, std::size_t i, const BandwidthMeter &meter) {
+            if (meter.peakLivePages() > busiest) {
+                busiest = meter.peakLivePages();
+                where = std::string(kind) + " " + std::to_string(i);
+            }
+        });
+    EXPECT_GE(busiest, 2u);
+    EXPECT_LE(busiest, 4u) << where;
 }
 
 TEST(NdpSystemDeath, RunTwiceIsAnError)
