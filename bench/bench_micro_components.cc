@@ -434,7 +434,7 @@ BENCHMARK(BM_GraphTransposed)->Unit(benchmark::kMicrosecond);
  * One pr task's hint and block list per iteration, vertex after vertex
  * over the in-neighbour layout of a scale-12 R-MAT graph: the task
  * borrows both lists from the layout and finalizeBlocks() finds them
- * memoized. The arena rotates after each sweep, as an epoch would.
+ * memoized.
  */
 void
 BM_GraphVertexTask(benchmark::State &state)
@@ -444,17 +444,14 @@ BM_GraphVertexTask(benchmark::State &state)
     SimAllocator alloc(cfg);
     GraphLayout layout(g, 16, 4);
     layout.setup(alloc);
-    TaskArena arena;
     std::uint32_t v = 0;
     for (auto _ : state) {
         Task t;
         layout.borrowVertexHint(v, t);
-        t.finalizeBlocks(arena);
+        t.finalizeBlocks();
         benchmark::DoNotOptimize(std::as_const(t).blocks.data());
-        if (++v == g.numVertices()) {
+        if (++v == g.numVertices())
             v = 0;
-            arena.rotate();
-        }
     }
 }
 BENCHMARK(BM_GraphVertexTask);

@@ -17,9 +17,12 @@
  * Host speed drifts between runs by about as much as a regression gate
  * can allow, so right before each cell the bench times the host
  * reference kernel (bench::hostReferenceSeconds(), bench_e2e's kernel)
- * and records the median as host_ref_s. events_per_sec_nominal is
- * events_per_sec scaled to a host on which that kernel takes
- * bench::hostReferenceNominalS (0.1 s).
+ * three times, one cell's timings at a time, keeps the fastest, and
+ * records the median of those per-cell minima as host_ref_s. One slow
+ * timing (a burst of other work on the host) then cannot scale a whole
+ * record, even on a two-cell grid, where the median is a mean.
+ * events_per_sec_nominal is events_per_sec scaled to a host on which
+ * that kernel takes bench::hostReferenceNominalS (0.1 s).
  *
  * --compare=FILE checks this run's events_per_sec_nominal and
  * peak_rss_mb against a baseline JSON line written by a previous run
@@ -45,6 +48,7 @@
 #include <algorithm>
 #include <chrono>
 #include <iostream>
+#include <mutex>
 #include <sstream>
 #include <string>
 
@@ -80,11 +84,18 @@ main(int argc, char **argv)
                 cellFor(designFromName(dn), specFor(wl, opts), opts));
 
     std::vector<double> refSeconds(grid.size());
+    // One cell's timings at a time: concurrent ones contend with each
+    // other, and their 8 MB buffers overlap by chance, which swung the
+    // default grid's peak_rss_mb between 47 and 59 MB from run to run.
+    std::mutex refMutex;
     auto start = std::chrono::steady_clock::now();
     std::vector<RunMetrics> results = runCells(
         opts.base, grid, opts.threads, {},
-        [&refSeconds](std::size_t i) {
-            refSeconds[i] = hostReferenceSeconds();
+        [&refSeconds, &refMutex](std::size_t i) {
+            std::lock_guard<std::mutex> lock(refMutex);
+            refSeconds[i] = std::min({hostReferenceSeconds(),
+                                      hostReferenceSeconds(),
+                                      hostReferenceSeconds()});
         });
     auto end = std::chrono::steady_clock::now();
     std::sort(refSeconds.begin(), refSeconds.end());

@@ -58,6 +58,7 @@ printUsage()
         "            --stats-out=FILE (interval dump target)\n"
         "            --trace-out=FILE (Chrome/Perfetto trace JSON)\n"
         "            --trace-buffer-events=N (tracer ring capacity)\n"
+        "            (design H takes --json and --print-config only)\n"
         "Memory:     --mem-backend=meter|ddr (timing backend)\n";
 }
 
@@ -131,6 +132,21 @@ main(int argc, char **argv)
     const bool heatmap = flags.getBool("heatmap", false);
     const bool printConfig = flags.getBool("print-config", false);
     flags.rejectUnread();
+
+    // Design H runs the host model, which has no stats registry, heat
+    // map, tracer or interval dump: refuse the flags it would drop.
+    if (design == Design::H) {
+        std::string dropped;
+        for (const char *name : {"stats", "heatmap", "trace-out",
+                                 "trace-buffer-events", "stats-out",
+                                 "stats-interval"})
+            if (flags.has(name))
+                dropped += (dropped.empty() ? "--" : ", --")
+                    + std::string(name);
+        if (!dropped.empty())
+            fatal("design H (the host model) writes no stats, heat map "
+                  "or trace; drop ", dropped);
+    }
 
     if (printConfig) {
         cfg.print(std::cout);

@@ -158,15 +158,6 @@ class SetAssocCache
         return n;
     }
 
-    void
-    resetStats()
-    {
-        nHits.reset();
-        nMisses.reset();
-        nInserts.reset();
-        nEvicts.reset();
-    }
-
     /** Register this cache's stats under @p node. */
     void
     regStats(obs::StatNode &node) const

@@ -5,8 +5,8 @@
  * The check layer mirrors the obs:: conventions: it is observational
  * only — nothing it records may feed back into simulated timing or an
  * Rng stream — and it is zero-overhead when off (every hook site is
- * guarded by a null-pointer or enabled() test, and the simulator
- * constructs no checker unless SystemConfig::checkInvariants is set).
+ * guarded by a null-pointer test, and the simulator constructs no
+ * checker unless SystemConfig::checkInvariants is set).
  *
  * Violations are *collected* rather than panicking at the failure
  * site: the perturbation tests (tests/test_check_invariants.cc) feed
@@ -34,13 +34,6 @@ namespace check
 class CheckContext
 {
   public:
-    explicit CheckContext(bool enabled = true) : on(enabled) {}
-
-    /** Are the invariant checkers armed? */
-    bool enabled() const { return on; }
-
-    void setEnabled(bool enabled) { on = enabled; }
-
     /**
      * In collect mode raiseIfAny() keeps violations instead of
      * panicking; the perturbation tests flip this on to inspect them.
@@ -88,7 +81,6 @@ class CheckContext
     }
 
   private:
-    bool on;
     bool collecting = false;
     std::vector<std::string> recorded;
 };

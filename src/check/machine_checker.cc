@@ -216,20 +216,15 @@ MachineChecker::onRunEnd(const RunMetrics &m)
 void
 MachineChecker::checkBlockMemo(CheckContext &ctx, const Task &task)
 {
-    const std::uint64_t lines = task.hint.totalLines();
-    ctx.require(task.hintLines == lines, "block memo: task func ",
-                task.func, " arg ", task.arg, " memoized hintLines ",
-                task.hintLines, " but its hint has ", lines, " lines");
-    if (task.blocks.empty())
-        return;
-    std::vector<Addr> derived(lines);
+    std::vector<Addr> derived(task.hint.totalLines());
     derived.resize(deriveBlocks(task.hint, derived.data()));
     ctx.require(std::equal(task.blocks.begin(), task.blocks.end(),
                            derived.begin(), derived.end()),
                 "block memo: task func ", task.func, " arg ", task.arg,
                 " memoized ", task.blocks.size(),
                 " blocks that differ from the ", derived.size(),
-                " its hint derives (a stale or corrupted block list)");
+                " its hint derives (a missing, stale or corrupted block "
+                "list)");
 }
 
 void

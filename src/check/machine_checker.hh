@@ -90,8 +90,8 @@ class MachineChecker
     void onBlockMigrated(Addr block);
 
     /**
-     * Enqueue hook, called once a task's block memo is final: at
-     * enqueue (after Task::finalizeBlocks()) and at serving injection.
+     * Enqueue hook, called once a task's block memo is final: after
+     * Task::finalizeBlocks(), at enqueue and at serving injection.
      * Runs checkBlockMemo().
      */
     void onTaskEnqueued(const Task &task);
@@ -204,12 +204,12 @@ class MachineChecker
     }
 
     /**
-     * A task's memoized per-hint state is what its hint derives:
-     * hintLines equals hint.totalLines(), and a memoized (nonempty)
-     * block list equals deriveBlocks() over the hint, entry for entry.
-     * A vertex task borrows both from run-lived per-vertex lists, so a
-     * stale or corrupted list would silently move every access of the
-     * tasks that borrow it.
+     * An accepted task's block list is what its hint derives:
+     * deriveBlocks() over the hint, entry for entry, so a list that is
+     * missing (a runtime skipped Task::finalizeBlocks()) fires as
+     * surely as a wrong one. A vertex task borrows its list from
+     * run-lived per-vertex lists, so a stale or corrupted list would
+     * silently move every access of the tasks that borrow it.
      */
     static void checkBlockMemo(CheckContext &ctx, const Task &task);
 

@@ -24,23 +24,11 @@ AccessPath::AccessPath(const SystemConfig &cfg, MemSystem &mem,
     quota = static_cast<std::uint32_t>(pb_blocks);
 }
 
-std::span<const Addr>
-AccessPath::taskBlocks(const Task &task)
-{
-    if (!task.blocks.empty())
-        return {task.blocks.data(), task.blocks.size()};
-    blockScratch.resize(task.hint.totalLines());
-    return {blockScratch.data(),
-            deriveBlocks(task.hint, blockScratch.data())};
-}
-
 void
-AccessPath::prefetchTask(NdpUnit &unit, Task &task, Tick now)
+AccessPath::prefetchTask(NdpUnit &unit, const Task &task, Tick now)
 {
-    task.prefetched = true;
-    const auto blocks = taskBlocks(task);
     std::uint32_t issued = 0;
-    for (Addr block : blocks) {
+    for (Addr block : task.blocks) {
         if (issued >= quota)
             break;
         if (unit.pb->peek(block))
@@ -70,8 +58,6 @@ AccessPath::executeTask(NdpUnit &unit, std::uint32_t coreIdx,
     auto &core = unit.cores[coreIdx];
     Tick t = start;
 
-    const auto blocks = taskBlocks(task);
-
     // Straggler compute derating stretches every core-local latency
     // (instruction fetch, TLB walks, L1/buffer hits, compute cycles);
     // remote-memory latencies are derated at their own subsystems. The
@@ -100,7 +86,7 @@ AccessPath::executeTask(NdpUnit &unit, std::uint32_t coreIdx,
     // (Section 3.2: per-core local TLBs).
     if (cfg.tlb.enabled) {
         Addr last_page = invalidAddr;
-        for (Addr block : blocks) {
+        for (Addr block : task.blocks) {
             Addr page = block >> pageShift;
             if (page == last_page)
                 continue;
@@ -122,7 +108,7 @@ AccessPath::executeTask(NdpUnit &unit, std::uint32_t coreIdx,
     abndp_assert(depth >= 1 && depth <= 64);
     Tick inflight[64] = {};
     std::uint32_t slot = 0;
-    for (Addr block : blocks) {
+    for (Addr block : task.blocks) {
         Tick ready = unit.pb->lookup(block, t);
         if (ready != tickNever) {
             if (ready > t)
@@ -154,7 +140,7 @@ AccessPath::executeTask(NdpUnit &unit, std::uint32_t coreIdx,
     }
 
     t += stretch(task.computeInstrs * cfg.ticksPerCycle());
-    energy.addCoreInstructions(task.computeInstrs + blocks.size());
+    energy.addCoreInstructions(task.computeInstrs + task.blocks.size());
 
     for (Addr w : task.writes)
         mem.writeBlock(u, w, t);

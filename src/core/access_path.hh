@@ -19,8 +19,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <span>
-#include <vector>
 
 #include "common/config.hh"
 #include "core/access_types.hh"
@@ -49,24 +47,13 @@ class AccessPath
                EnergyAccount &energy, const FaultModel &faults);
 
     /**
-     * The task's sorted deduplicated block addresses: the memoized list
-     * when present (borrowed from GraphLayout or filled by
-     * Task::finalizeBlocks()), otherwise deriveBlocks() into scratch
-     * (serving tasks without a borrowed list, and hand-built test
-     * tasks that bypass the enqueue path). The span is valid until the
-     * next taskBlocks() call.
-     */
-    std::span<const Addr> taskBlocks(const Task &task);
-
-    /** Per-task prefetch quota in blocks (buffer size / window). */
-    std::uint32_t prefetchQuota() const { return quota; }
-
-    /**
      * Issue hint prefetches for @p task on @p unit: fetch every hint
      * block not already buffered or resident in a core's L1, up to
-     * the quota; larger hints finish on demand.
+     * the quota; larger hints finish on demand. Both walks read the
+     * block list the runtime memoized when it accepted the task
+     * (Task::finalizeBlocks()).
      */
-    void prefetchTask(NdpUnit &unit, Task &task, Tick now);
+    void prefetchTask(NdpUnit &unit, const Task &task, Tick now);
 
     /**
      * Timing model for @p task executing on @p unit's core
@@ -99,9 +86,6 @@ class AccessPath
     Tick tlbMissTicks;
     Tick l1iMissTicks;
     std::uint32_t pageShift;
-
-    /** Scratch for per-task block deduplication. */
-    std::vector<Addr> blockScratch;
 
     LevelObserver observer;
 };

@@ -148,7 +148,6 @@ class MemSystem
     {
         return nMigrationTraffic.value();
     }
-    const HomeIndirection &homeIndirection() const { return indirection; }
 
     /**
      * Attach the lb engine's hot-block tracker: remote reads start

@@ -301,11 +301,7 @@ NdpSystem::enqueueTask(Task &&task)
                      "child tasks must carry timestamp + 1");
     }
 
-    task.mainHome = mainHomeOf(task);
-    task.finalizeBlocks(workload->taskArena());
-    if (checker)
-        checker->onTaskEnqueued(task);
-    task.loadEstimate = sched.estimateLoad(task);
+    acceptTask(task);
 
     UnitId creator = creatorCtx != invalidUnit ? creatorCtx : task.mainHome;
 
@@ -338,6 +334,16 @@ NdpSystem::mainHomeOf(const Task &task) const
     if (main_addr != invalidAddr)
         return mem.campMapping().homeOf(main_addr);
     return creatorCtx != invalidUnit ? creatorCtx : 0;
+}
+
+void
+NdpSystem::acceptTask(Task &task)
+{
+    task.mainHome = mainHomeOf(task);
+    task.finalizeBlocks();
+    if (checker)
+        checker->onTaskEnqueued(task);
+    task.loadEstimate = sched.estimateLoad(task);
 }
 
 std::uint32_t
@@ -440,8 +446,10 @@ NdpSystem::issuePrefetches(UnitId u)
     Tick now = eq.now();
     while (unit.prefetchedCount < window) {
         Task &task = pool[unit.ready[unit.prefetchedCount]];
-        if (!task.prefetched)
+        if (!task.prefetched) {
             path.prefetchTask(unit, task, now);
+            task.prefetched = true;
+        }
         ++unit.prefetchedCount;
     }
 }
@@ -1103,10 +1111,6 @@ NdpSystem::batchRun(Workload &wl)
     };
 
     while (stagedCount > 0 && (cfg.maxEpochs == 0 || ts < cfg.maxEpochs)) {
-        // Epoch boundary: this epoch's staged hints live in the arena
-        // generation children must not share; the generation freed here
-        // held epoch ts-2's hints, whose tasks have all completed.
-        wl.taskArena().rotate();
         eq.armWatchdog();
         // Epoch-start invariants run before startEpoch() dispatches
         // anything (dispatch already touches the caches).
@@ -1153,17 +1157,7 @@ NdpSystem::batchRun(Workload &wl)
 void
 NdpSystem::injectServingTask(Task &&task)
 {
-    task.mainHome = mainHomeOf(task);
-    // No finalizeBlocks(): serving tasks outlive every epoch-arena
-    // generation. A task that arrives with its block list memoized
-    // (borrowed from run-lived storage, hintLines set alongside) keeps
-    // it; any other keeps an empty list (the access path derives it
-    // from the hint) and memoizes only hintLines.
-    if (task.blocks.empty())
-        task.hintLines = task.hint.totalLines();
-    if (checker)
-        checker->onTaskEnqueued(task);
-    task.loadEstimate = sched.estimateLoad(task);
+    acceptTask(task);
     ++activeRemaining;
 
     if (windowPolicy) {

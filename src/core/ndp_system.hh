@@ -93,8 +93,6 @@ class NdpSystem : public TaskSink
     const Topology &topology() const { return topo; }
     MemSystem &memSystem() { return mem; }
     Scheduler &scheduler() { return sched; }
-    EventQueue &eventQueue() { return eq; }
-    const FaultModel &faultModel() const { return faults; }
     const EnergyAccount &energyAccount() const { return energy; }
 
     /**
@@ -156,6 +154,14 @@ class NdpSystem : public TaskSink
 
     /** The unit holding @p task's main datum (its affinity home). */
     UnitId mainHomeOf(const Task &task) const;
+
+    /**
+     * The prologue of every task this runtime accepts, by enqueue or
+     * by serving injection: set its home, memoize its block list
+     * (Task::finalizeBlocks()), run the enqueue checkers and estimate
+     * its load.
+     */
+    void acceptTask(Task &task);
 
     /** Self-rescheduling serving window (exchange/watchdog). */
     void armServingWindow(Tick interval);

@@ -30,7 +30,7 @@ HostSystem::enqueueTask(Task &&task)
         abndp_assert(task.timestamp == curEpoch + 1);
     else
         abndp_assert(task.timestamp == curEpoch);
-    task.finalizeBlocks(workload->taskArena());
+    task.finalizeBlocks();
     staged.push_back(std::move(task));
 }
 
@@ -115,9 +115,6 @@ HostSystem::run(Workload &wl)
 
     std::uint64_t ts = 0;
     while (!staged.empty() && (cfg.maxEpochs == 0 || ts < cfg.maxEpochs)) {
-        // Epoch boundary (see NdpSystem::run): free the generation two
-        // epochs back, keep this epoch's staged hints alive.
-        wl.taskArena().rotate();
         curEpoch = ts;
         active.swap(staged);
         staged.clear();

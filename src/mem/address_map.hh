@@ -174,7 +174,6 @@ class AddressMap
         return addr & (bytesPerUnit - 1);
     }
 
-    std::uint64_t unitBytes() const { return bytesPerUnit; }
     std::uint32_t numUnits() const { return nUnits; }
 
   private:

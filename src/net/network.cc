@@ -123,7 +123,7 @@ Network::transfer(UnitId src, UnitId dst, std::uint32_t bytes, Tick start)
         // Straight intra-stack delivery.
         intraTraverse(src, topo.localIndex(dst), dst);
         res.latency = t - start;
-        if (checkCtx && checkCtx->enabled())
+        if (checkCtx)
             checkCtx->require(res.interHops == 0, "NoC packet ", src,
                               "->", dst, " is intra-stack but walked ",
                               res.interHops, " inter-stack hops");
@@ -173,7 +173,7 @@ Network::transfer(UnitId src, UnitId dst, std::uint32_t bytes, Tick start)
     interHops += res.interHops;
     energy.addInterTransfer(bytes, res.interHops);
 
-    if (checkCtx && checkCtx->enabled()) {
+    if (checkCtx) {
         // XY routing is minimal: the walked hop count must equal the
         // Manhattan distance between the two stacks.
         std::uint32_t expect = topo.interHops(src, dst);

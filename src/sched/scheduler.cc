@@ -127,9 +127,8 @@ Scheduler::estimateLoad(const Task &task) const
     // plus a fixed task overhead; only relative magnitudes matter.
     constexpr double nominal_access = 51.0; // ~tRP + tRCD + tCAS, ns
     constexpr double task_overhead = 20.0;
-    std::uint64_t lines =
-        task.hintLines != 0 ? task.hintLines : task.hint.totalLines();
-    return task_overhead + nominal_access * static_cast<double>(lines);
+    return task_overhead
+        + nominal_access * static_cast<double>(task.hint.totalLines());
 }
 
 UnitId

@@ -3,25 +3,23 @@
  * Small-size-inlined span container for task hints.
  *
  * Behaves like a minimal std::vector for trivially copyable elements,
- * with four storage tiers chosen to keep the task hot path free of
- * per-task heap traffic:
+ * with three storage tiers, so that short and shared lists cost a task
+ * no heap allocation:
  *
  *   1. inline: up to N elements live inside the object (the common
  *      case for writes and low-degree hint lists);
- *   2. arena: reserveIn(TaskArena) places the exact-sized spill in the
- *      epoch bump arena — no ownership, freed wholesale at rotation;
- *   3. heap: growth beyond a reserved capacity (tests, standalone
- *      hints built without an arena) falls back to an owned buffer;
- *   4. borrowed: borrow() views a run-lived list someone else owns
+ *   2. heap: an owned buffer for anything longer, sized exactly by
+ *      reserve() when the builder knows the final length;
+ *   3. borrowed: borrow() views a run-lived list someone else owns
  *      (GraphLayout's per-vertex hint and block lists) — read-only: no
  *      operation writes into or frees the borrowed storage.
  *
  * Moves transfer the pointer (or memcpy the inline prefix); copies are
- * deep and always land inline or on the heap, never aliasing an arena
- * generation or a borrowed list the copy does not control. On the
- * borrowed tier, push_back() copies the span to the heap first,
- * clear() drops back to the inline buffer, and every mutable accessor
- * first copies the span into storage the container owns.
+ * deep and always land inline or on the heap, never aliasing a
+ * borrowed list the copy does not control. On the borrowed tier,
+ * push_back() copies the span to the heap first, clear() drops back to
+ * the inline buffer, and every mutable accessor first copies the span
+ * into storage the container owns.
  */
 
 #ifndef ABNDP_TASKING_SMALL_VEC_HH
@@ -33,7 +31,6 @@
 #include <type_traits>
 
 #include "common/logging.hh"
-#include "tasking/task_arena.hh"
 
 namespace abndp
 {
@@ -42,12 +39,11 @@ namespace abndp
 enum class SmallVecTier : std::uint8_t
 {
     Inline,
-    Arena,
     Heap,
     Borrowed,
 };
 
-/** Vector-like container with inline/arena/heap/borrowed storage. */
+/** Vector-like container with inline/heap/borrowed storage. */
 template <typename T, std::uint32_t N>
 class SmallVec
 {
@@ -114,7 +110,7 @@ class SmallVec
     T &back() { return writable()[len - 1]; }
 
     /**
-     * Drop all elements; inline, arena or heap storage is kept, and a
+     * Drop all elements; inline or heap storage is kept, and a
      * borrowed span is let go (the inline buffer takes over).
      */
     void
@@ -134,23 +130,16 @@ class SmallVec
     }
 
     /**
-     * Reserve exact capacity for an empty container, spilling to the
-     * epoch arena when @p n exceeds the inline capacity. Callers know
-     * the final size (hint builders walk degree counts), so the arena
-     * block never needs to grow; should a later push_back overflow it
-     * anyway, growth falls back to the heap and the arena block is
-     * simply abandoned until rotation.
+     * Make room for exactly @p n elements, moving to a heap buffer of
+     * that size when the current capacity is smaller. Hint builders
+     * that know the final length (degree counts) call it first, so the
+     * push_backs that follow never regrow.
      */
     void
-    reserveIn(TaskArena &arena, std::size_t n)
+    reserve(std::size_t n)
     {
-        abndp_assert(len == 0, "reserveIn on a non-empty SmallVec");
-        releaseHeap();
-        if (n > N) {
-            ptr = arena.alloc<T>(n);
-            cap = static_cast<std::uint32_t>(n);
-            where = SmallVecTier::Arena;
-        }
+        if (n > cap)
+            growHeap(n);
     }
 
     /**

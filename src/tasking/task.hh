@@ -10,16 +10,14 @@
  * (to-be-updated) element, which defines its "home" for co-location.
  *
  * The hint spans (data, ranges, writes, and the memoized block list)
- * are SmallVec spans, so task creation performs no per-member heap
- * allocation. A vertex-centric task borrows its address and block
- * lists from the run-lived per-vertex lists GraphLayout builds once;
- * other small hints live inline in the task object, and larger ones
- * spill into the per-epoch TaskArena owned by the workload generator.
- * The NDP runtime moves each accepted task once, into its TaskPool
+ * are SmallVec spans. A vertex-centric task borrows its address and
+ * block lists from the run-lived per-vertex lists GraphLayout builds
+ * once; other small hints live inline in the task object, and longer
+ * ones on the heap, owned by the task and freed with it. The NDP
+ * runtime moves each accepted task once, into its TaskPool
  * (tasking/task_pool.hh); queues, forwards, steals and recovery
  * transits then carry a 4-byte TaskRef, and dispatch destroys the task
- * in its slot. Tasks are move-only; the rare test or tool that needs a
- * duplicate calls clone().
+ * in its slot. Tasks are move-only.
  */
 
 #ifndef ABNDP_TASKING_TASK_HH
@@ -31,7 +29,6 @@
 
 #include "common/types.hh"
 #include "tasking/small_vec.hh"
-#include "tasking/task_arena.hh"
 
 namespace abndp
 {
@@ -88,9 +85,8 @@ struct TaskHint
  * deduplicated cache-block addresses of @p data and of every line of
  * @p ranges to @p out, and return how many were written. @p out needs
  * room for data.size() plus the ranges' lines (TaskHint::totalLines()).
- * Task::finalizeBlocks(), AccessPath::taskBlocks() and GraphLayout's
- * per-vertex build all call it, so a memoized list and a derived one
- * cannot disagree.
+ * Task::finalizeBlocks() and GraphLayout's per-vertex build both call
+ * it, so a borrowed list and a derived one cannot disagree.
  */
 inline std::size_t
 deriveBlocks(std::span<const Addr> data, std::span<const AddrRange> ranges,
@@ -133,19 +129,15 @@ struct Task
     std::uint64_t computeInstrs = 0;
 
     // ---- Fields managed by the runtime, not the workload (a vertex
-    // task may arrive with blocks and hintLines already memoized) ----
+    // task may arrive with its block list already borrowed) ----
     /**
      * Memoized sorted, deduplicated block addresses of the hint
      * (deriveBlocks()), so neither the prefetcher nor the execution
      * walk re-derives (and re-sorts) them per visit. A vertex-centric
      * task arrives with the list borrowed from GraphLayout; otherwise
-     * finalizeBlocks() fills it at enqueue. Empty means "not
-     * memoized": consumers fall back to deriving the list, which is
-     * exact because an empty hint also derives an empty list.
+     * finalizeBlocks() fills it when a runtime accepts the task.
      */
     SmallVec<Addr, 2> blocks;
-    /** Memoized hint.totalLines(), set alongside blocks. 0 = unset. */
-    std::uint64_t hintLines = 0;
     /** Home unit of the main element (set on enqueue). */
     UnitId mainHome = invalidUnit;
     /** Scheduler load estimate used for the W counters. */
@@ -180,48 +172,19 @@ struct Task
     Task(const Task &) = delete;
     Task &operator=(const Task &) = delete;
 
-    /** Explicit deep copy for tests/tools (heap-backed spans). */
-    Task
-    clone() const
-    {
-        Task t;
-        t.func = func;
-        t.timestamp = timestamp;
-        t.arg = arg;
-        t.hint = hint;
-        t.writes = writes;
-        t.computeInstrs = computeInstrs;
-        t.blocks = blocks;
-        t.hintLines = hintLines;
-        t.mainHome = mainHome;
-        t.loadEstimate = loadEstimate;
-        t.prefetched = prefetched;
-        t.forwardHops = forwardHops;
-        t.recovered = recovered;
-        t.redispatchCount = redispatchCount;
-        t.servingArrival = servingArrival;
-        t.tenant = tenant;
-        return t;
-    }
-
     /**
-     * Memoize the hint-derived per-task state: totalLines() for the
-     * load estimate and the sorted deduplicated block list for the
-     * access path. Called once at enqueue by the runtime that owns
-     * @p arena (the workload generator's epoch arena). A task whose
-     * block list is already memoized (borrowed with its hint, and
-     * hintLines set alongside) is left as it is.
+     * Memoize the sorted deduplicated block list of the hint for the
+     * access path. Every runtime calls it once, when it accepts the
+     * task (NdpSystem's enqueue and serving injection, HostSystem's
+     * enqueue). A task whose list is already memoized (borrowed with
+     * its hint) is left as it is; an empty hint keeps an empty list.
      */
     void
-    finalizeBlocks(TaskArena &arena)
+    finalizeBlocks()
     {
         if (!blocks.empty())
             return;
-        hintLines = hint.totalLines();
-        if (hintLines == 0)
-            return;
-        blocks.reserveIn(arena, hintLines);
-        blocks.resize(hintLines);
+        blocks.resize(hint.totalLines());
         blocks.truncate(deriveBlocks(hint, blocks.data()));
     }
 };

@@ -141,8 +141,7 @@ AstarWorkload::makeTask(std::uint32_t q, std::uint32_t vertex,
     Task t;
     t.timestamp = ts;
     t.arg = (static_cast<std::uint64_t>(q) << 32) | vertex;
-    t.hint.data.reserveIn(hintArena,
-                          2 + 2ull * graph.degree(vertex));
+    t.hint.data.reserve(2 + 2ull * graph.degree(vertex));
     t.hint.data.push_back(query.recAddr[vertex]);
     if (adjAddr[vertex] != invalidAddr)
         t.hint.ranges.push_back(
@@ -183,8 +182,7 @@ AstarWorkload::makeQueryTask(std::uint64_t key, std::uint64_t seq)
     t.timestamp = 0;
     t.func = 1;
     t.arg = seq;
-    // Every landmark's entry for the vertex and for the goal; plain
-    // push_back only (serving tasks outlive the epoch arena). The
+    // Every landmark's entry for the vertex and for the goal. The
     // goal-side entries are shared by all queries with that goal —
     // hot, read-only lines.
     for (std::uint32_t l = 0; l < numLandmarks; ++l) {

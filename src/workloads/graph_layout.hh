@@ -8,8 +8,8 @@
  * A vertex-centric task's hint is a pure function of its vertex, so the
  * layout builds every vertex's hint address list and block list once,
  * in setup(), and tasks borrow them (SmallVec's borrowed tier) for the
- * rest of the run instead of rebuilding, re-sorting and arena-copying
- * them in every iteration.
+ * rest of the run instead of rebuilding and re-sorting them in every
+ * iteration.
  */
 
 #ifndef ABNDP_WORKLOADS_GRAPH_LAYOUT_HH
@@ -59,8 +59,8 @@ class GraphLayout
     /**
      * Give @p task the standard hint of a vertex-centric task on @p v:
      * hint.data borrows hintList(v), v's adjacency lines are the one
-     * inline range, and blocks borrows blockList(v) with hintLines
-     * set alongside, so Task::finalizeBlocks() has nothing left to do.
+     * inline range, and blocks borrows blockList(v), so
+     * Task::finalizeBlocks() has nothing left to do.
      * The lists live as long as the layout, outliving every task.
      */
     void
@@ -74,7 +74,6 @@ class GraphLayout
             task.hint.ranges.push_back(adj);
         const auto blocks = blockList(v);
         task.blocks.borrow(blocks.data(), blocks.size());
-        task.hintLines = data.size() + adj.lines();
     }
 
   private:

@@ -192,8 +192,6 @@ KnnWorkload::makeQueryTask(std::uint64_t key, std::uint64_t seq)
     t.timestamp = 0;
     t.func = Serve;
     t.arg = seq;
-    // Plain push_back only (inline/heap tiers): serving tasks outlive
-    // every epoch-arena generation, so the arena must not back them.
     for (std::uint32_t n : path)
         t.hint.data.push_back(nodeAddr[n]);
     t.hint.ranges.push_back(

@@ -98,9 +98,7 @@ SsspWorkload::makeQueryTask(std::uint64_t key, std::uint64_t seq)
     t.func = 1;
     t.arg = seq;
     // Same footprint as one batch relaxation of v, borrowed from the
-    // layout's run-lived lists (serving tasks outlive every epoch-arena
-    // generation, which is why no arena may back them). No writes: the
-    // oracle is read-only.
+    // layout's run-lived lists. No writes: the oracle is read-only.
     layout.borrowVertexHint(v, t);
     t.computeInstrs = 6 + 4ull * graph.degree(v);
     return t;

@@ -17,7 +17,6 @@
 
 #include "mem/allocator.hh"
 #include "tasking/task.hh"
-#include "tasking/task_arena.hh"
 #include "tasking/task_pool.hh"
 
 namespace abndp
@@ -67,26 +66,9 @@ class Workload
      */
     void setExplicitLoadHints(bool on) { explicitLoadHints = on; }
 
-    /**
-     * The per-epoch bump arena backing this workload's per-task hint
-     * spans (the workload generator owns hint storage; see
-     * task_arena.hh). Graph workloads lend their tasks run-lived
-     * per-vertex lists instead and leave it empty. The driving runtime
-     * (NdpSystem, HostSystem, ImmediateExecutor) calls rotate() at every
-     * epoch boundary.
-     */
-    TaskArena &taskArena() const { return hintArena; }
-
   protected:
     /** When true, makeTask() should set hint.workload explicitly. */
     bool explicitLoadHints = false;
-
-    /**
-     * Epoch-scoped storage for per-task hint spans built by makeTask().
-     * Mutable: the arena is allocation plumbing, not observable
-     * workload state, and makeTask() is const across workloads.
-     */
-    mutable TaskArena hintArena;
 };
 
 /**
@@ -115,9 +97,6 @@ class ImmediateExecutor : public TaskSink
     {
         std::uint64_t ts = 0;
         while (!pending.empty() && (maxEpochs == 0 || ts < maxEpochs)) {
-            // Epoch boundary: children enqueued below must not share an
-            // arena generation with the hints they are executed from.
-            wl.taskArena().rotate();
             current.swap(pending);
             pending.clear();
             // Pool addresses are stable, so the task stays valid while

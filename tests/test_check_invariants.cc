@@ -57,7 +57,6 @@ runAndDump(Design d, bool check, const char *wlname = "pr")
 TEST(CheckContext, CollectsAndClearsViolations)
 {
     check::CheckContext ctx;
-    EXPECT_TRUE(ctx.enabled());
     EXPECT_TRUE(ctx.clean());
     ctx.require(1 + 1 == 2, "arithmetic broke");
     EXPECT_TRUE(ctx.clean());
@@ -269,15 +268,14 @@ TEST(CheckerPerturbation, TaskPoolDrainedFires)
 TEST(CheckerPerturbation, BlockMemoFires)
 {
     // A vertex task borrows its hint and its block list from run-lived
-    // lists; one corrupted entry in the lender's block list, or a
-    // hintLines that does not match the hint, must fire the memo law.
+    // lists; one corrupted entry in the lender's block list, or a list
+    // a runtime never memoized, must fire the memo law.
     std::vector<Addr> data{0x1000, 0x2040, 0x1010, 0x5000};
     std::vector<Addr> blocks{0x1000, 0x2040, 0x5000, 0x9000, 0x9040};
     Task t;
     t.hint.data.borrow(data.data(), data.size());
     t.hint.ranges.push_back({0x9000, 100}); // two lines
     t.blocks.borrow(blocks.data(), blocks.size());
-    t.hintLines = 6;
     check::CheckContext ctx;
     check::MachineChecker::checkBlockMemo(ctx, t);
     EXPECT_TRUE(ctx.clean());
@@ -288,20 +286,25 @@ TEST(CheckerPerturbation, BlockMemoFires)
     EXPECT_NE(ctx.violations()[0].find("stale or corrupted block list"),
               std::string::npos);
 
+    // A task accepted without Task::finalizeBlocks() holds no list.
     ctx.clearViolations();
     blocks[2] -= cachelineBytes;
-    t.hintLines = 5;
-    check::MachineChecker::checkBlockMemo(ctx, t);
-    ASSERT_EQ(ctx.violations().size(), 1u);
-    EXPECT_NE(ctx.violations()[0].find("memoized hintLines 5"),
-              std::string::npos);
-
-    // A task without a memoized list (a served query derives it on
-    // the fly) is held to hintLines only.
-    ctx.clearViolations();
-    t.hintLines = 6;
     t.blocks.clear();
     check::MachineChecker::checkBlockMemo(ctx, t);
+    ASSERT_EQ(ctx.violations().size(), 1u);
+    EXPECT_NE(ctx.violations()[0].find("memoized 0 blocks that differ "
+                                       "from the 5 its hint derives"),
+              std::string::npos);
+    ctx.clearViolations();
+    t.finalizeBlocks();
+    check::MachineChecker::checkBlockMemo(ctx, t);
+    EXPECT_TRUE(ctx.clean());
+
+    // An empty hint derives an empty list: there is nothing to miss.
+    Task empty;
+    empty.finalizeBlocks();
+    EXPECT_TRUE(empty.blocks.empty());
+    check::MachineChecker::checkBlockMemo(ctx, empty);
     EXPECT_TRUE(ctx.clean());
 }
 

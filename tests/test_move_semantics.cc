@@ -5,9 +5,9 @@
  * A task is moved once, into the NdpSystem's TaskPool, when the runtime
  * accepts it; from there to dispatch, the unit queues, forwards, steal
  * and shed batches, and recovery transits carry 4-byte TaskRef handles.
- * Task stays move-only (its payload spans are owned by per-epoch
- * arenas, so a stray copy would either fail to compile or silently
- * double-account payload lines). The static_asserts pin both type
+ * Task stays move-only (it owns or borrows its payload spans, so a
+ * stray copy would either fail to compile or silently double-account
+ * payload lines). The static_asserts pin both type
  * contracts; the run-twice fingerprint tests pin that handing tasks
  * through forward, steal, failure-drain, and redispatch leaves
  * simulated behavior bit-identical and deterministic.

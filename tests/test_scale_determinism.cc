@@ -3,7 +3,7 @@
  * Slow-tier determinism locks at benchmark scale.
  *
  * The tier1 determinism tests run tiny workloads; the data-oriented
- * hot paths (task arenas, SoA scheduler scoring, bandwidth-meter fast
+ * hot paths (hint spans, SoA scheduler scoring, bandwidth-meter fast
  * path, cache tag arrays) only reach their steady-state regimes on
  * graphs large enough to overflow the small-size-inlined spans and the
  * meter's single-bucket fast path. These tests re-prove bit-exactness

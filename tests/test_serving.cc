@@ -202,10 +202,13 @@ TEST(Serving, KvStreamServesAndVerifies)
 TEST(Serving, EveryQueryServiceWorkloadServes)
 {
     // All four point-query services accept the open-loop stream and
-    // still pass their own end-to-end answer verification.
+    // still pass their own end-to-end answer verification. Checkers
+    // armed: every injected query must carry the block list its hint
+    // derives.
     for (const char *name : {"kv", "knn", "sssp", "astar"}) {
         SCOPED_TRACE(name);
         auto cfg = servingConfig(Design::B, 300);
+        cfg.checkInvariants = true;
         RunMetrics m = serveOnce(cfg, WorkloadSpec::tiny(name));
         EXPECT_EQ(m.servingInjected, 300u);
         expectConserved(m);

@@ -1,9 +1,9 @@
 /**
  * @file
- * SmallVec's four storage tiers (inline, arena, heap, borrowed) and the
- * TaskArena behind the arena tier. The borrowed tier is read-only: the
- * graph workloads lend every task the same run-lived per-vertex lists,
- * so no operation on a task may write into them.
+ * SmallVec's three storage tiers (inline, heap, borrowed). The borrowed
+ * tier is read-only: the graph workloads lend every task the same
+ * run-lived per-vertex lists, so no operation on a task may write into
+ * them.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "tasking/small_vec.hh"
-#include "tasking/task_arena.hh"
 
 namespace abndp
 {
@@ -74,51 +73,33 @@ TEST(SmallVec, HeapTierGrowsAndMovesThePointer)
     EXPECT_EQ(elems(copy), elems(moved));
 }
 
-TEST(SmallVec, ArenaTierSpillsExactlyAndFallsBackToHeap)
-{
-    TaskArena arena;
-    Vec small;
-    small.reserveIn(arena, 2);
-    EXPECT_EQ(small.tier(), SmallVecTier::Inline);
-    EXPECT_EQ(arena.capacityBytes(), 0u);
-
-    Vec v;
-    v.reserveIn(arena, 3);
-    EXPECT_EQ(v.tier(), SmallVecTier::Arena);
-    EXPECT_EQ(v.capacity(), 3u);
-    EXPECT_GT(arena.capacityBytes(), 0u);
-    const std::uint64_t *spill = v.data();
-    v.push_back(1);
-    v.push_back(2);
-    v.push_back(3);
-    EXPECT_EQ(v.data(), spill);
-
-    // Overflowing the reservation moves to the heap; a copy never
-    // aliases the arena.
-    v.push_back(4);
-    EXPECT_EQ(v.tier(), SmallVecTier::Heap);
-    EXPECT_EQ(elems(v), (std::vector<std::uint64_t>{1, 2, 3, 4}));
-
-    Vec w;
-    w.reserveIn(arena, 4);
-    w.push_back(7);
-    Vec copy(w);
-    EXPECT_NE(copy.tier(), SmallVecTier::Arena);
-    Vec moved(std::move(w));
-    EXPECT_EQ(moved.tier(), SmallVecTier::Arena);
-}
-
 TEST(SmallVec, ResizeFillsReservedStorage)
 {
-    TaskArena arena;
+    // reserve() within the inline capacity keeps the inline buffer.
+    Vec small;
+    small.reserve(2);
+    EXPECT_EQ(small.tier(), SmallVecTier::Inline);
+
+    // Past it, reserve() spills to a heap buffer of exactly that size,
+    // which resize() and the pushes up to it then fill in place.
     Vec v;
-    v.reserveIn(arena, 5);
+    v.reserve(5);
+    EXPECT_EQ(v.tier(), SmallVecTier::Heap);
+    EXPECT_EQ(v.capacity(), 5u);
+    const std::uint64_t *buf = std::as_const(v).data();
     v.resize(5);
     for (std::size_t i = 0; i < 5; ++i)
         v.data()[i] = 10 * i;
     v.truncate(3);
-    EXPECT_EQ(v.tier(), SmallVecTier::Arena);
-    EXPECT_EQ(elems(v), (std::vector<std::uint64_t>{0, 10, 20}));
+    v.push_back(30);
+    v.push_back(40);
+    EXPECT_EQ(std::as_const(v).data(), buf);
+    EXPECT_EQ(elems(v), (std::vector<std::uint64_t>{0, 10, 20, 30, 40}));
+
+    // Reserving keeps the elements already held.
+    v.reserve(8);
+    EXPECT_EQ(v.capacity(), 8u);
+    EXPECT_EQ(elems(v), (std::vector<std::uint64_t>{0, 10, 20, 30, 40}));
 }
 
 TEST(SmallVec, BorrowedTierMoveCarriesThePointerCopyIsDeep)
@@ -202,47 +183,6 @@ TEST(SmallVec, BorrowedTierMutableAccessCopiesFirst)
     EXPECT_EQ(w.tier(), SmallVecTier::Inline);
     EXPECT_EQ(elems(w), (std::vector<std::uint64_t>{1, 22}));
     EXPECT_EQ(l.list, l.pristine);
-}
-
-TEST(TaskArena, AllocatesAlignedDistinctSpans)
-{
-    TaskArena arena;
-    EXPECT_EQ(arena.capacityBytes(), 0u);
-    auto *a = arena.alloc<std::uint64_t>(3);
-    auto *b = arena.alloc<std::uint64_t>(5);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a) % alignof(std::uint64_t),
-              0u);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b) % alignof(std::uint64_t),
-              0u);
-    EXPECT_GE(b, a + 3);
-    EXPECT_GT(arena.capacityBytes(), 0u);
-}
-
-TEST(TaskArena, SteadyEpochsReuseCoalescedGenerations)
-{
-    // Two generations of a workload that allocates the same amount
-    // each epoch: after the first rotations have coalesced the chunk
-    // lists, further epochs reserve nothing new.
-    TaskArena arena;
-    auto epoch = [&arena] {
-        arena.rotate();
-        for (int i = 0; i < 200; ++i)
-            arena.alloc<std::uint64_t>(100); // 160 KB: several chunks
-    };
-    for (int e = 0; e < 4; ++e)
-        epoch();
-    const std::size_t steady = arena.capacityBytes();
-    for (int e = 0; e < 6; ++e)
-        epoch();
-    EXPECT_EQ(arena.capacityBytes(), steady);
-
-    // A span stays valid across one rotation (the other generation).
-    arena.rotate();
-    auto *keep = arena.alloc<std::uint64_t>(1);
-    *keep = 42;
-    arena.rotate();
-    arena.alloc<std::uint64_t>(1000);
-    EXPECT_EQ(*keep, 42u);
 }
 
 } // namespace abndp
