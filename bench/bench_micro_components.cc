@@ -4,8 +4,9 @@
  * simulator primitives — camp mapping, cache probes, the event queue,
  * DRAM/network reservations and meter pages, scheduler scoring, the
  * serving key draw — of the graph set-up every graph workload starts
- * with, and of building one graph task's hint. These guard the
- * simulator's own performance, not the paper's results.
+ * with, of building one graph task's hint, and of one task's trip
+ * through a TaskPool slot. These guard the simulator's own
+ * performance, not the paper's results.
  */
 
 #include <benchmark/benchmark.h>
@@ -28,8 +29,10 @@
 #include "serve/zipf.hh"
 #include "sim/bandwidth_meter.hh"
 #include "sim/event_queue.hh"
+#include "tasking/task_pool.hh"
 #include "workloads/graph_gen.hh"
 #include "workloads/graph_layout.hh"
+#include "workloads/kvstore.hh"
 
 namespace abndp
 {
@@ -455,6 +458,57 @@ BM_GraphVertexTask(benchmark::State &state)
     }
 }
 BENCHMARK(BM_GraphVertexTask);
+
+/** Accepts each task as a runtime does, then dispatches it at once. */
+class PoolSink : public TaskSink
+{
+  public:
+    void
+    enqueueTask(Task &&task) override
+    {
+        task.finalizeBlocks();
+        TaskRef ref = pool.add(std::move(task));
+        benchmark::DoNotOptimize(ref);
+        pool.release(ref);
+    }
+
+    TaskPool pool;
+};
+
+/**
+ * One task's trip through a pool slot: built, its block list
+ * finalized, moved into the pool and released. pr_vertex borrows both
+ * lists of a scale-12 in-neighbour layout, vertex after vertex;
+ * kv_lookup builds the 7-node root-to-leaf path of a 2^20-key tree (a
+ * one-lookup batch, so each iteration is one task) on the heap.
+ */
+void
+BM_TaskPoolAddRelease(benchmark::State &state, bool kv)
+{
+    SystemConfig cfg;
+    SimAllocator alloc(cfg);
+    PoolSink sink;
+    if (kv) {
+        KvStoreWorkload wl(1ull << 20, 1);
+        wl.setup(alloc);
+        for (auto _ : state)
+            wl.emitInitialTasks(sink);
+        return;
+    }
+    const Graph g = makeRmatGraph(setupGraphParams(false)).transposed();
+    GraphLayout layout(g, 16, 4);
+    layout.setup(alloc);
+    std::uint32_t v = 0;
+    for (auto _ : state) {
+        Task t;
+        layout.borrowVertexHint(v, t);
+        sink.enqueueTask(std::move(t));
+        if (++v == g.numVertices())
+            v = 0;
+    }
+}
+BENCHMARK_CAPTURE(BM_TaskPoolAddRelease, pr_vertex, false);
+BENCHMARK_CAPTURE(BM_TaskPoolAddRelease, kv_lookup, true);
 
 } // namespace
 } // namespace abndp

@@ -31,7 +31,7 @@ HostSystem::enqueueTask(Task &&task)
     else
         abndp_assert(task.timestamp == curEpoch);
     task.finalizeBlocks();
-    staged.push_back(std::move(task));
+    staged.push_back(pool.add(std::move(task)));
 }
 
 Tick
@@ -80,8 +80,11 @@ HostSystem::tryDispatch()
             continue;
         if (active.empty())
             break;
-        Task task = std::move(active.front());
+        const TaskRef ref = active.front();
         active.pop_front();
+        // Pool addresses are stable, so the task stays valid while
+        // executeTask() adds its children.
+        const Task &task = pool[ref];
 
         inExecute = true;
         workload->executeTask(task, *this);
@@ -89,6 +92,7 @@ HostSystem::tryDispatch()
 
         Tick now = eq.now();
         Tick end = executeTiming(task, now);
+        pool.release(ref);
         core.busy = true;
         core.activeTicks += end - now;
         ++totalTasks;

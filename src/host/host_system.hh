@@ -5,6 +5,10 @@
  * 20 MB shared LLC, and 4 channels of DDR4-2400. Modeled analytically:
  * out-of-order overlap is captured by dividing memory stall time by an
  * effective memory-level-parallelism factor.
+ *
+ * Like the NDP runtime, the host moves each accepted task once, into
+ * its TaskPool; the running and the staged epoch are FIFOs of 4-byte
+ * TaskRefs, and dispatch releases the slot once the task has run.
  */
 
 #ifndef ABNDP_HOST_HOST_SYSTEM_HH
@@ -21,6 +25,7 @@
 #include "sim/event_queue.hh"
 #include "tasking/task.hh"
 #include "tasking/task_deque.hh"
+#include "tasking/task_pool.hh"
 #include "workloads/workload.hh"
 
 namespace abndp
@@ -39,6 +44,9 @@ class HostSystem : public TaskSink
 
     void enqueueTask(Task &&task) override;
 
+    /** The tasks the epoch lists' handles refer to. */
+    const TaskPool &taskPool() const { return pool; }
+
   private:
     struct CoreState
     {
@@ -56,8 +64,9 @@ class HostSystem : public TaskSink
     std::vector<BandwidthMeter> channelMeter;
     std::vector<CoreState> cores;
 
-    SlidingDeque<Task> active;
-    SlidingDeque<Task> staged;
+    TaskPool pool;
+    SlidingDeque<TaskRef> active;
+    SlidingDeque<TaskRef> staged;
     Workload *workload = nullptr;
     std::uint64_t curEpoch = 0;
     std::uint64_t activeRemaining = 0;

@@ -14,12 +14,19 @@
  *      (GraphLayout's per-vertex hint and block lists) — read-only: no
  *      operation writes into or frees the borrowed storage.
  *
- * Moves transfer the pointer (or memcpy the inline prefix); copies are
- * deep and always land inline or on the heap, never aliasing a
- * borrowed list the copy does not control. On the borrowed tier,
- * push_back() copies the span to the heap first, clear() drops back to
- * the inline buffer, and every mutable accessor first copies the span
- * into storage the container owns.
+ * The object is two 32-bit counts, len and cap, and one word-aligned
+ * union of the inline elements with the heap or borrowed pointer
+ * (24 bytes for SmallVec<Addr, 2> and SmallVec<AddrRange, 1>). cap
+ * alone names the tier: 0 is borrowed, N is inline, anything larger is
+ * a heap buffer. So every heap buffer holds more than N elements, and
+ * a borrowed span of N or fewer that has to become writable (a mutable
+ * accessor, resize(), reserve() or push_back()) lands inline.
+ *
+ * Moves copy the counts and the N-element buffer, which covers the
+ * pointer, whatever the tier, and leave the source inline and empty;
+ * copies are deep and always land inline or on the heap, never
+ * aliasing a borrowed list the copy does not control. clear() on the
+ * borrowed tier drops back to the inline buffer.
  */
 
 #ifndef ABNDP_TASKING_SMALL_VEC_HH
@@ -50,13 +57,18 @@ class SmallVec
     static_assert(std::is_trivially_copyable_v<T>,
                   "SmallVec is memcpy-based");
     static_assert(N > 0, "inline capacity must be nonzero");
+    static_assert(sizeof(T[N]) >= sizeof(T *),
+                  "the inline buffer must cover the pointer it overlays");
 
   public:
-    SmallVec() = default;
+    // Not defaulted: a union member whose type has default member
+    // initializers (AddrRange) makes GCC delete a defaulted
+    // constructor, even with the pointer member initialized in place.
+    SmallVec() noexcept : ptr(nullptr) {}
 
     SmallVec(std::initializer_list<T> il) { assign(il.begin(), il.size()); }
 
-    SmallVec(const SmallVec &o) { assign(o.ptr, o.len); }
+    SmallVec(const SmallVec &o) { assign(o.data(), o.len); }
 
     SmallVec(SmallVec &&o) noexcept { steal(o); }
 
@@ -64,7 +76,7 @@ class SmallVec
     operator=(const SmallVec &o)
     {
         if (this != &o)
-            assign(o.ptr, o.len);
+            assign(o.data(), o.len);
         return *this;
     }
 
@@ -91,14 +103,21 @@ class SmallVec
     bool empty() const { return len == 0; }
     /** Writable capacity: 0 on the borrowed tier. */
     std::size_t capacity() const { return cap; }
-    SmallVecTier tier() const { return where; }
 
-    const T *data() const { return ptr; }
-    const T *begin() const { return ptr; }
-    const T *end() const { return ptr + len; }
-    const T &operator[](std::size_t i) const { return ptr[i]; }
-    const T &front() const { return ptr[0]; }
-    const T &back() const { return ptr[len - 1]; }
+    SmallVecTier
+    tier() const
+    {
+        if (cap == 0)
+            return SmallVecTier::Borrowed;
+        return cap == N ? SmallVecTier::Inline : SmallVecTier::Heap;
+    }
+
+    const T *data() const { return cap == N ? inlineBuf : ptr; }
+    const T *begin() const { return data(); }
+    const T *end() const { return data() + len; }
+    const T &operator[](std::size_t i) const { return data()[i]; }
+    const T &front() const { return data()[0]; }
+    const T &back() const { return data()[len - 1]; }
 
     // Mutable access: a borrowed span is first copied into owned
     // storage, so a write can never reach the lender's list.
@@ -117,8 +136,8 @@ class SmallVec
     clear()
     {
         len = 0;
-        if (where == SmallVecTier::Borrowed)
-            useInline();
+        if (cap == 0)
+            cap = N;
     }
 
     /** Drop elements past @p n (sort+unique tail trim). */
@@ -131,27 +150,28 @@ class SmallVec
 
     /**
      * Make room for exactly @p n elements, moving to a heap buffer of
-     * that size when the current capacity is smaller. Hint builders
-     * that know the final length (degree counts) call it first, so the
-     * push_backs that follow never regrow.
+     * that size when the current capacity is smaller (a borrowed span
+     * that fits in N lands inline). Hint builders that know the final
+     * length (degree counts) call it first, so the push_backs that
+     * follow never regrow.
      */
     void
     reserve(std::size_t n)
     {
         if (n > cap)
-            growHeap(n);
+            own(n < len ? len : n);
     }
 
     /**
      * Grow or shrink to @p n elements; new ones are left uninitialized
-     * for the caller to fill. Grows on the heap past the capacity (and
-     * always on the borrowed tier).
+     * for the caller to fill. Grows on the heap past the capacity, and
+     * copies a borrowed span into owned storage first.
      */
     void
     resize(std::size_t n)
     {
         if (n > cap)
-            growHeap(n);
+            own(n);
         len = static_cast<std::uint32_t>(n);
     }
 
@@ -166,95 +186,102 @@ class SmallVec
         ptr = const_cast<T *>(src);
         len = static_cast<std::uint32_t>(n);
         cap = 0;
-        where = SmallVecTier::Borrowed;
     }
 
     void
     push_back(const T &v)
     {
+        // Only a borrowed span is shorter than N here; past N, the
+        // heap buffer is at least 8 slots or twice the length.
         if (len >= cap)
-            growHeap(len < 4 ? 8 : std::size_t{len} * 2);
-        ptr[len++] = v;
+            own(len < N ? N : len < 4 ? 8 : std::size_t{len} * 2);
+        writable()[len++] = v;
     }
 
   private:
-    void
-    useInline()
-    {
-        ptr = inlineBuf;
-        cap = N;
-        where = SmallVecTier::Inline;
-    }
-
     T *
     writable()
     {
-        if (where == SmallVecTier::Borrowed)
-            assign(ptr, len);
-        return ptr;
+        if (cap == 0)
+            own(len);
+        return cap == N ? inlineBuf : ptr;
     }
 
+    /** Replace the elements with a copy of @p n at @p src. */
     void
     assign(const T *src, std::size_t n)
     {
         // src may be this container's own borrowed span: releaseHeap()
         // leaves it alone, and the copy lands in fresh storage.
         releaseHeap();
+        T *dst = inlineBuf;
         if (n > N) {
-            ptr = new T[n];
+            dst = ptr = new T[n];
             cap = static_cast<std::uint32_t>(n);
-            where = SmallVecTier::Heap;
         }
         if (n > 0)
-            std::memcpy(ptr, src, n * sizeof(T));
+            std::memcpy(dst, src, n * sizeof(T));
         len = static_cast<std::uint32_t>(n);
+    }
+
+    /**
+     * Move the first min(len, @p n) elements into owned storage with
+     * room for @p n: the inline buffer when @p n <= N (only a borrowed
+     * span is ever that short of room), else a heap buffer of exactly
+     * @p n slots.
+     */
+    void
+    own(std::size_t n)
+    {
+        const std::size_t keep = len < n ? len : n;
+        if (n <= N) {
+            // The buffer overlays only the pointer to the lender's
+            // list, read into src first, not the list itself.
+            const T *src = ptr;
+            if (keep > 0)
+                std::memcpy(inlineBuf, src, keep * sizeof(T));
+            cap = N;
+            return;
+        }
+        const T *src = cap == N ? inlineBuf : ptr;
+        T *np = new T[n];
+        if (keep > 0)
+            std::memcpy(np, src, keep * sizeof(T));
+        releaseHeap();
+        ptr = np;
+        cap = static_cast<std::uint32_t>(n);
     }
 
     void
     steal(SmallVec &o) noexcept
     {
+        // The inline buffer covers the pointer, so one fixed-size copy
+        // moves every tier.
         len = o.len;
-        if (o.where == SmallVecTier::Inline) {
-            useInline();
-            if (len > 0)
-                std::memcpy(inlineBuf, o.inlineBuf, len * sizeof(T));
-        } else {
-            ptr = o.ptr;
-            cap = o.cap;
-            where = o.where;
-        }
-        o.useInline();
+        cap = o.cap;
+        std::memcpy(inlineBuf, o.inlineBuf, sizeof inlineBuf);
         o.len = 0;
-    }
-
-    /** Move the elements into an owned buffer of @p newCap slots. */
-    void
-    growHeap(std::size_t newCap)
-    {
-        T *np = new T[newCap];
-        const std::size_t keep = len < newCap ? len : newCap;
-        if (keep > 0)
-            std::memcpy(np, ptr, keep * sizeof(T));
-        releaseHeap();
-        ptr = np;
-        cap = static_cast<std::uint32_t>(newCap);
-        where = SmallVecTier::Heap;
+        o.cap = N;
     }
 
     /** Free an owned buffer; every tier ends on the inline buffer. */
     void
     releaseHeap()
     {
-        if (where == SmallVecTier::Heap)
+        if (cap > N)
             delete[] ptr;
-        useInline();
+        cap = N;
     }
 
-    T *ptr = inlineBuf;
     std::uint32_t len = 0;
+    /** 0: borrowed, N: inline, more than N: heap (file comment). */
     std::uint32_t cap = N;
-    SmallVecTier where = SmallVecTier::Inline;
-    T inlineBuf[N];
+    union
+    {
+        /** The heap buffer or the borrowed span. */
+        T *ptr;
+        T inlineBuf[N];
+    };
 };
 
 } // namespace abndp

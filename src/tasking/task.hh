@@ -13,11 +13,12 @@
  * are SmallVec spans. A vertex-centric task borrows its address and
  * block lists from the run-lived per-vertex lists GraphLayout builds
  * once; other small hints live inline in the task object, and longer
- * ones on the heap, owned by the task and freed with it. The NDP
- * runtime moves each accepted task once, into its TaskPool
- * (tasking/task_pool.hh); queues, forwards, steals and recovery
- * transits then carry a 4-byte TaskRef, and dispatch destroys the task
- * in its slot. Tasks are move-only.
+ * ones on the heap, owned by the task and freed with it. Every
+ * runtime (NdpSystem, HostSystem, ImmediateExecutor) moves each
+ * accepted task once, into its TaskPool (tasking/task_pool.hh);
+ * queues, forwards, steals and recovery transits then carry a 4-byte
+ * TaskRef, and dispatch destroys the task in its slot. Tasks are
+ * move-only.
  */
 
 #ifndef ABNDP_TASKING_TASK_HH
@@ -112,11 +113,20 @@ deriveBlocks(const TaskHint &hint, Addr *out)
                         {hint.ranges.data(), hint.ranges.size()}, out);
 }
 
-/** One unit of data-centric work. */
+/**
+ * One unit of data-centric work.
+ *
+ * Fields are ordered to pack: func shares a word with mainHome, and
+ * tenant and the four runtime flags share the last one, for 160 bytes
+ * in all (the simulated machine ships a task as a 32-byte descriptor;
+ * this is the simulator's bookkeeping for it).
+ */
 struct Task
 {
     /** Workload-defined function opcode. */
     std::uint32_t func = 0;
+    /** Home unit of the main element (set on enqueue by the runtime). */
+    UnitId mainHome = invalidUnit;
     /** Bulk-synchronous timestamp (epoch number). */
     std::uint64_t timestamp = 0;
     /** Workload-defined argument (e.g., vertex id, row id, query id). */
@@ -138,10 +148,15 @@ struct Task
      * finalizeBlocks() fills it when a runtime accepts the task.
      */
     SmallVec<Addr, 2> blocks;
-    /** Home unit of the main element (set on enqueue). */
-    UnitId mainHome = invalidUnit;
     /** Scheduler load estimate used for the W counters. */
     double loadEstimate = 0.0;
+    /**
+     * Serving mode only: the tick this request arrived at the driver
+     * (latency = completion - arrival) and its tenant. Both stay zero
+     * in batch runs.
+     */
+    Tick servingArrival = 0;
+    std::uint8_t tenant = 0;
     /** True once the prefetch unit issued this task's hint prefetches. */
     bool prefetched = false;
     /** Times this task was forwarded between scheduling windows. */
@@ -155,13 +170,6 @@ struct Task
     bool recovered = false;
     /** Delivery-ack redispatch attempts consumed (capped backoff). */
     std::uint8_t redispatchCount = 0;
-    /**
-     * Serving mode only: the tick this request arrived at the driver
-     * (latency = completion - arrival) and its tenant. Both stay zero
-     * in batch runs.
-     */
-    Tick servingArrival = 0;
-    std::uint8_t tenant = 0;
 
     // Move-only: the hint spans have one owner, moved with the task
     // into the runtime's pool; an accidental copy would silently

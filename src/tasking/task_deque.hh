@@ -44,12 +44,10 @@ class SlidingDeque
     const T &operator[](std::size_t i) const { return buf[headIdx + i]; }
 
     void push_back(const T &v) { buf.push_back(v); }
-    void push_back(T &&v) { buf.push_back(std::move(v)); }
 
     /**
      * Drop the front element. The slot is compacted away only once the
-     * queue drains (popped-from fronts are moved-from shells, so the
-     * deferred destruction holds no meaningful resources).
+     * queue drains.
      */
     void
     pop_front()

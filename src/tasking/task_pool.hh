@@ -1,7 +1,7 @@
 /**
  * @file
- * Address-stable storage for the tasks an NdpSystem (or the functional
- * ImmediateExecutor) holds.
+ * Address-stable storage for the tasks a runtime holds: NdpSystem, the
+ * host baseline HostSystem, and the functional ImmediateExecutor.
  *
  * A task is moved into the pool once, when the runtime accepts it (an
  * enqueue or a serving injection), and destroyed in place when a core
@@ -47,7 +47,7 @@ struct TaskRef
 class TaskPool
 {
   public:
-    /** Slots per chunk: 2^10 tasks, ~248 KB. */
+    /** Slots per chunk: 2^10 tasks of 160 bytes, 160 KiB. */
     static constexpr std::uint32_t chunkShift = 10;
     static constexpr std::uint32_t chunkSlots = 1u << chunkShift;
 

@@ -7,15 +7,16 @@
 namespace abndp
 {
 
-PageRankWorkload::PageRankWorkload(Graph graph_, std::uint32_t maxIters,
+PageRankWorkload::PageRankWorkload(Graph graph, std::uint32_t maxIters,
                                    double epsilon, Placement placement)
-    : graph(std::move(graph_)),
-      transpose(graph.transposed()),
+    : transpose(graph.transposed()),
       // 16-byte record: {rank, 1/outDegree}.
       layout(transpose, 16, 4, placement),
       maxIters(maxIters),
       epsilon(epsilon)
 {
+    // Nothing past this constructor reads the link graph itself: the
+    // parameter (and its CSR) dies with the call.
     std::uint32_t n = graph.numVertices();
     outDeg.resize(n);
     for (std::uint32_t v = 0; v < n; ++v)
@@ -53,7 +54,7 @@ PageRankWorkload::makeTask(std::uint32_t v, std::uint64_t ts) const
 void
 PageRankWorkload::emitInitialTasks(TaskSink &sink)
 {
-    for (std::uint32_t v = 0; v < graph.numVertices(); ++v)
+    for (std::uint32_t v = 0; v < transpose.numVertices(); ++v)
         sink.enqueueTask(makeTask(v, 0));
 }
 
@@ -66,7 +67,7 @@ PageRankWorkload::executeTask(const Task &task, TaskSink &sink)
         if (outDeg[n] > 0)
             acc += curr[n] / outDeg[n];
     }
-    double val = damping * acc + (1.0 - damping) / graph.numVertices();
+    double val = damping * acc + (1.0 - damping) / transpose.numVertices();
     next[v] = val;
     // Algorithm 1: keep iterating while the rank has not converged.
     bool more = std::abs(val - curr[v]) > epsilon;
@@ -88,7 +89,7 @@ PageRankWorkload::verify() const
 {
     // Sequential reference with identical bulk-synchronous semantics:
     // re-run epochsRun Jacobi iterations with per-vertex freezing.
-    std::uint32_t n = graph.numVertices();
+    std::uint32_t n = transpose.numVertices();
     std::vector<double> ref(n, 1.0 / n);
     std::vector<bool> live(n, true);
     for (std::uint64_t it = 0; it < epochsRun; ++it) {

@@ -4,6 +4,11 @@
  * per iteration reads every neighbor's rank/out-degree and writes the
  * vertex's next rank; tasks for the next iteration are enqueued until
  * convergence.
+ *
+ * A task reads only the in-neighbors of its vertex and their
+ * out-degrees, so the workload keeps the transpose and the degree
+ * array and lets the link graph go once its constructor has built
+ * them from it.
  */
 
 #ifndef ABNDP_WORKLOADS_PAGERANK_HH
@@ -24,7 +29,8 @@ class PageRankWorkload : public Workload
 {
   public:
     /**
-     * @param graph input graph (directed interpretation for ranks)
+     * @param graph input link graph (directed interpretation for
+     *        ranks); only its transpose and out-degrees are kept
      * @param maxIters stop after this many iterations (0 = converge)
      * @param epsilon per-vertex convergence threshold
      */
@@ -46,9 +52,10 @@ class PageRankWorkload : public Workload
   private:
     Task makeTask(std::uint32_t v, std::uint64_t ts) const;
 
-    /** Link graph (u -> v means u links to v). */
-    Graph graph;
-    /** Transpose: per vertex, the in-neighbors whose rank flows in. */
+    /**
+     * Transpose of the link graph (in which u -> v means u links to
+     * v): per vertex, the in-neighbors whose rank flows in.
+     */
     Graph transpose;
     /** Out-degrees in the link graph (rank mass divisor). */
     std::vector<std::uint32_t> outDeg;

@@ -29,6 +29,33 @@ TEST(HostSystem, Deterministic)
     EXPECT_EQ(a.run(*wa).ticks, b.run(*wb).ticks);
 }
 
+TEST(HostSystem, TaskPoolEndsDrained)
+{
+    // Each accepted task lives in the pool from enqueue to dispatch;
+    // the epoch lists carry handles, and every slot is released.
+    SystemConfig cfg;
+    HostSystem host(cfg);
+    auto wl = makeWorkload(WorkloadSpec::tiny("pr"));
+    RunMetrics m = host.run(*wl);
+    EXPECT_TRUE(wl->verify());
+    EXPECT_GT(m.tasks, 0u);
+    EXPECT_GT(host.taskPool().capacity(), 0u);
+    EXPECT_EQ(host.taskPool().live(), 0u);
+}
+
+TEST(HostSystem, MaxEpochsCutKeepsOnlyStagedTasks)
+{
+    // The epoch that never runs keeps its staged children in the pool.
+    SystemConfig cfg;
+    cfg.maxEpochs = 1;
+    HostSystem host(cfg);
+    auto wl = makeWorkload(WorkloadSpec::tiny("pr"));
+    RunMetrics m = host.run(*wl);
+    EXPECT_EQ(m.epochs, 1u);
+    EXPECT_GT(host.taskPool().live(), 0u);
+    EXPECT_LE(host.taskPool().live(), m.tasks);
+}
+
 TEST(HostSystem, NdpBaselineOutperformsHost)
 {
     // Section 7.1: the NDP baseline B is substantially faster than the

@@ -7,8 +7,10 @@
  * and shed batches, and recovery transits carry 4-byte TaskRef handles.
  * Task stays move-only (it owns or borrows its payload spans, so a
  * stray copy would either fail to compile or silently double-account
- * payload lines). The static_asserts pin both type
- * contracts; the run-twice fingerprint tests pin that handing tasks
+ * payload lines). The static_asserts pin both type contracts and the
+ * 160-byte Task every pool slot holds; the span-move row pins that a
+ * moved task's spans, whatever their tier, leave the source inline
+ * and empty; the run-twice fingerprint tests pin that handing tasks
  * through forward, steal, failure-drain, and redispatch leaves
  * simulated behavior bit-identical and deterministic.
  */
@@ -18,6 +20,7 @@
 #include <sstream>
 #include <string>
 #include <type_traits>
+#include <vector>
 
 #include "core/ndp_system.hh"
 #include "driver/experiment.hh"
@@ -39,6 +42,9 @@ static_assert(!std::is_copy_assignable_v<Task>,
               "Task must not be copy-assignable");
 static_assert(std::is_nothrow_move_constructible_v<Task>,
               "Task moves must not throw (vector growth would copy)");
+// Every staged task costs one pool slot of sizeof(Task) bytes; the
+// field order packs the 32-bit and 8-bit fields into shared words.
+static_assert(sizeof(Task) <= 160, "a staged task costs at most 160 bytes");
 
 // Between enqueue and dispatch a task never moves: every carrier holds
 // a 4-byte handle into the pool.
@@ -85,6 +91,54 @@ runAndDump(const SystemConfig &cfg)
 }
 
 } // namespace
+
+TEST(TransitMoveSemantics, TaskMoveLeavesEverySpanInlineAndEmpty)
+{
+    // One task with a span on each tier: a heap hint list, an inline
+    // range list and write list, and a borrowed block list.
+    const std::vector<Addr> lent{0x1000, 0x1040, 0x2000};
+    auto make = [&lent] {
+        Task t;
+        t.arg = 42;
+        t.hint.data = {0x1000, 0x1040, 0x2000};
+        t.hint.ranges = {{0x2000, 64}};
+        t.writes = {0x3000};
+        t.blocks.borrow(lent.data(), lent.size());
+        return t;
+    };
+    auto expectEmptyInline = [](const Task &t) {
+        EXPECT_TRUE(t.hint.data.empty());
+        EXPECT_TRUE(t.hint.ranges.empty());
+        EXPECT_TRUE(t.writes.empty());
+        EXPECT_TRUE(t.blocks.empty());
+        EXPECT_EQ(t.hint.data.tier(), SmallVecTier::Inline);
+        EXPECT_EQ(t.hint.ranges.tier(), SmallVecTier::Inline);
+        EXPECT_EQ(t.writes.tier(), SmallVecTier::Inline);
+        EXPECT_EQ(t.blocks.tier(), SmallVecTier::Inline);
+    };
+
+    Task src = make();
+    ASSERT_EQ(src.hint.data.tier(), SmallVecTier::Heap);
+    ASSERT_EQ(src.blocks.tier(), SmallVecTier::Borrowed);
+    TaskPool pool;
+    const TaskRef ref = pool.add(std::move(src));
+    expectEmptyInline(src);
+    const Task &held = pool[ref];
+    EXPECT_EQ(held.arg, 42u);
+    EXPECT_EQ(held.hint.data.tier(), SmallVecTier::Heap);
+    EXPECT_EQ(held.hint.data.back(), 0x2000u);
+    EXPECT_EQ(held.hint.ranges.front().bytes, 64u);
+    EXPECT_EQ(held.writes.front(), 0x3000u);
+    EXPECT_EQ(held.blocks.data(), lent.data());
+
+    Task assigned = make();
+    assigned = std::move(pool[ref]);
+    expectEmptyInline(pool[ref]);
+    pool.release(ref);
+    EXPECT_EQ(assigned.hint.data.size(), 3u);
+    EXPECT_EQ(assigned.blocks.tier(), SmallVecTier::Borrowed);
+    EXPECT_EQ(pool.live(), 0u);
+}
 
 TEST(TransitMoveSemantics, StealPathBitIdenticalAcrossRuns)
 {
